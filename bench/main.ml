@@ -1256,23 +1256,21 @@ let exp_bench_scaling () =
   Format.printf "bit-identical across domain counts: yes@."
 
 (* ------------------------------------------------------------------ *)
-(* Incremental-evaluation perf benchmark (the CI perf-gate input)       *)
+(* Search-results benchmark (the CI perf-gate input)                    *)
 (* ------------------------------------------------------------------ *)
 
 let bench_incremental_path = "BENCH_pr5.json"
 
 let exp_bench_incremental () =
   header "bench_incremental"
-    ("Incremental vs. full objective evaluation -> " ^ bench_incremental_path);
+    ("Search results per workload -> " ^ bench_incremental_path);
   let module J = Kf_obs.Json in
   (* gens=300 / pop=100 with stall disabled: long enough for the memo
-     tables to amortize their warm-up, which is where the incremental
-     path's advantage is representative of real searches. *)
+     tables to amortize their warm-up, as in real searches. *)
   let params =
     { search_params with Hgga.max_generations = 300; stall_generations = 300;
       population_size = 100 }
   in
-  let repeats = 3 in
   let workloads =
     [
       ("motivating", Motivating.program ());
@@ -1283,94 +1281,30 @@ let exp_bench_incremental () =
   let t =
     Table.create
       [
-        ("workload", Table.Left); ("mode", Table.Left); ("wall (s)", Table.Right);
-        ("evals", Table.Right); ("evals/s", Table.Right); ("ratio", Table.Right);
+        ("workload", Table.Left); ("evals", Table.Right); ("cost (s)", Table.Right);
         ("measured", Table.Right);
       ]
-  in
-  (* A fresh objective per run: the caches are per-objective, and a warm
-     cache would turn every later repeat into a no-op. *)
-  let run_one ctx ~incremental =
-    let obj = Pipeline.objective ~incremental ctx in
-    Hgga.solve ~params obj
-  in
-  let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let history_equal h1 h2 =
-    List.length h1 = List.length h2
-    && List.for_all2 (fun (g1, c1) (g2, c2) -> g1 = g2 && float_bits_equal c1 c2) h1 h2
   in
   let rows =
     List.map
       (fun (name, p) ->
         let ctx = prepare p in
-        (* Interleave the repeats so slow drift in machine load hits both
-           modes alike; keep the best wall per mode (min is the standard
-           noise-robust estimator for wall time). *)
-        let walls_full = ref [] and walls_inc = ref [] in
-        let last_full = ref None and last_inc = ref None in
-        for _ = 1 to repeats do
-          let rf = run_one ctx ~incremental:false in
-          let ri = run_one ctx ~incremental:true in
-          walls_full := rf.Hgga.stats.Hgga.wall_time_s :: !walls_full;
-          walls_inc := ri.Hgga.stats.Hgga.wall_time_s :: !walls_inc;
-          last_full := Some rf;
-          last_inc := Some ri
-        done;
-        let rf = Option.get !last_full and ri = Option.get !last_inc in
-        (* The whole point of the incremental path is that it is
-           result-invisible: same best plan, cost, improvement history
-           and evaluation count, bit for bit. *)
-        let identical =
-          Plan.equal rf.Hgga.plan ri.Hgga.plan
-          && float_bits_equal rf.Hgga.cost ri.Hgga.cost
-          && history_equal rf.Hgga.stats.Hgga.improvement_history
-               ri.Hgga.stats.Hgga.improvement_history
-          && rf.Hgga.stats.Hgga.evaluations = ri.Hgga.stats.Hgga.evaluations
-        in
-        if not identical then begin
-          Format.eprintf
-            "bench_incremental: %s: incremental run diverged from full run@." name;
-          exit 1
-        end;
-        let evals = rf.Hgga.stats.Hgga.evaluations in
-        let best walls = List.fold_left min infinity walls in
-        let wall_full = best !walls_full and wall_inc = best !walls_inc in
-        let eps wall = if wall > 0. then float_of_int evals /. wall else 0. in
-        let ratio = if wall_inc > 0. then wall_full /. wall_inc else 0. in
-        let o = Pipeline.apply ctx ri in
-        let mode_row mode wall =
-          Table.add_row t
-            [
-              name; mode;
-              Table.cell_f ~decimals:3 wall;
-              string_of_int evals;
-              Table.cell_f ~decimals:0 (eps wall);
-              (if mode = "incremental" then Table.cell_speedup ratio else "");
-              Table.cell_speedup o.Pipeline.speedup;
-            ]
-        in
-        mode_row "full" wall_full;
-        mode_row "incremental" wall_inc;
-        let mode_json wall walls =
-          J.Obj
-            [
-              ("wall_s", J.Float wall);
-              ("evaluations_per_s", J.Float (eps wall));
-              ("wall_s_repeats", J.Arr (List.rev_map (fun w -> J.Float w) walls));
-            ]
-        in
+        let r = Hgga.solve ~params (Pipeline.objective ctx) in
+        let evals = r.Hgga.stats.Hgga.evaluations in
+        let o = Pipeline.apply ctx r in
+        Table.add_row t
+          [
+            name; string_of_int evals; Printf.sprintf "%.6g" r.Hgga.cost;
+            Table.cell_speedup o.Pipeline.speedup;
+          ];
         J.Obj
           [
             ("name", J.Str name);
             ("kernels", J.Int (Program.num_kernels p));
             ("evaluations", J.Int evals);
-            ("generations", J.Int rf.Hgga.stats.Hgga.generations);
-            ("cost_s", J.Float ri.Hgga.cost);
+            ("generations", J.Int r.Hgga.stats.Hgga.generations);
+            ("cost_s", J.Float r.Hgga.cost);
             ("measured_speedup", J.Float o.Pipeline.speedup);
-            ("bit_identical", J.Bool identical);
-            ("full", mode_json wall_full !walls_full);
-            ("incremental", mode_json wall_inc !walls_inc);
-            ("evals_per_s_ratio", J.Float ratio);
           ])
       workloads
   in
@@ -1398,7 +1332,6 @@ let exp_bench_incremental () =
              ("seed", J.Int params.Hgga.seed);
            ]);
         ("device", J.Str k20x.Device.name);
-        ("repeats", J.Int repeats);
         ("workloads", J.Arr rows);
       ]
   in
@@ -1437,7 +1370,11 @@ let exp_bench_pareto () =
      search.  Both are hard invariants, asserted here like the scaling
      bench asserts domain determinism — a violation is a bug, not a slow
      run. *)
-  let rl = Hgga.solve ~params (Pipeline.objective ~arena:false ctx) in
+  (* The legacy side is the per-candidate Fused.build leaf, kept as a
+     test oracle and installed through the objective's guard. *)
+  let legacy = Legacy_leaf.guard ~model:Objective.Proposed in
+  let legacy_objective () = Pipeline.objective ~guard:(legacy ctx.Pipeline.inputs) ctx in
+  let rl = Hgga.solve ~params (legacy_objective ()) in
   let ra = Hgga.solve ~params (Pipeline.objective ctx) in
   let identical =
     Plan.equal rl.Hgga.plan ra.Hgga.plan
@@ -1500,7 +1437,7 @@ let exp_bench_pareto () =
     !best
   in
   let eval_corpus obj = List.iter (fun g -> ignore (Objective.group_cost obj g)) corpus in
-  let wall_legacy = time_it (fun () -> eval_corpus (Pipeline.objective ~arena:false ctx)) in
+  let wall_legacy = time_it (fun () -> eval_corpus (legacy_objective ())) in
   let wall_arena = time_it (fun () -> eval_corpus (Pipeline.objective ctx)) in
   let single_speedup = wall_legacy /. wall_arena in
   (* Portfolio: per-device rows for all five devices through the shared
@@ -1517,7 +1454,7 @@ let exp_bench_pareto () =
     time_it (fun () ->
         List.iter
           (fun i ->
-            let obj = Objective.create ~arena:false i in
+            let obj = Objective.create ~guard:(legacy i) i in
             List.iter (fun g -> ignore (Objective.group_cost obj g)) corpus)
           per_device_inputs)
   in
@@ -1529,7 +1466,7 @@ let exp_bench_pareto () =
     eval_corpus obj;
     Objective.alloc_per_eval obj
   in
-  let alloc_legacy = alloc_of (Pipeline.objective ~arena:false ctx) in
+  let alloc_legacy = alloc_of (legacy_objective ()) in
   let alloc_arena = alloc_of (Pipeline.objective ctx) in
   Kf_obs.Metrics.set_enabled false;
   let t =

@@ -16,19 +16,13 @@
      by more than 20% against the baseline — the amortized per-decision
      wall cannot silently regress.
 
-   For "kfuse-bench/1", checked per workload (matched by name):
+   For "kfuse-bench-incremental/1" (the search-results bench):
 
-   - [bit_identical] must hold in the current run: the incremental path
-     must still produce the exact plan, cost, history and evaluation
-     count of the full path.
-   - [measured_speedup] must equal the baseline exactly.  The search is
+   - [geomean_measured_speedup], and [measured_speedup] per workload
+     (matched by name), must equal the baseline exactly.  The search is
      deterministic, so any drift means the search behavior changed — if
      the change is intentional, regenerate the baseline in the same
      commit.
-   - [evals_per_s_ratio] (incremental over full throughput, measured on
-     one machine in one process) must not drop by more than 20%.  The
-     ratio is used instead of absolute evals/s so the gate is robust to
-     CI runners of different speeds.
 
    For "kfuse-bench-scaling/2" (the parallel-scaling sweep):
 
@@ -179,21 +173,10 @@ let gate_search ~baseline ~current =
       match List.assoc_opt name current_workloads with
       | None -> check false "workload present in current run"
       | Some cur ->
-          let f path d = require path J.to_float_opt d in
+          let sp d = require [ "measured_speedup" ] J.to_float_opt d in
           check
-            (get [ "bit_identical" ] (function J.Bool b -> Some b | _ -> None) cur
-            = Some true)
-            "incremental run bit-identical to full run";
-          let sp_base = f [ "measured_speedup" ] base
-          and sp_cur = f [ "measured_speedup" ] cur in
-          check (sp_base = sp_cur)
-            "measured speedup unchanged (%.6f vs baseline %.6f)" sp_cur sp_base;
-          let r_base = f [ "evals_per_s_ratio" ] base
-          and r_cur = f [ "evals_per_s_ratio" ] cur in
-          check
-            (r_cur >= (1. -. tolerance) *. r_base)
-            "evals/s ratio %.2fx within %.0f%% of baseline %.2fx" r_cur
-            (100. *. tolerance) r_base)
+            (sp base = sp cur)
+            "measured speedup unchanged (%.6f vs baseline %.6f)" (sp cur) (sp base))
     (workloads baseline)
 
 (* The arena/portfolio bench ("kfuse-bench-pareto/1").  The correctness
@@ -259,7 +242,6 @@ let gate_horizontal ~baseline ~current =
    commit. *)
 let gates =
   [
-    ("kfuse-bench/1", gate_search);
     ("kfuse-bench-incremental/1", gate_search);
     ("kfuse-bench-stream/1", gate_stream);
     ("kfuse-bench-scaling/2", gate_scaling);

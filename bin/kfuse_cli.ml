@@ -124,18 +124,6 @@ let seed_arg =
   let doc = "GA random seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
-let no_incremental_arg =
-  let doc = "Disable incremental per-group evaluation (plan- and signature-keyed caches, \
-             structural memoization) and fall back to whole-plan evaluation.  A \
-             throughput knob only: results are bit-identical either way." in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
-let no_arena_arg =
-  let doc = "Disable the allocation-free feature-arena evaluation leaf and evaluate \
-             each candidate through the legacy per-candidate construction.  A \
-             throughput knob only: results are bit-identical either way." in
-  Arg.(value & flag & info [ "no-arena" ] ~doc)
-
 let no_horizontal_arg =
   let doc = "Restrict the search to vertical fusion only.  By default the search also \
              composes independent kernels side by side as per-plane sub-grids of one \
@@ -407,8 +395,8 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Dependency and traffic analysis") Term.(const run $ workload_arg)
 
 let search_cmd =
-  let run workload device model generations population seed no_incremental no_arena
-      no_horizontal popts ropts oopts =
+  let run workload device model generations population seed no_horizontal popts ropts
+      oopts =
     with_obs oopts @@ fun () ->
     let p = load_workload workload in
     let device = device_of_name device in
@@ -417,8 +405,7 @@ let search_cmd =
     let injector = Option.map (fun cfg -> Kf_robust.Inject.create ~faults cfg) ropts.inject in
     let guard = Kf_robust.Guard.guarded ?inject:injector faults in
     let obj =
-      Pipeline.objective ~model:(model_of_name model) ~incremental:(not no_incremental)
-        ~arena:(not no_arena) ~guard ~faults ctx
+      Pipeline.objective ~model:(model_of_name model) ~guard ~faults ctx
     in
     let r =
       match
@@ -458,12 +445,12 @@ let search_cmd =
   Cmd.v
     (Cmd.info "search" ~doc:"Run the HGGA search and print the best plan")
     Term.(const run $ workload_arg $ device_arg $ model_arg $ generations_arg $ population_arg
-          $ seed_arg $ no_incremental_arg $ no_arena_arg $ no_horizontal_arg $ parallel_term
+          $ seed_arg $ no_horizontal_arg $ parallel_term
           $ robust_term $ obs_term)
 
 let fuse_cmd =
-  let run workload device model generations population seed no_incremental no_arena
-      no_horizontal popts ropts oopts =
+  let run workload device model generations population seed no_horizontal popts ropts
+      oopts =
     with_obs oopts @@ fun () ->
     let p = load_workload workload in
     let device = device_of_name device in
@@ -472,8 +459,7 @@ let fuse_cmd =
         ~params:
           (params_with_parallel ~horizontal:(not no_horizontal) popts generations population
              seed)
-        ~model:(model_of_name model) ~incremental:(not no_incremental)
-        ~arena:(not no_arena) ?inject:ropts.inject ?checkpoint:ropts.checkpoint
+        ~model:(model_of_name model) ?inject:ropts.inject ?checkpoint:ropts.checkpoint
         ?resume_from:ropts.resume ?budget:ropts.budget ~device p
     with
     | Ok o ->
@@ -494,7 +480,7 @@ let fuse_cmd =
   Cmd.v
     (Cmd.info "fuse" ~doc:"Search, apply the fusion, and measure the speedup (fault-tolerant)")
     Term.(const run $ workload_arg $ device_arg $ model_arg $ generations_arg $ population_arg
-          $ seed_arg $ no_incremental_arg $ no_arena_arg $ no_horizontal_arg $ parallel_term
+          $ seed_arg $ no_horizontal_arg $ parallel_term
           $ robust_term $ obs_term)
 
 let pareto_cmd =

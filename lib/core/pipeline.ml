@@ -53,8 +53,8 @@ let prepare ?(sync_points = []) ~device program =
     original_runtime = Array.fold_left ( +. ) 0. measured_runtime;
   }
 
-let objective ?model ?guard ?faults ?domains ?incremental ?arena ?portfolio ctx =
-  Objective.create ?model ?guard ?faults ?domains ?incremental ?arena ?portfolio ctx.inputs
+let objective ?model ?guard ?faults ?domains:_ ?portfolio ctx =
+  Objective.create ?model ?guard ?faults ?portfolio ctx.inputs
 
 (* Extra-device inputs for a portfolio: re-measure the original kernels
    on each device, but share the primary context's metadata and graphs
@@ -107,10 +107,9 @@ let apply ctx (search : Hgga.result) =
     speedup = safe_speedup ~original:ctx.original_runtime ~fused:fused_runtime;
   }
 
-let run ?params ?model ?sync_points ?incremental ?arena ~device program =
+let run ?params ?model ?sync_points ~device program =
   let ctx = prepare ?sync_points ~device program in
-  let domains = Option.map (fun (p : Hgga.params) -> p.Hgga.domains) params in
-  let obj = objective ?model ?domains ?incremental ?arena ctx in
+  let obj = objective ?model ctx in
   let search =
     Obs.span ~cat:"pipeline" ~args:(phase_args program) "search" (fun () ->
         Hgga.solve ?params obj)
@@ -122,14 +121,13 @@ type portfolio_outcome = {
   portfolio : Hgga.portfolio_result;
 }
 
-let portfolio ?params ?model ?sync_points ?incremental ?arena ~devices ~device program =
+let portfolio ?params ?model ?sync_points ~devices ~device program =
   let ctx = prepare ?sync_points ~device program in
   let extras =
     Obs.span ~cat:"pipeline" ~args:(phase_args program) "measure-portfolio" (fun () ->
         portfolio_inputs ctx devices)
   in
-  let domains = Option.map (fun (p : Hgga.params) -> p.Hgga.domains) params in
-  let obj = objective ?model ?domains ?incremental ?arena ~portfolio:extras ctx in
+  let obj = objective ?model ~portfolio:extras ctx in
   let result =
     Obs.span ~cat:"pipeline" ~args:(phase_args program) "search" (fun () ->
         Hgga.solve_portfolio ?params obj)
@@ -140,13 +138,11 @@ let portfolio ?params ?model ?sync_points ?incremental ?arena ~devices ~device p
 
 (* Kf_search cannot see the simulator, so Stream takes the
    prepare-and-measure step as a callback; this is that callback. *)
-let stream_env ?model ?sync_points ?incremental ?arena ~device () =
- fun program -> objective ?model ?incremental ?arena (prepare ?sync_points ~device program)
+let stream_env ?model ?sync_points ~device () =
+ fun program -> objective ?model (prepare ?sync_points ~device program)
 
-let stream ?config ?model ?sync_points ?incremental ?arena ~device program =
-  Kf_search.Stream.create ?config
-    (stream_env ?model ?sync_points ?incremental ?arena ~device ())
-    program
+let stream ?config ?model ?sync_points ~device program =
+  Kf_search.Stream.create ?config (stream_env ?model ?sync_points ~device ()) program
 
 (* --- fault-tolerant entry points --- *)
 
@@ -227,7 +223,7 @@ let apply_safe ctx obj search =
       | exception e -> Error (Error.classify ~stage:Error.Apply e)
     end
 
-let run_safe ?params ?model ?sync_points ?incremental ?arena ?guard ?inject ?checkpoint
+let run_safe ?params ?model ?sync_points ?guard ?inject ?checkpoint
     ?resume_from ?budget ~device program =
   match prepare_safe ?sync_points ~device program with
   | Error e -> Error e
@@ -235,8 +231,7 @@ let run_safe ?params ?model ?sync_points ?incremental ?arena ?guard ?inject ?che
       let faults = Objective.zero_faults () in
       let injector = Option.map (fun cfg -> Inject.create ~faults cfg) inject in
       let guard = Guard.guarded ?config:guard ?inject:injector faults in
-      let domains = Option.map (fun (p : Hgga.params) -> p.Hgga.domains) params in
-      let obj = objective ?model ?domains ?incremental ?arena ~guard ~faults ctx in
+      let obj = objective ?model ~guard ~faults ctx in
       match search_safe ?params ?checkpoint ?resume_from ?budget ctx obj with
       | Error e -> Error e
       | Ok search -> apply_safe ctx obj search

@@ -30,22 +30,16 @@ val objective :
   ?guard:Kf_search.Objective.guard ->
   ?faults:Kf_search.Objective.fault_stats ->
   ?domains:int ->
-  ?incremental:bool ->
-  ?arena:bool ->
   ?portfolio:Kf_model.Inputs.t list ->
   context ->
   Kf_search.Objective.t
 (** A fresh objective over the context (default model: the paper's).
     [guard]/[faults] install per-candidate fault isolation — see
-    {!Kf_robust.Guard}.  [domains] is the worker-domain count the caller
-    will search with (it sizes the non-incremental table's stripe
-    count — see {!Kf_search.Objective.create}).  [incremental] (default
-    [true]) selects the two-level incremental evaluation path; results
-    are bit-identical either way (see {!Kf_search.Objective.create}).
-    [arena] (default [true]) selects the allocation-free evaluation
-    leaf, and [portfolio] enables per-device cost rows and the
-    cross-device Pareto front — both documented at
-    {!Kf_search.Objective.create}. *)
+    {!Kf_robust.Guard} — and [portfolio] enables per-device cost rows
+    and the cross-device Pareto front (see
+    {!Kf_search.Objective.create}).  [domains] is accepted and unused:
+    the objective's per-domain tables need no sizing, and the argument
+    is kept so callers that pass their worker count still compile. *)
 
 type outcome = {
   context : context;
@@ -71,15 +65,10 @@ val run :
   ?params:Kf_search.Hgga.params ->
   ?model:Kf_search.Objective.model ->
   ?sync_points:int list ->
-  ?incremental:bool ->
-  ?arena:bool ->
   device:Kf_gpu.Device.t ->
   Kf_ir.Program.t ->
   outcome
-(** The whole of Algorithm 1 with the given device and search settings.
-    [arena] (default [true]) selects the allocation-free evaluation
-    leaf; [~arena:false] restores the legacy per-candidate leaf
-    (bit-identical results either way). *)
+(** The whole of Algorithm 1 with the given device and search settings. *)
 
 type portfolio_outcome = {
   outcome : outcome;  (** the ordinary end-to-end outcome on [device] *)
@@ -91,8 +80,6 @@ val portfolio :
   ?params:Kf_search.Hgga.params ->
   ?model:Kf_search.Objective.model ->
   ?sync_points:int list ->
-  ?incremental:bool ->
-  ?arena:bool ->
   devices:Kf_gpu.Device.t list ->
   device:Kf_gpu.Device.t ->
   Kf_ir.Program.t ->
@@ -109,8 +96,6 @@ val portfolio :
 val stream_env :
   ?model:Kf_search.Objective.model ->
   ?sync_points:int list ->
-  ?incremental:bool ->
-  ?arena:bool ->
   device:Kf_gpu.Device.t ->
   unit ->
   Kf_search.Stream.env
@@ -123,8 +108,6 @@ val stream :
   ?config:Kf_search.Stream.config ->
   ?model:Kf_search.Objective.model ->
   ?sync_points:int list ->
-  ?incremental:bool ->
-  ?arena:bool ->
   device:Kf_gpu.Device.t ->
   Kf_ir.Program.t ->
   Kf_search.Stream.t
@@ -171,8 +154,6 @@ val run_safe :
   ?params:Kf_search.Hgga.params ->
   ?model:Kf_search.Objective.model ->
   ?sync_points:int list ->
-  ?incremental:bool ->
-  ?arena:bool ->
   ?guard:Kf_robust.Guard.config ->
   ?inject:Kf_robust.Inject.config ->
   ?checkpoint:Kf_search.Hgga.checkpoint ->

@@ -76,11 +76,10 @@ let condensation_sccs exec groups_arr =
 
 (* Structural operators are pure functions of the (fixed) execution
    order, metadata and their arguments, and the GA re-asks the same
-   structural questions constantly; on an incremental objective each of
-   the wrappers below memoizes its operator under an exact-order
-   signature (see {!Struct_memo} for why the keys must not be
-   canonicalized).  With memoization off ([--no-incremental]) the raw
-   computation runs every time — the PR 3 behavior. *)
+   structural questions constantly, so each of the wrappers below
+   memoizes its operator in the objective's {!Objective.memos} under an
+   exact-order signature (see {!Struct_memo} for why the keys must not
+   be canonicalized). *)
 (* Group-level acyclicity (Kahn's algorithm on bitset adjacency).  Both
    consumers of [sccs_of] only inspect component {e sizes}, so when the
    condensation is acyclic any all-singleton component list is
@@ -127,25 +126,20 @@ let group_dag_acyclic succs arr =
   end
 
 let sccs_of obj exec groups_arr =
-  match Objective.struct_memos obj with
-  | None -> condensation_sccs exec groups_arr
-  | Some m ->
-      Struct_memo.find_exact m.Struct_memo.sccs
-        (Array.to_list groups_arr)
-        (fun () ->
-          if group_dag_acyclic m.Struct_memo.succs groups_arr then
-            List.init (Array.length groups_arr) (fun i -> [ i ])
-          else condensation_sccs exec groups_arr)
+  let m = Objective.memos obj in
+  Struct_memo.find_exact m.Struct_memo.sccs
+    (Array.to_list groups_arr)
+    (fun () ->
+      if group_dag_acyclic m.Struct_memo.succs groups_arr then
+        List.init (Array.length groups_arr) (fun i -> [ i ])
+      else condensation_sccs exec groups_arr)
 
 (* Memo hits return a fresh bitset (the table copies on both sides):
    callers mutate the closure in place, and a shared cached bitset would
    be corrupted by the first caller. *)
 let closure_of obj dag bs =
-  match Objective.struct_memos obj with
-  | None -> Dag.path_closure dag bs
-  | Some m ->
-      Struct_memo.find_or_compute_bitset m.Struct_memo.closure bs (fun () ->
-          Dag.path_closure dag bs)
+  Struct_memo.find_or_compute_bitset (Objective.memos obj).Struct_memo.closure bs (fun () ->
+      Dag.path_closure dag bs)
 
 let schedulable obj groups =
   List.for_all
@@ -214,18 +208,7 @@ let absorbing_merge_raw obj groups seed =
          group (the merge may have created mutual dependencies with
          otherwise-untouched groups). *)
       let arr = Array.of_list (Bitset.to_list !merged :: !rest) in
-      let absorb_idx =
-        match Objective.struct_memos obj with
-        | Some m -> cycle_with_zero m.Struct_memo.succs arr
-        | None -> (
-            match
-              List.find_opt
-                (fun scc -> List.mem 0 scc && List.length scc > 1)
-                (sccs_of obj exec arr)
-            with
-            | None -> []
-            | Some scc -> List.filter (( <> ) 0) scc)
-      in
+      let absorb_idx = cycle_with_zero (Objective.memos obj).Struct_memo.succs arr in
       match absorb_idx with
       | [] -> stable := true
       | _ ->
@@ -244,28 +227,23 @@ let absorbing_merge_raw obj groups seed =
    probes; with the default unbounded verdict cache the skipped probe
    would have been a hit, so evaluation counts are unchanged. *)
 let absorbing_merge obj groups seed =
-  match Objective.struct_memos obj with
-  | None -> absorbing_merge_raw obj groups seed
-  | Some m -> begin
-      let merged =
-        Struct_memo.find_canonical m.Struct_memo.merge groups seed
-          (fun () ->
-            match absorbing_merge_raw obj groups seed with
-            | Some (group, _) -> Some group
-            | None -> None)
+  let merged =
+    Struct_memo.find_canonical (Objective.memos obj).Struct_memo.merge groups seed
+      (fun () ->
+        match absorbing_merge_raw obj groups seed with
+        | Some (group, _) -> Some group
+        | None -> None)
+  in
+  match merged with
+  | None -> None
+  | Some group ->
+      (* Same boolean as a bitset membership test, without building the
+         bitset: the merged member list is short and sorted. *)
+      let rec mem_int (k : int) = function
+        | [] -> false
+        | x :: tl -> x = k || mem_int k tl
       in
-      match merged with
-      | None -> None
-      | Some group ->
-          (* Same boolean as a bitset membership test, without building
-             the bitset: the merged member list is short and sorted. *)
-          let rec mem_int (k : int) = function
-            | [] -> false
-            | x :: tl -> x = k || mem_int k tl
-          in
-          Some
-            (group, List.filter (fun g -> not (List.exists (fun k -> mem_int k group) g)) groups)
-    end
+      Some (group, List.filter (fun g -> not (List.exists (fun k -> mem_int k group) g)) groups)
 
 let repair_schedule obj groups =
   (* Merge every multi-group condensation cycle; if the merged group is
@@ -298,25 +276,17 @@ let kin_neighbor_list obj group =
   |> List.sort_uniq compare
   |> List.filter (fun k -> not (List.mem k group))
 
-let kin_adjacent_raw obj groups group =
-  let neighbors = kin_neighbor_list obj group in
-  List.filter (fun g -> g <> group && List.exists (fun k -> List.mem k neighbors) g) groups
-
 (* The adjacency predicate depends only on the probe group's (fixed,
    metadata-derived) kinship neighbor set, never on the rest of the
    partition — so the memo caches that set per group, and the
    order-preserving filter over [groups] runs on every call. *)
 let kin_adjacent_groups obj groups group =
-  match Objective.struct_memos obj with
-  | None -> kin_adjacent_raw obj groups group
-  | Some m ->
-      let nb =
-        Struct_memo.find_group m.Struct_memo.kin group
-          (fun () ->
-            let n = Dag.num_nodes (Exec_order.dag (exec_of obj)) in
-            Bitset.of_list n (kin_neighbor_list obj group))
-      in
-      List.filter (fun g -> g <> group && List.exists (Bitset.mem nb) g) groups
+  let nb =
+    Struct_memo.find_group (Objective.memos obj).Struct_memo.kin group (fun () ->
+        let n = Dag.num_nodes (Exec_order.dag (exec_of obj)) in
+        Bitset.of_list n (kin_neighbor_list obj group))
+  in
+  List.filter (fun g -> g <> group && List.exists (Bitset.mem nb) g) groups
 
 let random_plan obj rng ?merge_attempts n =
   let attempts = match merge_attempts with Some a -> a | None -> 2 * n in
@@ -491,11 +461,8 @@ let local_refine_raw ~max_passes obj groups =
    are hits.  The objective probes a hit skips would all be cache hits
    themselves, so evaluation counts are unchanged. *)
 let local_refine ?(max_passes = 3) obj groups =
-  match Objective.struct_memos obj with
-  | None -> local_refine_raw ~max_passes obj groups
-  | Some m ->
-      Struct_memo.find_exact_with m.Struct_memo.refine groups [ max_passes ]
-        (fun () -> local_refine_raw ~max_passes obj groups)
+  Struct_memo.find_exact_with (Objective.memos obj).Struct_memo.refine groups [ max_passes ]
+    (fun () -> local_refine_raw ~max_passes obj groups)
 
 let enforce_profitability obj groups =
   normalize

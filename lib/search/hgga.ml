@@ -108,24 +108,20 @@ type result = {
   stats : stats;
 }
 
-(* [eval] carries the individual's whole-plan evaluation on an
-   incremental objective; offspring pass it as the delta base so
-   unchanged groups skip the shared cache ([None] on the full path).
+(* [eval] carries the individual's whole-plan evaluation; offspring pass
+   it as the delta base so unchanged groups skip the shared cache.
    [packs] is the launch composition in horizontal mode ([None] in
    vertical-only mode, where only [groups] exists). *)
 type individual = {
   groups : Grouping.groups;
   cost : float;
-  eval : Objective.plan_eval option;
+  eval : Objective.plan_eval;
   packs : int list list list option;
 }
 
 let make_individual ?base obj groups =
-  if Objective.incremental obj then begin
-    let pe = Objective.eval_plan obj ?base groups in
-    { groups; cost = Objective.plan_eval_total pe; eval = Some pe; packs = None }
-  end
-  else { groups; cost = Objective.plan_cost obj groups; eval = None; packs = None }
+  let pe = Objective.eval_plan obj ?base groups in
+  { groups; cost = Objective.plan_eval_total pe; eval = pe; packs = None }
 
 (* Horizontal-mode individual: every group wrapped in its launch pack.
    Costs flow through the composition evaluator; all-singleton
@@ -133,13 +129,9 @@ let make_individual ?base obj groups =
    vertical path. *)
 let make_individual_c ?base obj packs =
   let packs = Kf_fusion.Plan.canonical_comps packs in
-  let groups = List.concat packs in
-  if Objective.incremental obj then begin
-    let pe = Objective.eval_cplan obj ?base packs in
-    { groups; cost = Objective.plan_eval_total pe; eval = Some pe; packs = Some packs }
-  end
-  else
-    { groups; cost = Objective.cplan_cost obj packs; eval = None; packs = Some packs }
+  let pe = Objective.eval_cplan obj ?base packs in
+  { groups = List.concat packs; cost = Objective.plan_eval_total pe; eval = pe;
+    packs = Some packs }
 
 let vpacks groups = List.map (fun g -> [ g ]) groups
 
@@ -423,7 +415,7 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
           else packs_of p1
         in
         let cp = if Rng.chance crng params.mutation_rate then mutate_c obj crng cp else cp in
-        ((List.concat cp, Some cp), p1.eval)
+        ((List.concat cp, Some cp), Some p1.eval)
       end
       else begin
         let g =
@@ -431,7 +423,7 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
           else p1.groups
         in
         let g = if Rng.chance crng params.mutation_rate then mutate obj crng g else g in
-        ((g, None), p1.eval)
+        ((g, None), Some p1.eval)
       end
     end
   in
@@ -533,7 +525,7 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
        with genuine horizontal packs is left as the operators built it
        (relocation would silently discard its composition). *)
     let refined =
-      make_individual ?base:gen_best.eval obj (Grouping.local_refine obj gen_best.groups)
+      make_individual ~base:gen_best.eval obj (Grouping.local_refine obj gen_best.groups)
     in
     if refined.cost < gen_best.cost then begin
       st.ipop.(0) <- refined;
@@ -852,9 +844,8 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
        so a fixed island count gives bit-identical results for any worker
        count. *)
     let incumbent_cost = !best.cost in
-    let gen_bests =
-      Array.make k_islands { groups = identity; cost = infinity; eval = None; packs = None }
-    in
+    (* Placeholders only: every slot is overwritten below. *)
+    let gen_bests = Array.make k_islands !best in
     (if k_islands = 1 then
        gen_bests.(0) <-
          step_island obj params ~n ~incumbent_cost ?child_pool:pool islands.(0)

@@ -13,8 +13,9 @@
     The search can run as an {e island model}: the population is sharded
     into [islands] sub-populations that evolve in lockstep on their own
     pre-split generators and periodically exchange elite copies over a
-    rotating ring.  Island steps are independent (the shared objective
-    cache is lock-striped and its verdicts are pure), so they are fanned
+    rotating ring.  Island steps are independent (the shared objective's
+    caches are per-domain tables merged at generation barriers, and its
+    verdicts are pure), so they are fanned
     out over [domains] worker domains — with the determinism contract
     that a {e fixed island count} yields bit-identical results for {e
     any} worker-domain count.
@@ -124,8 +125,8 @@ type stats = {
       (** group-cache counters at the end of the run, cumulative across
           resumes (Snapshot v4 persists them) *)
   plan_cache : Objective.cache_stats;
-      (** plan-level cache counters (all zero on [--no-incremental]
-          runs) *)
+      (** plan-level cache counters, cumulative across resumes like
+          [group_cache] *)
 }
 
 type result = {
@@ -170,8 +171,8 @@ val solve :
     (1, 2, ..., islands-1, 1, ...) with a persisted cursor so repeated
     migrations reach every island.  Each island draws from its own
     generator, split from the master seed in island order, and each
-    island step reads only island-local state plus the pure, lock-striped
-    objective cache — so for a fixed island count the result (plan,
+    island step reads only island-local state plus the pure objective
+    caches — so for a fixed island count the result (plan,
     improvement history, and evaluation count, cache capacity permitting)
     is bit-identical for any [domains] value.
 

@@ -1,6 +1,5 @@
 module Inputs = Kf_model.Inputs
 module Feature_arena = Kf_model.Feature_arena
-module Fused = Kf_fusion.Fused
 module Plan = Kf_fusion.Plan
 module Metadata = Kf_ir.Metadata
 module Device = Kf_gpu.Device
@@ -48,195 +47,6 @@ let add_stats a b =
     size = a.size + b.size;
   }
 
-(* One stripe of the string-keyed verdict memo table — the PR 3
-   [--no-incremental] escape hatch, byte-for-byte the old behavior.  The
-   cache is shared by every island and worker domain of the GA; striping
-   the table over independently locked shards lets concurrent lookups of
-   different keys proceed in parallel, and the per-shard in-flight set
-   makes concurrent misses on the *same* key evaluate it exactly once
-   (losers wait on the shard's condition variable for the winner's
-   verdict).
-
-   The incremental path no longer uses this machinery: its group and
-   plan caches are per-domain tables merged at generation barriers (see
-   below), so its hot path takes no lock at all. *)
-module Verdict_cache (K : Hashtbl.HashedType) = struct
-  module H = Hashtbl.Make (K)
-
-  type shard = {
-    s_lock : Mutex.t;
-    s_cond : Condition.t;
-    s_cache : verdict H.t;
-    s_order : K.t Queue.t;  (* insertion order, for FIFO eviction *)
-    s_inflight : unit H.t;
-    s_capacity : int option;  (* this shard's slice of the global capacity *)
-    mutable s_hits : int;
-    mutable s_misses : int;
-    mutable s_evictions : int;
-    m_shard_hits : Kf_obs.Metrics.counter;
-    m_shard_misses : Kf_obs.Metrics.counter;
-    m_shard_evictions : Kf_obs.Metrics.counter;
-  }
-
-  type t = {
-    shards : shard array;
-    m_hits : Kf_obs.Metrics.counter;
-    m_misses : Kf_obs.Metrics.counter;
-    m_evictions : Kf_obs.Metrics.counter;
-  }
-
-  (* A capacity smaller than the stripe count would leave shards with no
-     budget at all; the caller clamps the stripe count so every shard
-     holds >= 1 entry and the per-shard slices sum exactly to the
-     configured capacity. *)
-  let create ~prefix ~capacity ~shards =
-    let shard_capacity i =
-      match capacity with
-      | None -> None
-      | Some c -> Some ((c / shards) + if i < c mod shards then 1 else 0)
-    in
-    {
-      shards =
-        Array.init shards (fun i ->
-            {
-              s_lock = Mutex.create ();
-              s_cond = Condition.create ();
-              s_cache = H.create 512;
-              s_order = Queue.create ();
-              s_inflight = H.create 8;
-              s_capacity = shard_capacity i;
-              s_hits = 0;
-              s_misses = 0;
-              s_evictions = 0;
-              m_shard_hits =
-                Kf_obs.Metrics.counter (Printf.sprintf "%s_hits.shard%02d" prefix i);
-              m_shard_misses =
-                Kf_obs.Metrics.counter (Printf.sprintf "%s_misses.shard%02d" prefix i);
-              m_shard_evictions =
-                Kf_obs.Metrics.counter (Printf.sprintf "%s_evictions.shard%02d" prefix i);
-            });
-      m_hits = Kf_obs.Metrics.counter (prefix ^ "_hits");
-      m_misses = Kf_obs.Metrics.counter (prefix ^ "_misses");
-      m_evictions = Kf_obs.Metrics.counter (prefix ^ "_evictions");
-    }
-
-  let insert_locked t s k v =
-    H.remove s.s_inflight k;
-    if not (H.mem s.s_cache k) then begin
-      (* FIFO eviction keeps the memo table bounded when a capacity is
-         configured; re-evaluating an evicted group is pure, so eviction
-         costs time, never correctness. *)
-      (match s.s_capacity with
-      | Some cap ->
-          while H.length s.s_cache >= cap do
-            match Queue.take_opt s.s_order with
-            | Some victim ->
-                H.remove s.s_cache victim;
-                s.s_evictions <- s.s_evictions + 1;
-                Kf_obs.Metrics.incr t.m_evictions;
-                Kf_obs.Metrics.incr s.m_shard_evictions
-            | None -> H.reset s.s_cache
-          done
-      | None -> ());
-      Queue.add k s.s_order;
-      H.replace s.s_cache k v
-    end;
-    (* Wake every domain parked on this shard: waiters re-probe and find
-       the fresh entry (or, if it was already evicted again, claim the
-       key). *)
-    Condition.broadcast s.s_cond
-
-  (* [count_eval] fires when this probe wins the in-flight slot (the
-     exactly-once evaluation accounting point); [eval] produces the
-     verdict outside any lock (evaluation is pure). *)
-  let lookup t ~key ~count_eval ~eval =
-    let s = t.shards.(K.hash key mod Array.length t.shards) in
-    Mutex.lock s.s_lock;
-    let rec probe () =
-      match H.find_opt s.s_cache key with
-      | Some v ->
-          (* Every probe resolves as exactly one hit or one miss,
-             including probes that waited for an in-flight evaluation —
-             so across shards, hits + misses always equals total
-             lookups. *)
-          s.s_hits <- s.s_hits + 1;
-          Mutex.unlock s.s_lock;
-          Kf_obs.Metrics.incr t.m_hits;
-          Kf_obs.Metrics.incr s.m_shard_hits;
-          v
-      | None ->
-          if H.mem s.s_inflight key then begin
-            (* Another domain is already evaluating this key; wait for
-               its verdict instead of duplicating the evaluation. *)
-            Condition.wait s.s_cond s.s_lock;
-            probe ()
-          end
-          else begin
-            H.replace s.s_inflight key ();
-            s.s_misses <- s.s_misses + 1;
-            Mutex.unlock s.s_lock;
-            Kf_obs.Metrics.incr t.m_misses;
-            Kf_obs.Metrics.incr s.m_shard_misses;
-            (* Exactly-once evaluation accounting: the increment is tied
-               to winning the in-flight slot, so concurrent duplicate
-               misses — which grow with the domain count — can no longer
-               burn --budget-evals faster than real evaluations happen,
-               and fault-rate denominators stay scheduling-independent. *)
-            count_eval ();
-            let v =
-              match eval () with
-              | v -> v
-              | exception e ->
-                  (* Release the slot so waiters do not hang on a key
-                     whose evaluation escaped the guard. *)
-                  Mutex.lock s.s_lock;
-                  H.remove s.s_inflight key;
-                  Condition.broadcast s.s_cond;
-                  Mutex.unlock s.s_lock;
-                  raise e
-            in
-            Mutex.lock s.s_lock;
-            insert_locked t s key v;
-            Mutex.unlock s.s_lock;
-            v
-          end
-    in
-    probe ()
-
-  let shard_stats_locked s =
-    {
-      hits = s.s_hits;
-      misses = s.s_misses;
-      evictions = s.s_evictions;
-      size = H.length s.s_cache;
-    }
-
-  let shard_stats t =
-    Array.map
-      (fun s ->
-        Mutex.lock s.s_lock;
-        let st = shard_stats_locked s in
-        Mutex.unlock s.s_lock;
-        st)
-      t.shards
-
-  let stats t = Array.fold_left add_stats zero_cache_stats (shard_stats t)
-end
-
-module String_cache = Verdict_cache (struct
-  type t = string
-
-  let equal = String.equal
-
-  (* Deliberately not Hashtbl.hash: the shard of a key must not depend on
-     runtime hashing parameters (OCAMLRUNPARAM=R), so a plain polynomial
-     string hash keeps the striping reproducible everywhere. *)
-  let hash k =
-    let h = ref 0 in
-    String.iter (fun c -> h := ((!h * 31) + Char.code c) land max_int) k;
-    !h
-end)
-
 (* ---- plan-level cache --------------------------------------------------- *)
 
 (* One whole-plan evaluation: the canonical-order total and each
@@ -250,7 +60,7 @@ type plan_eval = {
 
 let plan_eval_total pe = pe.pe_total
 
-(* ---- incremental-path caches: shared base + per-domain locals ----------- *)
+(* ---- caches: shared base + per-domain locals ---------------------------- *)
 
 (* A shared base table (read-only between merges) with optional FIFO
    capacity enforcement at merge time.  [blog] mirrors the base's keys
@@ -312,9 +122,36 @@ let bounded_enforce b m_evictions =
         Kf_obs.Metrics.incr ~by:drop m_evictions
       end
 
-(* Per-domain evaluation context: private group-verdict and plan tables,
-   the signature-encoding arena, and probe counters.  Touched only by
-   its owning domain, so none of this needs a lock. *)
+(* The two-level skeleton every cache shares.  [probe] looks the key
+   currently encoded in [sb] up in the shared base (read-only between
+   merges, so lock-free), then in the domain's private table; it
+   allocates nothing beyond the option.  On a miss the caller copies the
+   key out of [sb] {e before} computing — the computation may re-encode
+   through the same arena — and [record]s the value privately;
+   {!merge_table} folds it into the base at the next barrier. *)
+let probe base local sb =
+  let buf = Sigbuf.unsafe_buf sb and len = Sigbuf.length sb and hash = Sigbuf.hash sb in
+  match Sig_tbl.find_pre base.btbl ~buf ~len ~hash with
+  | None -> Sig_tbl.find_pre local ~buf ~len ~hash
+  | found -> found
+
+let record local key v = Sig_tbl.add local key ~hash:(Plan.signature_hash key) v
+
+(* Fold a private table into its base, returning how many keys were new
+   to the base (a key several domains computed in one generation merges
+   once). *)
+let merge_table base local =
+  let fresh = ref 0 in
+  Sig_tbl.iter
+    (fun key ~hash v ->
+      if not (Sig_tbl.mem_pre base.btbl ~buf:key ~len:(Array.length key) ~hash) then begin
+        bounded_add base key hash v;
+        incr fresh
+      end)
+    local;
+  Sig_tbl.clear local;
+  !fresh
+
 (* A candidate plan offered to the cross-device Pareto front: its
    canonical signature (the dedup key among equal-cost plans), its
    canonical groups (for reporting) and its per-device total cost. *)
@@ -328,12 +165,14 @@ type pareto_entry = { pf_plan : int list list; pf_costs : float array }
    stays exact); [front] is the global non-dominated set, updated only
    at merge points. *)
 type portfolio_state = {
-  pa : Feature_arena.t;
   rows : float array bounded;
   mutable front : offer list;
   mutable rows_merged : int;  (* distinct group rows, exactly-once *)
 }
 
+(* Per-domain evaluation context: private group-verdict and plan tables,
+   the signature-encoding arena, and probe counters.  Touched only by
+   its owning domain, so none of this needs a lock. *)
 type eval_local = {
   el_groups : verdict Sig_tbl.t;
   el_plans : plan_eval Sig_tbl.t;
@@ -354,16 +193,14 @@ type eval_local = {
 type t = {
   inputs : Inputs.t;
   model : model;
-  incremental : bool;
-  arena : Feature_arena.t option;  (* allocation-free evaluation leaf *)
-  port : portfolio_state option;  (* multi-device portfolio, requires arena *)
-  scache : String_cache.t;  (* PR 3 path: active when [not incremental] *)
-  gcache : verdict bounded;  (* incremental path: shared group-verdict base *)
-  plans : plan_eval bounded;  (* incremental path: shared plan-level base *)
+  arena : Feature_arena.t;  (* allocation-free evaluation leaf, every device *)
+  port : portfolio_state option;  (* multi-device portfolio *)
+  gcache : verdict bounded;  (* shared group-verdict base *)
+  plans : plan_eval bounded;  (* shared plan-level base *)
   mutable locals : (int * eval_local) list;  (* keyed by domain id *)
   reg_lock : Mutex.t;  (* guards [locals] registration *)
-  memos : Struct_memo.memos option;  (* structural-operator memos, incremental only *)
-  stats_lock : Mutex.t;  (* guards the cross-shard mutable counters below *)
+  memos : Struct_memo.memos;  (* structural-operator memos *)
+  stats_lock : Mutex.t;  (* guards the cross-domain mutable counters below *)
   mutable evaluations : int;  (* merged + seeded exactly-once count *)
   mutable eval_time_s : float;
   mutable alloc_words : float;  (* minor words allocated by timed evaluations *)
@@ -376,9 +213,8 @@ type t = {
 }
 
 (* Process-wide telemetry counters; no-ops unless Kf_obs.Metrics is
-   enabled.  On the incremental path they are flushed at merge points
-   instead of per probe, so the lock-free hot path never contends on the
-   registry's atomics. *)
+   enabled.  They are flushed at merge points instead of per probe, so
+   the lock-free hot path never contends on the registry's atomics. *)
 let m_evals = Kf_obs.Metrics.counter "objective.evaluations"
 let m_group_hits = Kf_obs.Metrics.counter "objective.group_cache_hits"
 let m_group_misses = Kf_obs.Metrics.counter "objective.group_cache_misses"
@@ -394,11 +230,8 @@ let model_name = function
   | Simple -> "simple"
   | Mwp -> "mwp"
 
-let default_shards = 16
-
 let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
-    ?(faults = zero_faults ()) ?cache_capacity ?cache_shards ?(domains = 1)
-    ?plan_cache_capacity ?(incremental = true) ?(arena = true) ?(portfolio = [])
+    ?(faults = zero_faults ()) ?cache_capacity ?plan_cache_capacity ?(portfolio = [])
     inputs =
   (match cache_capacity with
   | Some c when c < 1 -> invalid_arg "Objective.create: cache_capacity must be positive"
@@ -407,52 +240,21 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
   | Some c when c < 1 ->
       invalid_arg "Objective.create: plan_cache_capacity must be positive"
   | _ -> ());
-  if domains < 1 then invalid_arg "Objective.create: domains must be positive";
-  (* The stripe count only matters on the string-keyed path, where
-     probes contend on shard mutexes: scale the default with the worker
-     count so at high [domains] two domains rarely share a stripe, while
-     an explicit [cache_shards] still wins. *)
-  let cache_shards =
-    match cache_shards with Some s -> s | None -> max default_shards (2 * domains)
-  in
-  if cache_shards < 1 then invalid_arg "Objective.create: cache_shards must be positive";
-  let n_shards =
-    match cache_capacity with Some c -> min cache_shards c | None -> cache_shards
-  in
-  if portfolio <> [] && not arena then
-    invalid_arg "Objective.create: a device portfolio requires the arena path";
-  if portfolio <> [] && not incremental then
-    invalid_arg "Objective.create: a device portfolio requires the incremental path";
-  let feature_arena =
-    if arena then Some (Feature_arena.create inputs ~extra:portfolio) else None
-  in
-  let port =
-    match (portfolio, feature_arena) with
-    | [], _ | _, None -> None
-    | _ :: _, Some pa ->
-        Some { pa; rows = bounded_create None; front = []; rows_merged = 0 }
-  in
+  let dag = Exec_order.dag inputs.Inputs.exec in
+  let nk = Kf_graph.Dag.num_nodes dag in
+  let succs = Array.init nk (fun u -> Kf_util.Bitset.of_list nk (Kf_graph.Dag.succs dag u)) in
   {
     inputs;
     model;
-    incremental;
-    arena = feature_arena;
-    port;
-    scache = String_cache.create ~prefix:"objective.cache" ~capacity:cache_capacity ~shards:n_shards;
+    arena = Feature_arena.create inputs ~extra:portfolio;
+    port =
+      (if portfolio = [] then None
+       else Some { rows = bounded_create None; front = []; rows_merged = 0 });
     gcache = bounded_create cache_capacity;
     plans = bounded_create plan_cache_capacity;
     locals = [];
     reg_lock = Mutex.create ();
-    memos =
-      (if incremental then begin
-         let dag = Exec_order.dag inputs.Inputs.exec in
-         let nk = Kf_graph.Dag.num_nodes dag in
-         let succs =
-           Array.init nk (fun u -> Kf_util.Bitset.of_list nk (Kf_graph.Dag.succs dag u))
-         in
-         Some (Struct_memo.create_memos ~succs ())
-       end
-       else None);
+    memos = Struct_memo.create_memos ~succs ();
     stats_lock = Mutex.create ();
     evaluations = 0;
     eval_time_s = 0.;
@@ -467,8 +269,8 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
 
 let inputs t = t.inputs
 let model t = t.model
-let incremental t = t.incremental
-let struct_memos t = t.memos
+let memos t = t.memos
+let struct_memos t = Some t.memos
 
 (* The per-domain evaluation context.  Reading [t.locals] without the
    lock is safe: the list is immutable (registration conses a new head
@@ -508,43 +310,6 @@ let local_of t =
       Mutex.unlock t.reg_lock;
       l
 
-let string_key sorted_group = String.concat "," (List.map string_of_int sorted_group)
-
-let project t f =
-  match t.model with
-  | Proposed -> Kf_model.Projection.runtime t.inputs f
-  | Roofline -> Kf_model.Roofline.runtime t.inputs f
-  | Simple -> Kf_model.Simple_model.runtime t.inputs f
-  | Mwp -> Kf_model.Mwp.runtime t.inputs f
-
-let evaluate_legacy t group =
-  match group with
-  | [ k ] ->
-      let cost = t.inputs.Inputs.measured_runtime.(k) in
-      { feasible = true; cost; orig_sum = cost }
-  | _ ->
-      let i = t.inputs in
-      let orig_sum = Inputs.original_sum i group in
-      (* Active-constraint pruning: cheap structural checks first, resource
-         checks only on structurally valid groups, model evaluation only on
-         fully feasible ones. *)
-      if not (Metadata.kinship_connected i.Inputs.meta group) then
-        { feasible = false; cost = Float.infinity; orig_sum }
-      else if Exec_order.group_spans_sync i.Inputs.exec group then
-        { feasible = false; cost = Float.infinity; orig_sum }
-      else if not (Exec_order.group_is_convex i.Inputs.exec group) then
-        { feasible = false; cost = Float.infinity; orig_sum }
-      else begin
-        let f = Fused.build ~device:i.Inputs.device ~meta:i.Inputs.meta ~exec:i.Inputs.exec ~group in
-        let d = i.Inputs.device in
-        if
-          f.Fused.vertical_hazard
-          || f.Fused.smem_bytes_per_block > d.Device.smem_per_smx
-          || f.Fused.registers_per_thread >= d.Device.max_registers_per_thread
-        then { feasible = false; cost = Float.infinity; orig_sum }
-        else { feasible = true; cost = project t f; orig_sum }
-      end
-
 let arena_cost t scr ~dev =
   match t.model with
   | Proposed -> Kf_model.Projection.arena_runtime scr ~dev
@@ -552,17 +317,21 @@ let arena_cost t scr ~dev =
   | Simple -> Kf_model.Simple_model.arena_runtime scr ~dev
   | Mwp -> Kf_model.Mwp.arena_runtime scr ~dev
 
-(* The allocation-free leaf: same check order, same booleans, same float
-   folds as [evaluate_legacy], over precomputed features.  The only
-   allocation left is the verdict record itself. *)
-let arena_evaluate t a group =
+(* The evaluation leaf, over the arena's precomputed features.  Active-
+   constraint pruning: cheap structural checks first, resource checks
+   only on structurally valid groups, model evaluation only on fully
+   feasible ones.  The check order, booleans and float folds are those
+   of the per-candidate [Fused.build] leaf, which the test suite keeps
+   as a bit-for-bit oracle; the only allocation left is the verdict
+   record itself. *)
+let evaluate t group =
   match group with
   | [ k ] ->
       let cost = t.inputs.Inputs.measured_runtime.(k) in
       { feasible = true; cost; orig_sum = cost }
   | _ ->
       let orig_sum = Inputs.original_sum t.inputs group in
-      let scr = Feature_arena.load a group in
+      let scr = Feature_arena.load t.arena group in
       if not (Feature_arena.connected scr) then
         { feasible = false; cost = Float.infinity; orig_sum }
       else if Feature_arena.spans_sync scr then
@@ -581,17 +350,12 @@ let arena_evaluate t a group =
         else { feasible = true; cost = arena_cost t scr ~dev:0; orig_sum }
       end
 
-let evaluate t group =
-  match t.arena with
-  | Some a -> arena_evaluate t a group
-  | None -> evaluate_legacy t group
-
 (* Full per-device cost row of a multi-member group: structural checks
    and analysis once, then one [fuse] + model call per device.  Device 0
-   reproduces [arena_evaluate]'s cost bit-for-bit (same code runs), so a
-   row is a superset of the primary verdict. *)
-let compute_row st t group =
-  let a = st.pa in
+   reproduces [evaluate]'s cost bit-for-bit (same code runs), so a row
+   is a superset of the primary verdict. *)
+let compute_row t group =
+  let a = t.arena in
   let ndev = Feature_arena.num_devices a in
   let row = Array.make ndev Float.infinity in
   let scr = Feature_arena.load a group in
@@ -613,11 +377,11 @@ let compute_row st t group =
   end;
   row
 
-(* Evaluate a missed key outside any lock (evaluation is pure).  The guard
-   sits between the cache and the raw evaluation, so any fault handling it
-   performs (retry, quarantine) is memoized like a normal verdict.  The
-   timing branch only runs with metrics enabled, keeping the disabled-mode
-   hot path clock-free. *)
+(* Evaluate a missed key (evaluation is pure).  The guard sits between
+   the cache and the raw evaluation, so any fault handling it performs
+   (retry, quarantine) is memoized like a normal verdict.  The timing
+   branch only runs with metrics enabled, keeping the disabled-mode hot
+   path clock-free. *)
 let run_evaluation t group =
   if Kf_obs.Metrics.enabled () then begin
     let t0 = Unix.gettimeofday () in
@@ -625,8 +389,7 @@ let run_evaluation t group =
     let v = t.guard (evaluate t) group in
     (* [minor_words] reads the domain-local allocation pointer, so the
        delta is this evaluation's own minor allocation — the hot-path
-       health gauge of the arena: legacy evaluations allocate thousands
-       of words per candidate, the arena path a handful. *)
+       health gauge of the arena leaf. *)
     let dw = Float.max 0. (Gc.minor_words () -. w0) in
     let dt = Float.max 0. (Unix.gettimeofday () -. t0) in
     Mutex.lock t.stats_lock;
@@ -641,117 +404,81 @@ let run_evaluation t group =
   end
   else t.guard (evaluate t) group
 
-let count_evaluation t group () =
-  match group with
-  | [ _ ] -> ()
-  | _ ->
-      Mutex.lock t.stats_lock;
-      t.evaluations <- t.evaluations + 1;
-      Mutex.unlock t.stats_lock;
-      Kf_obs.Metrics.incr m_evals
-
-(* Both cache paths evaluate the canonically sorted group, so a verdict
-   never depends on which member ordering reached the cache first — the
-   evaluation itself sums original runtimes in member order, and the
-   incremental and full paths must agree to the last bit. *)
-let lookup_string t group =
-  let sorted = List.sort compare group in
-  String_cache.lookup t.scache ~key:(string_key sorted)
-    ~count_eval:(count_evaluation t group)
-    ~eval:(fun () -> run_evaluation t sorted)
-
-(* Incremental-path probe of a multi-member group already in canonical
-   member order: lock-free against the shared base (read-only between
-   merges), then against this domain's private table.  On a miss the
-   verdict lands in the private table; {!merge_locals} folds it into the
-   base at the next generation barrier.  A key evaluated concurrently by
-   several domains is counted once at merge time — the same exactly-once
-   accounting the striped in-flight table used to provide, now without
-   any cross-domain traffic. *)
-let lookup_sig t sorted_group =
-  let l = local_of t in
-  let sb = l.el_sb in
-  Sigbuf.encode_group sb sorted_group;
-  let buf = Sigbuf.unsafe_buf sb
-  and len = Sigbuf.length sb
-  and hash = Sigbuf.hash sb in
-  match Sig_tbl.find_pre t.gcache.btbl ~buf ~len ~hash with
-  | Some v ->
+(* Group-cache probe of the key encoded in [l.el_sb], with the probe
+   telemetry.  A miss is an evaluation: counted here per domain and
+   collapsed across domains at {!merge_locals}, so a key evaluated
+   concurrently by several domains counts once. *)
+let probe_group t l =
+  match probe t.gcache l.el_groups l.el_sb with
+  | Some _ as v ->
       l.el_ghits <- l.el_ghits + 1;
       v
-  | None -> (
-      match Sig_tbl.find_pre l.el_groups ~buf ~len ~hash with
-      | Some v ->
-          l.el_ghits <- l.el_ghits + 1;
-          v
-      | None ->
-          l.el_gmisses <- l.el_gmisses + 1;
-          (* Copy the key out before evaluating: the guard or model may
-             route back through this domain's arena. *)
-          let key = Sigbuf.extract sb in
-          l.el_evals <- l.el_evals + 1;
-          let v = run_evaluation t sorted_group in
-          Sig_tbl.add l.el_groups key ~hash v;
-          (* Portfolio: fill the per-device cost row alongside the
-             primary verdict.  Rows bypass the guard (they are pure model
-             outputs), and their exactly-once accounting mirrors the
-             verdict merge.  A verdict can re-miss after gcache eviction
-             while its unbounded row survives — hence the membership
-             check. *)
-          (match t.port with
-          | Some st ->
-              let len = Array.length key in
-              if
-                (not (Sig_tbl.mem_pre st.rows.btbl ~buf:key ~len ~hash))
-                && not (Sig_tbl.mem_pre l.el_rows ~buf:key ~len ~hash)
-              then Sig_tbl.add l.el_rows key ~hash (compute_row st t sorted_group)
-          | None -> ());
-          v)
+  | None ->
+      l.el_gmisses <- l.el_gmisses + 1;
+      l.el_evals <- l.el_evals + 1;
+      None
+
+(* Verdict of a multi-member group already in canonical member order.
+   Evaluating the canonically sorted group means a verdict never
+   depends on which member ordering reached the cache first. *)
+let lookup_sig t sorted_group =
+  let l = local_of t in
+  Sigbuf.encode_group l.el_sb sorted_group;
+  match probe_group t l with
+  | Some v -> v
+  | None ->
+      let key = Sigbuf.extract l.el_sb in
+      let v = run_evaluation t sorted_group in
+      record l.el_groups key v;
+      (* Portfolio: fill the per-device cost row alongside the primary
+         verdict.  Rows bypass the guard (they are pure model outputs),
+         and their exactly-once accounting mirrors the verdict merge.  A
+         verdict can re-miss after gcache eviction while its unbounded
+         row survives — hence the membership check. *)
+      (match t.port with
+      | Some st ->
+          let len = Array.length key and hash = Plan.signature_hash key in
+          if
+            (not (Sig_tbl.mem_pre st.rows.btbl ~buf:key ~len ~hash))
+            && not (Sig_tbl.mem_pre l.el_rows ~buf:key ~len ~hash)
+          then Sig_tbl.add l.el_rows key ~hash (compute_row t sorted_group)
+      | None -> ());
+      v
 
 let lookup t group =
-  if t.incremental then
-    match group with
-    | [ k ] ->
-        (* Singletons carry their measured runtime and are feasible by
-           definition; the incremental path answers them from the inputs
-           array without touching the cache (they are never counted as
-           evaluations on either path, so only cache traffic differs). *)
-        let cost = t.inputs.Inputs.measured_runtime.(k) in
-        { feasible = true; cost; orig_sum = cost }
-    | _ ->
-        lookup_sig t
-          (if Plan.is_sorted_strict group then group else List.sort Int.compare group)
-  else lookup_string t group
+  match group with
+  | [ k ] ->
+      (* Singletons carry their measured runtime and are feasible by
+         definition: answered from the inputs array without touching
+         the cache, and never counted as evaluations. *)
+      let cost = t.inputs.Inputs.measured_runtime.(k) in
+      { feasible = true; cost; orig_sum = cost }
+  | _ -> lookup_sig t (if Plan.is_sorted_strict group then group else List.sort Int.compare group)
 
 (* Per-device cost row of a canonical multi-member group, through the
-   two-level row cache (shared base, then this domain's local). *)
+   two-level row cache. *)
 let row_of_group st t l g =
-  let sb = l.el_sb in
-  Sigbuf.encode_group sb g;
-  let buf = Sigbuf.unsafe_buf sb and len = Sigbuf.length sb and hash = Sigbuf.hash sb in
-  match Sig_tbl.find_pre st.rows.btbl ~buf ~len ~hash with
+  Sigbuf.encode_group l.el_sb g;
+  match probe st.rows l.el_rows l.el_sb with
   | Some r -> r
-  | None -> (
-      match Sig_tbl.find_pre l.el_rows ~buf ~len ~hash with
-      | Some r -> r
-      | None ->
-          let key = Sigbuf.extract sb in
-          let r = compute_row st t g in
-          Sig_tbl.add l.el_rows key ~hash r;
-          r)
+  | None ->
+      let key = Sigbuf.extract l.el_sb in
+      let r = compute_row t g in
+      record l.el_rows key r;
+      r
 
 (* Offer a freshly evaluated plan to the Pareto front: per-device totals
    summed in canonical group order (deterministic), buffered locally and
    folded into the global front at the next merge. *)
 let offer_plan st t l ~psig ~canon =
-  let ndev = Feature_arena.num_devices st.pa in
+  let ndev = Feature_arena.num_devices t.arena in
   let costs = Array.make ndev 0. in
   List.iter
     (fun g ->
       match g with
       | [ k ] ->
           for dev = 0 to ndev - 1 do
-            costs.(dev) <- costs.(dev) +. (Feature_arena.measured_runtime st.pa ~dev).(k)
+            costs.(dev) <- costs.(dev) +. (Feature_arena.measured_runtime t.arena ~dev).(k)
           done
       | _ ->
           let r = row_of_group st t l g in
@@ -786,34 +513,22 @@ let comp_key pack =
 
 (* Resource pressure one plane contributes to its horizontal launch:
    original kernels bring their own registers (no SMEM), vertically fused
-   planes bring the fused kernel's demand.  The arena accessors are
-   bit-identical to [Fused.build], so arena on/off yields the same
-   pressures.  Only called on feasible planes (the caller checks the
-   plane verdicts first), so arena analysis cannot trip on a
-   structurally broken group. *)
+   planes bring the fused kernel's demand.  Only called on feasible
+   planes (the caller checks the plane verdicts first), so arena
+   analysis cannot trip on a structurally broken group. *)
 let plane_pressure t g =
   match g with
   | [ k ] ->
       let p = Metadata.program t.inputs.Inputs.meta in
       Horizontal.pressure
         ~regs:(Kf_ir.Program.kernel p k).Kf_ir.Kernel.registers_per_thread ~smem:0
-  | g -> (
-      match t.arena with
-      | Some a ->
-          let scr = Feature_arena.load a g in
-          Feature_arena.analyze scr;
-          Feature_arena.fuse scr ~dev:0;
-          Horizontal.pressure
-            ~regs:(Feature_arena.registers_per_thread scr)
-            ~smem:(Feature_arena.smem_bytes_per_block scr)
-      | None ->
-          let i = t.inputs in
-          let f =
-            Fused.build ~device:i.Inputs.device ~meta:i.Inputs.meta ~exec:i.Inputs.exec
-              ~group:g
-          in
-          Horizontal.pressure ~regs:f.Fused.registers_per_thread
-            ~smem:f.Fused.smem_bytes_per_block)
+  | g ->
+      let scr = Feature_arena.load t.arena g in
+      Feature_arena.analyze scr;
+      Feature_arena.fuse scr ~dev:0;
+      Horizontal.pressure
+        ~regs:(Feature_arena.registers_per_thread scr)
+        ~smem:(Feature_arena.smem_bytes_per_block scr)
 
 (* Verdict of one multi-plane pack.  The planes are evaluated through the
    ordinary vertical path (cached, guarded, counted); the combination is
@@ -845,57 +560,25 @@ let evaluate_comp t planes =
     end
   end
 
-(* Incremental-path pack probe: same two-level tables as the vertical
-   groups (the [-3]-separated keys are disjoint from every group key), so
-   pack verdicts inherit the merge machinery, the exactly-once
-   evaluation accounting, and the domain-count determinism for free. *)
+(* Pack probe: the same two-level tables as the vertical groups (the
+   [-3]-separated keys are disjoint from every group key), so pack
+   verdicts inherit the merge machinery, the exactly-once evaluation
+   accounting, and the domain-count determinism. *)
 let lookup_comp_sig t planes =
   let l = local_of t in
-  let sb = l.el_sb in
-  Sigbuf.encode_cgroup sb planes;
-  let buf = Sigbuf.unsafe_buf sb
-  and len = Sigbuf.length sb
-  and hash = Sigbuf.hash sb in
-  match Sig_tbl.find_pre t.gcache.btbl ~buf ~len ~hash with
-  | Some v ->
-      l.el_ghits <- l.el_ghits + 1;
+  Sigbuf.encode_cgroup l.el_sb planes;
+  match probe_group t l with
+  | Some v -> v
+  | None ->
+      let key = Sigbuf.extract l.el_sb in
+      let v = evaluate_comp t planes in
+      record l.el_groups key v;
       v
-  | None -> (
-      match Sig_tbl.find_pre l.el_groups ~buf ~len ~hash with
-      | Some v ->
-          l.el_ghits <- l.el_ghits + 1;
-          v
-      | None ->
-          l.el_gmisses <- l.el_gmisses + 1;
-          (* Copy the key out before evaluating: the nested plane lookups
-             below re-encode through this domain's arena. *)
-          let key = Sigbuf.extract sb in
-          l.el_evals <- l.el_evals + 1;
-          let v = evaluate_comp t planes in
-          Sig_tbl.add l.el_groups key ~hash v;
-          v)
-
-let comp_string_key planes = String.concat "|" (List.map string_key planes)
-
-let lookup_comp_string t planes =
-  (* Nested plane lookups run outside the shard lock (evaluation is
-     lock-free in [Verdict_cache.lookup]), so re-entering the cache for
-     the planes cannot deadlock; the '|' keyspace is disjoint from every
-     group key. *)
-  String_cache.lookup t.scache ~key:(comp_string_key planes)
-    ~count_eval:(fun () ->
-      Mutex.lock t.stats_lock;
-      t.evaluations <- t.evaluations + 1;
-      Mutex.unlock t.stats_lock;
-      Kf_obs.Metrics.incr m_evals)
-    ~eval:(fun () -> evaluate_comp t planes)
 
 let lookup_comp t pack =
   match pack with
   | [ g ] -> lookup t g
-  | planes ->
-      let planes = Plan.canonical_groups planes in
-      if t.incremental then lookup_comp_sig t planes else lookup_comp_string t planes
+  | planes -> lookup_comp_sig t (Plan.canonical_groups planes)
 
 let comp_cost t pack = (lookup_comp t pack).cost
 let comp_feasible t pack = (lookup_comp t pack).feasible
@@ -909,165 +592,107 @@ let comp_profitable t pack =
 
 (* ---- plan-level evaluation ---------------------------------------------- *)
 
-(* Evaluate a whole plan through the two-level cache.  The canonical
-   total is summed in canonical group order on every path — including
-   the non-incremental [plan_cost] below — so a permuted-but-equal plan
-   hitting the plan cache returns a bit-identical total, and the
-   [--no-incremental] escape hatch reproduces the same floats.
-
-   The arena encodes the canonical plan signature without building the
-   canonical group list, so a plan-cache hit — the steady state once the
-   population converges — allocates nothing at all.
-
-   [base] is the parent's evaluation: groups the genetic operator left
-   untouched are found in [base.pe_costs] and skip the shared cache
-   entirely.  With unbounded caches this changes no evaluation counts —
-   every group in [base] was itself resolved through the shared cache
-   when the parent was evaluated, so the set of cache misses is the same
-   with delta evaluation on or off.  (Under a configured
-   [cache_capacity], evicted groups are re-evaluated on the full path
-   but not on the delta path, so counts may differ; totals never do.) *)
-let eval_plan t ?base groups =
-  let l = local_of t in
-  let sb = l.el_sb in
-  Sigbuf.encode_plan sb groups;
-  let buf = Sigbuf.unsafe_buf sb
-  and len = Sigbuf.length sb
-  and hash = Sigbuf.hash sb in
-  let cached =
-    match Sig_tbl.find_pre t.plans.btbl ~buf ~len ~hash with
-    | Some _ as pe -> pe
-    | None -> Sig_tbl.find_pre l.el_plans ~buf ~len ~hash
-  in
-  match cached with
-  | Some pe ->
+(* Plan-cache probe of the key encoded in [l.el_sb]. *)
+let probe_plan t l =
+  match probe t.plans l.el_plans l.el_sb with
+  | Some _ as pe ->
       l.el_phits <- l.el_phits + 1;
       pe
   | None ->
       l.el_pmisses <- l.el_pmisses + 1;
+      None
+
+(* A plan-cache miss: sum the items of a canonical plan (groups) or
+   composition (packs) in canonical order.  [singleton item] is the
+   kernel of a one-kernel item (its measured runtime, never cached) or
+   [-1]; [key] is the item's [pe_costs] key and [miss] its verdict cost
+   through the shared cache.  The three are closed functions, so the
+   per-item loop allocates no more than the lookups themselves.  [base]
+   is the parent's evaluation: items the genetic operator left untouched
+   are found in [base.pe_costs] and skip the shared cache entirely.
+   With unbounded caches this changes no evaluation counts — every item
+   in [base] was itself resolved through the shared cache when the
+   parent was evaluated, so the set of cache misses is the same with
+   delta evaluation on or off.  (Under a configured [cache_capacity],
+   evicted groups are re-evaluated without a base but not with one, so
+   counts may differ; totals never do.) *)
+let sum_items t base canon ~singleton ~key ~miss =
+  let costs = Hashtbl.create 16 in
+  let total =
+    List.fold_left
+      (fun acc item ->
+        let k = singleton item in
+        if k >= 0 then acc +. t.inputs.Inputs.measured_runtime.(k)
+        else begin
+          let key = key item in
+          let c =
+            match base with
+            | Some b -> (
+                match Hashtbl.find_opt b.pe_costs key with Some c -> c | None -> miss t item)
+            | None -> miss t item
+          in
+          Hashtbl.replace costs key c;
+          acc +. c
+        end)
+      0. canon
+  in
+  { pe_total = total; pe_costs = costs }
+
+let group_singleton = function [ k ] -> k | _ -> -1
+let group_miss t g = (lookup_sig t g).cost
+let pack_singleton = function [ [ k ] ] -> k | _ -> -1
+
+let pack_miss t pack =
+  match pack with [ g ] -> (lookup_sig t g).cost | planes -> (lookup_comp_sig t planes).cost
+
+(* Evaluate a whole plan through the two-level cache.  The canonical
+   total is summed in canonical group order, so a permuted-but-equal
+   plan hitting the plan cache returns a bit-identical total.  The arena
+   encodes the canonical plan signature without building the canonical
+   group list ([Sigbuf.encode_plan], unlike [encode_cplan], does not
+   re-canonicalize), so a plan-cache hit — the steady state once the
+   population converges — allocates nothing at all. *)
+let eval_plan t ?base groups =
+  let l = local_of t in
+  Sigbuf.encode_plan l.el_sb groups;
+  match probe_plan t l with
+  | Some pe -> pe
+  | None ->
       (* Materialize the key and the canonical group list before the
-         per-group lookups below clobber the arena. *)
-      let psig = Sigbuf.extract sb in
-      let canon = Sigbuf.canonical sb in
-      let costs = Hashtbl.create 16 in
-      let total =
-        List.fold_left
-          (fun acc g ->
-            match g with
-            | [ k ] -> acc +. t.inputs.Inputs.measured_runtime.(k)
-            | _ ->
-                let c =
-                  match base with
-                  | Some b -> (
-                      match Hashtbl.find_opt b.pe_costs g with
-                      | Some c -> c
-                      | None -> (lookup_sig t g).cost)
-                  | None -> (lookup_sig t g).cost
-                in
-                Hashtbl.replace costs g c;
-                acc +. c)
-          0. canon
-      in
-      let pe = { pe_total = total; pe_costs = costs } in
-      Sig_tbl.add l.el_plans psig ~hash pe;
+         per-group lookups clobber the arena. *)
+      let psig = Sigbuf.extract l.el_sb in
+      let canon = Sigbuf.canonical l.el_sb in
+      let pe = sum_items t base canon ~singleton:group_singleton ~key:Fun.id ~miss:group_miss in
+      record l.el_plans psig pe;
       (match t.port with
       | Some st -> offer_plan st t l ~psig ~canon
       | None -> ());
       pe
 
-let plan_cost t groups =
-  if t.incremental then (eval_plan t groups).pe_total
-  else
-    List.fold_left (fun acc g -> acc +. group_cost t g) 0. (Plan.canonical_groups groups)
+let plan_cost t groups = (eval_plan t groups).pe_total
 
 (* Whole-composition evaluation: [eval_plan] one level up.  An
    all-singleton composition encodes byte-identically to the underlying
-   plan signature, so vertical individuals inside a horizontal search
-   share plan-cache entries (and bit-identical totals) with the vertical
-   search.  [base] diffing works across modes because single-plane packs
-   key [pe_costs] by their group, exactly as [eval_plan] does. *)
+   plan signature and sums the same floats in the same order, so
+   vertical individuals inside a horizontal search share plan-cache
+   entries (and bit-identical totals) with the vertical search. *)
 let eval_cplan t ?base comps =
   let l = local_of t in
-  let sb = l.el_sb in
-  let canon = Sigbuf.encode_cplan sb comps in
-  let buf = Sigbuf.unsafe_buf sb
-  and len = Sigbuf.length sb
-  and hash = Sigbuf.hash sb in
-  let cached =
-    match Sig_tbl.find_pre t.plans.btbl ~buf ~len ~hash with
-    | Some _ as pe -> pe
-    | None -> Sig_tbl.find_pre l.el_plans ~buf ~len ~hash
-  in
-  match cached with
-  | Some pe ->
-      l.el_phits <- l.el_phits + 1;
-      pe
+  let canon = Sigbuf.encode_cplan l.el_sb comps in
+  match probe_plan t l with
+  | Some pe -> pe
   | None ->
-      l.el_pmisses <- l.el_pmisses + 1;
-      let psig = Sigbuf.extract sb in
-      let costs = Hashtbl.create 16 in
-      let total =
-        List.fold_left
-          (fun acc pack ->
-            match pack with
-            | [ [ k ] ] -> acc +. t.inputs.Inputs.measured_runtime.(k)
-            | [ g ] ->
-                let c =
-                  match base with
-                  | Some b -> (
-                      match Hashtbl.find_opt b.pe_costs g with
-                      | Some c -> c
-                      | None -> (lookup_sig t g).cost)
-                  | None -> (lookup_sig t g).cost
-                in
-                Hashtbl.replace costs g c;
-                acc +. c
-            | planes ->
-                let key = comp_key planes in
-                let c =
-                  match base with
-                  | Some b -> (
-                      match Hashtbl.find_opt b.pe_costs key with
-                      | Some c -> c
-                      | None -> (lookup_comp_sig t planes).cost)
-                  | None -> (lookup_comp_sig t planes).cost
-                in
-                Hashtbl.replace costs key c;
-                acc +. c)
-          0. canon
-      in
-      let pe = { pe_total = total; pe_costs = costs } in
-      Sig_tbl.add l.el_plans psig ~hash pe;
+      let psig = Sigbuf.extract l.el_sb in
+      let pe = sum_items t base canon ~singleton:pack_singleton ~key:comp_key ~miss:pack_miss in
+      record l.el_plans psig pe;
       pe
 
-let cplan_cost t comps =
-  if t.incremental then (eval_cplan t comps).pe_total
-  else
-    List.fold_left
-      (fun acc pack ->
-        match pack with
-        | [ g ] -> acc +. group_cost t g
-        | planes -> acc +. (lookup_comp t planes).cost)
-      0. (Plan.canonical_comps comps)
+let cplan_cost t comps = (eval_cplan t comps).pe_total
 
 let original_sum t group = Inputs.original_sum t.inputs group
 
 (* ---- merge at generation barriers --------------------------------------- *)
 
-(* Fold every domain's private tables into the shared bases.  Must only
-   run at a quiescent point: all workers parked at the pool's generation
-   barrier (its mutex handshake publishes the workers' writes to the
-   merging domain and the updated bases back to them), or a
-   single-domain caller.
-
-   Evaluation accounting: each private verdict whose key is not yet in
-   the base counts as one evaluation.  A key evaluated by several
-   domains in the same generation merges — and counts — once, which is
-   exactly the distinct-key count the striped cache's in-flight table
-   used to maintain, so budgets and fault-rate denominators stay
-   identical for any domain count.  (Locals hide duplicates within one
-   domain between merges, so the per-local fresh-key count is the
-   per-local evaluation count.) *)
 (* Strict Pareto dominance over cost vectors: no worse everywhere,
    strictly better somewhere.  Infinities compare like any float, so an
    everywhere-infeasible plan is dominated by anything finite. *)
@@ -1096,80 +721,59 @@ let front_offer st o =
              && not (e.of_costs = o.of_costs && Stdlib.compare o.of_sig e.of_sig < 0))
            st.front
 
+(* Fold every domain's private tables into the shared bases.  Must only
+   run at a quiescent point: all workers parked at the pool's generation
+   barrier (its mutex handshake publishes the workers' writes to the
+   merging domain and the updated bases back to them), or a
+   single-domain caller.
+
+   Evaluation accounting: each private verdict whose key is not yet in
+   the base counts as one evaluation.  A key evaluated by several
+   domains in the same generation merges — and counts — once, so
+   budgets and fault-rate denominators stay identical for any domain
+   count.  (Locals hide duplicates within one domain between merges, so
+   the per-local fresh-key count is the per-local evaluation count.) *)
 let merge_locals t =
-  if t.incremental then begin
-    let fresh = ref 0 in
-    List.iter
-      (fun (_, l) ->
-        (match t.port with
-        | Some st ->
-            Sig_tbl.iter
-              (fun key ~hash r ->
-                if
-                  not
-                    (Sig_tbl.mem_pre st.rows.btbl ~buf:key ~len:(Array.length key)
-                       ~hash)
-                then begin
-                  bounded_add st.rows key hash r;
-                  st.rows_merged <- st.rows_merged + 1
-                end)
-              l.el_rows;
-            Sig_tbl.clear l.el_rows;
-            List.iter (front_offer st) (List.rev l.el_offers);
-            l.el_offers <- []
-        | None -> ());
-        Sig_tbl.iter
-          (fun key ~hash v ->
-            if
-              not
-                (Sig_tbl.mem_pre t.gcache.btbl ~buf:key ~len:(Array.length key)
-                   ~hash)
-            then begin
-              bounded_add t.gcache key hash v;
-              incr fresh
-            end)
-          l.el_groups;
-        Sig_tbl.clear l.el_groups;
-        l.el_evals <- 0;
-        Sig_tbl.iter
-          (fun key ~hash pe ->
-            if
-              not
-                (Sig_tbl.mem_pre t.plans.btbl ~buf:key ~len:(Array.length key)
-                   ~hash)
-            then bounded_add t.plans key hash pe)
-          l.el_plans;
-        Sig_tbl.clear l.el_plans;
-        (* Flush probe telemetry to the (atomic) metrics registry here
-           rather than contending on it per probe. *)
-        Kf_obs.Metrics.incr ~by:(l.el_ghits - l.el_pub_ghits) m_group_hits;
-        Kf_obs.Metrics.incr ~by:(l.el_gmisses - l.el_pub_gmisses) m_group_misses;
-        Kf_obs.Metrics.incr ~by:(l.el_phits - l.el_pub_phits) m_plan_hits;
-        Kf_obs.Metrics.incr ~by:(l.el_pmisses - l.el_pub_pmisses) m_plan_misses;
-        l.el_pub_ghits <- l.el_ghits;
-        l.el_pub_gmisses <- l.el_gmisses;
-        l.el_pub_phits <- l.el_phits;
-        l.el_pub_pmisses <- l.el_pmisses)
-      t.locals;
-    bounded_enforce t.gcache m_group_evictions;
-    bounded_enforce t.plans m_plan_evictions;
-    if !fresh > 0 then begin
-      Mutex.lock t.stats_lock;
-      t.evaluations <- t.evaluations + !fresh;
-      Mutex.unlock t.stats_lock;
-      Kf_obs.Metrics.incr ~by:!fresh m_evals
-    end;
-    match t.memos with Some m -> Struct_memo.merge_memos m | None -> ()
-  end
+  let fresh = ref 0 in
+  List.iter
+    (fun (_, l) ->
+      (match t.port with
+      | Some st ->
+          st.rows_merged <- st.rows_merged + merge_table st.rows l.el_rows;
+          List.iter (front_offer st) (List.rev l.el_offers);
+          l.el_offers <- []
+      | None -> ());
+      fresh := !fresh + merge_table t.gcache l.el_groups;
+      l.el_evals <- 0;
+      ignore (merge_table t.plans l.el_plans);
+      (* Flush probe telemetry to the (atomic) metrics registry here
+         rather than contending on it per probe. *)
+      Kf_obs.Metrics.incr ~by:(l.el_ghits - l.el_pub_ghits) m_group_hits;
+      Kf_obs.Metrics.incr ~by:(l.el_gmisses - l.el_pub_gmisses) m_group_misses;
+      Kf_obs.Metrics.incr ~by:(l.el_phits - l.el_pub_phits) m_plan_hits;
+      Kf_obs.Metrics.incr ~by:(l.el_pmisses - l.el_pub_pmisses) m_plan_misses;
+      l.el_pub_ghits <- l.el_ghits;
+      l.el_pub_gmisses <- l.el_gmisses;
+      l.el_pub_phits <- l.el_phits;
+      l.el_pub_pmisses <- l.el_pmisses)
+    t.locals;
+  bounded_enforce t.gcache m_group_evictions;
+  bounded_enforce t.plans m_plan_evictions;
+  if !fresh > 0 then begin
+    Mutex.lock t.stats_lock;
+    t.evaluations <- t.evaluations + !fresh;
+    Mutex.unlock t.stats_lock;
+    Kf_obs.Metrics.incr ~by:!fresh m_evals
+  end;
+  Struct_memo.merge_memos t.memos
 
 (* ---- portfolio accessors (call at quiescent points, like merges) ------- *)
 
-let arena_enabled t = t.arena <> None
 let portfolio_active t = t.port <> None
 
 let portfolio_devices t =
   match t.port with
-  | Some st -> Feature_arena.devices st.pa
+  | Some _ -> Feature_arena.devices t.arena
   | None -> [| t.inputs.Inputs.device |]
 
 let rows_evaluated t =
@@ -1184,8 +788,8 @@ let group_row t group =
       | [ k ] ->
           Some
             (Array.init
-               (Feature_arena.num_devices st.pa)
-               (fun dev -> (Feature_arena.measured_runtime st.pa ~dev).(k)))
+               (Feature_arena.num_devices t.arena)
+               (fun dev -> (Feature_arena.measured_runtime t.arena ~dev).(k)))
       | _ ->
           let sorted =
             if Plan.is_sorted_strict group then group else List.sort Int.compare group
@@ -1270,70 +874,45 @@ let base_plan_stats t =
    signature-keyed verdicts and seeds them into the next request's
    objective over the same (program, device, model), so identical
    subproblems hit warm across requests — and, with Snapshot.Cache
-   persistence, across daemon restarts.  Only meaningful on the
-   incremental path: signatures are canonical there.  Export merges
-   first so in-flight locals are included; both calls must happen at
-   quiescent points (the daemon calls them between requests). *)
+   persistence, across daemon restarts.  Export merges first so
+   in-flight locals are included; both calls must happen at quiescent
+   points (the daemon calls them between requests). *)
 let export_group_verdicts t =
-  if t.incremental then begin
-    merge_locals t;
-    let acc = ref [] in
-    Sig_tbl.iter (fun k ~hash:_ v -> acc := (k, v) :: !acc) t.gcache.btbl;
-    !acc
-  end
-  else []
+  merge_locals t;
+  let acc = ref [] in
+  Sig_tbl.iter (fun k ~hash:_ v -> acc := (k, v) :: !acc) t.gcache.btbl;
+  !acc
 
 let seed_group_verdicts t entries =
-  if t.incremental then begin
-    List.iter
-      (fun (k, v) ->
-        let hash = Plan.signature_hash k in
-        if not (Sig_tbl.mem_pre t.gcache.btbl ~buf:k ~len:(Array.length k) ~hash)
-        then bounded_add t.gcache k hash v)
-      entries;
-    bounded_enforce t.gcache m_group_evictions
-  end
+  List.iter
+    (fun (k, v) ->
+      let hash = Plan.signature_hash k in
+      if not (Sig_tbl.mem_pre t.gcache.btbl ~buf:k ~len:(Array.length k) ~hash) then
+        bounded_add t.gcache k hash v)
+    entries;
+  bounded_enforce t.gcache m_group_evictions
 
-(* On the incremental path the "shards" are the shared base (index 0 —
-   it holds the merged entries and the eviction counter but sees no
-   probes of its own) followed by one entry per domain-local context
-   (its private probe counters and any entries not yet merged).  Sizes
-   and hit/miss flows both sum to the aggregate {!cache_stats}. *)
+(* The "shards" are the shared base (index 0 — it holds the merged
+   entries and the eviction counter but sees no probes of its own)
+   followed by one entry per domain-local context (its private probe
+   counters and any entries not yet merged).  Sizes and hit/miss flows
+   both sum to the aggregate {!cache_stats}. *)
 let shard_stats t =
-  if t.incremental then
-    let base =
-      {
-        hits = 0;
-        misses = 0;
-        evictions = t.gcache.bevictions;
-        size = Sig_tbl.count t.gcache.btbl;
-      }
-    in
-    let locs =
-      List.rev_map
-        (fun (_, l) ->
-          {
-            hits = l.el_ghits;
-            misses = l.el_gmisses;
-            evictions = 0;
-            size = Sig_tbl.count l.el_groups;
-          })
-        t.locals
-    in
-    Array.of_list (base :: locs)
-  else String_cache.shard_stats t.scache
+  let base =
+    { hits = 0; misses = 0; evictions = t.gcache.bevictions; size = Sig_tbl.count t.gcache.btbl }
+  in
+  let locs =
+    List.rev_map
+      (fun (_, l) ->
+        { hits = l.el_ghits; misses = l.el_gmisses; evictions = 0; size = Sig_tbl.count l.el_groups })
+      t.locals
+  in
+  Array.of_list (base :: locs)
 
-let num_shards t =
-  if t.incremental then 1 + List.length t.locals
-  else Array.length t.scache.String_cache.shards
+let num_shards t = 1 + List.length t.locals
 
 let cache_stats t =
-  let live =
-    if t.incremental then
-      Array.fold_left add_stats zero_cache_stats (shard_stats t)
-    else String_cache.stats t.scache
-  in
-  add_stats live (base_group_stats t)
+  add_stats (Array.fold_left add_stats zero_cache_stats (shard_stats t)) (base_group_stats t)
 
 let plan_cache_stats t =
   let live =

@@ -47,9 +47,9 @@ type cache_stats = { hits : int; misses : int; evictions : int; size : int }
     (singletons included), entries evicted under a configured capacity,
     and the current table size.  Every lookup resolves as exactly one hit
     or one miss — so summed over {!shard_stats}, [hits + misses] always
-    equals the total number of probes.  On the incremental path, hit and
-    miss counts are scheduling-dependent telemetry when several domains
-    run concurrently (which domain's table answers a probe depends on
+    equals the total number of probes.  Hit and miss counts are
+    scheduling-dependent telemetry when several domains run
+    concurrently (which domain's table answers a probe depends on
     work-stealing order); costs, plans and {!evaluations} are not. *)
 
 type pareto_entry = { pf_plan : int list list; pf_costs : float array }
@@ -62,11 +62,7 @@ val create :
   ?guard:guard ->
   ?faults:fault_stats ->
   ?cache_capacity:int ->
-  ?cache_shards:int ->
-  ?domains:int ->
   ?plan_cache_capacity:int ->
-  ?incremental:bool ->
-  ?arena:bool ->
   ?portfolio:Kf_model.Inputs.t list ->
   Kf_model.Inputs.t ->
   t
@@ -74,12 +70,27 @@ val create :
     handling).  [faults] is the accounting record the guard shares with
     this objective so that solvers can surface it in their results.
 
-    [arena] (default [true]) selects the allocation-free evaluation
-    leaf: per-program features precomputed once into a
-    {!Kf_model.Feature_arena}, per-domain scratch evaluation, bit-identical
-    verdicts to the legacy [Fused.build]-per-candidate leaf.
-    [~arena:false] is the [--no-arena] escape hatch that restores the
-    legacy leaf byte-for-byte.
+    There is one evaluation path.  Group verdicts are keyed by canonical
+    signatures ({!Kf_fusion.Plan.group_signature}) encoded in a
+    per-domain arena ({!Kf_fusion.Plan.Sigbuf}); a plan-level cache sits
+    above them ({!eval_plan}); singletons are answered from the measured
+    runtimes; structural operators are memoized ({!memos}).  The leaf
+    evaluates each missed group over per-program features precomputed
+    once into a {!Kf_model.Feature_arena}, allocating nothing but the
+    verdict.  Its verdicts are bit-identical to building the fused
+    kernel per candidate ([Fused.build]); the test suite keeps that
+    construction as an oracle and installs it through [guard].
+
+    The group and plan memo tables are {e per-domain}: each worker
+    domain probes a shared read-only base table lock-free, falls back
+    to its own private table, and records misses privately;
+    {!merge_locals} folds the private tables into the base at generation
+    barriers.  The hot path takes no lock and allocates no key on a hit.
+    A key evaluated concurrently by several domains in one generation is
+    evaluated by each (evaluation is pure) but merged — and counted —
+    once.  Every group is evaluated canonically sorted and plan costs
+    are summed in canonical group order, so costs never depend on member
+    or group order.
 
     [portfolio] (default [[]]) lists additional devices' inputs (built
     over the {e same program value}).  When non-empty, every cache-miss
@@ -90,52 +101,14 @@ val create :
     search is unaffected: costs, verdicts and evaluation counts are
     bit-identical with or without a portfolio.
 
-    On the incremental path (the default) the group and plan memo tables
-    are {e per-domain}: each worker domain probes a shared read-only
-    base table lock-free, falls back to its own private table, and
-    records misses privately; {!merge_locals} folds the private tables
-    into the base at generation barriers.  The hot path takes no lock
-    and allocates no key on a hit.  A key evaluated concurrently by
-    several domains in one generation is evaluated by each (evaluation
-    is pure) but merged — and counted — once.
-
-    [domains] (default 1) is the number of worker domains expected to
-    probe this objective.  It sizes the default [cache_shards] of the
-    string-keyed [--no-incremental] table to [max 16 (2 * domains)], so
-    at high worker counts two domains rarely contend on the same
-    stripe; an explicit [cache_shards] overrides the scaling.  The
-    striped table evaluates concurrent misses on the same key exactly
-    once — losers wait on the shard's in-flight table for the winner's
-    memoized verdict.
-
     [cache_capacity] bounds the group memo table with FIFO eviction
-    (default: unbounded).  On the incremental path the bound is enforced
-    on the shared base at each {!merge_locals} (between merges the
-    per-domain tables may transiently hold more); on the string path the
-    capacity is sliced across shards (the shard count is clamped to the
-    capacity so each shard holds at least one entry).  Evaluation is
-    pure, so eviction only costs recomputation.  [plan_cache_capacity]
-    bounds the plan-level cache the same way.
-
-    [incremental] (default [true]) selects the two-level evaluation
-    pipeline: group verdicts keyed by canonical signatures
-    ({!Kf_fusion.Plan.group_signature}) encoded in a per-domain arena
-    ({!Kf_fusion.Plan.Sigbuf}), a plan-level cache above them
-    ({!eval_plan}), a singleton fast path, and memoized structural
-    operators ({!struct_memos}).  With [~incremental:false] the
-    objective evaluates through the original string-keyed table — the
-    [--no-incremental] escape hatch.  Both modes evaluate canonically
-    sorted groups and sum plan costs in canonical group order, so they
-    produce bit-identical costs; with unbounded caches (the default)
-    they also perform identical evaluation counts at merge points.
-    @raise Invalid_argument if [cache_capacity < 1], [cache_shards < 1],
-    [domains < 1] or [plan_cache_capacity < 1]. *)
-
-val incremental : t -> bool
-(** Whether this objective uses the incremental evaluation pipeline. *)
-
-val arena_enabled : t -> bool
-(** Whether the allocation-free arena leaf is active. *)
+    (default: unbounded).  The bound is enforced on the shared base at
+    each {!merge_locals} (between merges the per-domain tables may
+    transiently hold more).  Evaluation is pure, so eviction only costs
+    recomputation.  [plan_cache_capacity] bounds the plan-level cache
+    the same way.
+    @raise Invalid_argument if [cache_capacity < 1] or
+    [plan_cache_capacity < 1]. *)
 
 val portfolio_active : t -> bool
 (** Whether a multi-device portfolio was configured. *)
@@ -173,9 +146,13 @@ val alloc_per_eval : t -> float
     hot-path health gauge behind the [objective.alloc_per_eval] metric.
     Sampled only while [Kf_obs.Metrics] is enabled; 0 with no samples. *)
 
+val memos : t -> Struct_memo.memos
+(** The structural-operator memo bundle; [Grouping] routes its pure
+    operators through it. *)
+
 val struct_memos : t -> Struct_memo.memos option
-(** The structural-operator memo bundle ([Some] exactly when
-    {!incremental}); [Grouping] routes its pure operators through it. *)
+(** [Some (memos t)], always.  The option is kept for callers written
+    against the signature of earlier releases. *)
 
 val inputs : t -> Kf_model.Inputs.t
 val model : t -> model
@@ -195,9 +172,9 @@ val group_profitable : t -> int list -> bool
 
 val plan_cost : t -> int list list -> float
 (** Σ over groups in canonical group order (so permuted-but-equal plans
-    — and the incremental and full paths — produce bit-identical
-    totals); [infinity] if any group is infeasible.  On an incremental
-    objective this consults the plan-level cache. *)
+    produce bit-identical totals); [infinity] if any group is
+    infeasible.  The total of {!eval_plan}, through the plan-level
+    cache. *)
 
 (** {2 Horizontal packs}
 
@@ -205,7 +182,7 @@ val plan_cost : t -> int list list -> float
     ordinary vertical group, several planes execute side by side as
     per-plane sub-grids of one horizontal launch.  Pack verdicts live in
     the same caches as group verdicts under a disjoint keyspace
-    ([-3]-separated signatures / ['|']-joined string keys), so they
+    ([-3]-separated signatures), so they
     inherit the merge machinery, exactly-once accounting and
     domain-count determinism. *)
 
@@ -253,8 +230,7 @@ val eval_cplan : t -> ?base:plan_eval -> int list list list -> plan_eval
     plan-level cache.  All-singleton compositions share plan-cache
     entries (and bit-identical totals) with {!eval_plan} of the
     underlying groups; [base] diffing works across modes because
-    single-plane packs key the cost table by their group.  Incremental
-    path only. *)
+    single-plane packs key the cost table by their group. *)
 
 val plan_eval_total : plan_eval -> float
 (** The plan's canonical-order cost sum. *)
@@ -268,21 +244,18 @@ val merge_locals : t -> unit
     probe telemetry to [Kf_obs.Metrics], and enforce any configured
     capacities.  Must only be called at a quiescent point — all worker
     domains parked at the pool's generation barrier (whose mutex
-    handshake publishes their writes), or single-domain use.  No-op on a
-    non-incremental objective. *)
+    handshake publishes their writes), or single-domain use. *)
 
 val evaluations : t -> int
 (** Number of objective-function evaluations attempted so far (cache
     misses on multi-member groups — the quantity of paper Table VI).
     Failed evaluations count: they are attempts, and the denominator of
-    {!fault_rate}.  Each distinct key counts exactly once: on the
-    incremental path duplicates are collapsed at {!merge_locals} (the
+    {!fault_rate}.  Each distinct key (group or multi-plane pack) counts
+    exactly once: duplicates are collapsed at {!merge_locals}, so the
     count is exact at merge points and for single-domain use; between
     barriers it may transiently include cross-domain duplicates that the
-    next merge collapses), on the string path the increment is tied to
-    winning the shard's in-flight slot.  Evaluation budgets read at
-    merge points therefore stop at the same point for any domain
-    count. *)
+    next merge collapses.  Evaluation budgets read at merge points
+    therefore stop at the same point for any domain count. *)
 
 val add_evaluations : t -> int -> unit
 (** Seed the evaluation counter with work done before this objective
@@ -295,16 +268,12 @@ val add_faults : t -> fault_stats -> unit
     support, like {!add_evaluations}). *)
 
 val cache_stats : t -> cache_stats
-(** Group-cache counters aggregated over all shards (each shard is
-    snapshotted under its own lock), for whichever group table the mode
-    uses: the signature-keyed cache when {!incremental}, the string-keyed
-    table otherwise.  On the incremental path singleton probes bypass
-    the cache, so only multi-member traffic is counted there.  Includes
-    counts seeded by {!add_cache_stats}. *)
+(** Group-cache counters aggregated over {!shard_stats}.  Singleton
+    probes bypass the cache, so only multi-member traffic is counted.
+    Includes counts seeded by {!add_cache_stats}. *)
 
 val plan_cache_stats : t -> cache_stats
-(** Plan-level cache counters (all zero on a non-incremental objective
-    that never ran {!eval_plan}).  Includes counts seeded by
+(** Plan-level cache counters.  Includes counts seeded by
     {!add_cache_stats}. *)
 
 val add_cache_stats : t -> group:cache_stats -> plan:cache_stats -> unit
@@ -320,8 +289,7 @@ val export_group_verdicts : t -> (int array * verdict) list
     payload the serve daemon shares across requests and persists via
     [Snapshot.Cache].  Runs {!merge_locals} first so in-flight
     per-domain entries are included (so it must be called at a quiescent
-    point).  Empty on a non-incremental objective.  Verdicts
-    are pure functions of (program, device, model), so an exported entry
+    point).  Verdicts are pure functions of (program, device, model), so an exported entry
     is valid for any other objective built over the same inputs. *)
 
 val seed_group_verdicts : t -> (int array * verdict) list -> unit
@@ -329,24 +297,20 @@ val seed_group_verdicts : t -> (int array * verdict) list -> unit
     Seeded entries count as neither hits nor misses (hit-rate telemetry
     measures only real probes), respect any configured capacity, and —
     evaluation being pure — can only skip work, never change a result.
-    No-op on a non-incremental objective.  Seeding entries exported from
+    Seeding entries exported from
     a {e different} (program, device, model) is undefined behavior; the
     daemon keys its store by a content digest to prevent it. *)
 
 val shard_stats : t -> cache_stats array
-(** Per-compartment group-cache counters.  On the incremental path:
-    index 0 is the shared base (merged entries and the eviction counter;
-    it records no probes of its own), followed by one entry per
-    domain-local table (its private probe counters and any entries not
-    yet merged).  On the string path: one entry per lock stripe.  Both
-    sizes and hit/miss flows sum to {!cache_stats} (minus any seeded
-    counts). *)
+(** Per-compartment group-cache counters: index 0 is the shared base
+    (merged entries and the eviction counter; it records no probes of
+    its own), followed by one entry per domain-local table (its private
+    probe counters and any entries not yet merged).  Both sizes and
+    hit/miss flows sum to {!cache_stats} (minus any seeded counts). *)
 
 val num_shards : t -> int
 (** Number of group-cache compartments currently in use: [1 + ] the
-    number of domains that have probed an incremental objective, or the
-    stripe count of the string-keyed table (the configured
-    [cache_shards], clamped to [cache_capacity] when one is set). *)
+    number of domains that have probed this objective. *)
 
 val cache_hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 before the first lookup. *)

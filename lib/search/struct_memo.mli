@@ -137,7 +137,7 @@ type memos = {
           DAG, precomputed once — the group-level cycle check on memo
           misses runs on these instead of rebuilding adjacency tables *)
 }
-(** The bundle of operator memos an incremental objective owns. *)
+(** The bundle of operator memos every objective owns. *)
 
 val create_memos : succs:Kf_util.Bitset.t array -> unit -> memos
 

@@ -1,7 +1,8 @@
 (* Differential tests of the allocation-free feature arena and the
    multi-device portfolio: the arena evaluation leaf must be
-   bit-identical to the legacy Fused.build-per-candidate leaf on every
-   device and model, and a portfolio must observe the search without
+   bit-identical to the Fused.build-per-candidate leaf (the Legacy_leaf
+   oracle, installed through the objective's guard) on every device and
+   model, and a portfolio must observe the search without
    perturbing it (exactly-once row accounting, device-order-invariant
    Pareto front). *)
 
@@ -52,7 +53,7 @@ let prop_arena_matches_legacy =
         (fun device ->
           let i = inputs_for ~device ctx in
           let oa = Objective.create ~model i in
-          let ol = Objective.create ~model ~arena:false i in
+          let ol = Objective.create ~model ~guard:(Legacy_leaf.guard ~model i) i in
           let p, _, _ = ctx in
           let rng = Rng.create ((seed * 17) + 1) in
           let groups = Grouping.random_plan oa rng (Program.num_kernels p) in
@@ -79,7 +80,10 @@ let prop_search_identical =
           stall_generations = 15; seed = seed + 1 }
       in
       let ra = Hgga.solve ~params (Objective.create i) in
-      let rl = Hgga.solve ~params (Objective.create ~arena:false i) in
+      let rl =
+        Hgga.solve ~params
+          (Objective.create ~guard:(Legacy_leaf.guard ~model:Objective.Proposed i) i)
+      in
       Plan.equal ra.Hgga.plan rl.Hgga.plan
       && bits ra.Hgga.cost = bits rl.Hgga.cost
       && ra.Hgga.stats.Hgga.evaluations = rl.Hgga.stats.Hgga.evaluations
@@ -186,7 +190,7 @@ let test_alloc_gauge () =
   let ctx = context_of_seed 3 in
   let i = inputs_for ~device:Device.k20x ctx in
   let oa = Objective.create i in
-  let ol = Objective.create ~arena:false i in
+  let ol = Objective.create ~guard:(Legacy_leaf.guard ~model:Objective.Proposed i) i in
   let p, _, _ = ctx in
   let n = Program.num_kernels p in
   Kf_obs.Metrics.set_enabled true;

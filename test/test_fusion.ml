@@ -260,9 +260,10 @@ let test_codegen_host () =
 
 (* Arena-encoded signatures must be bit-identical to the allocating
    reference encoders for arbitrary (even messy: unsorted members,
-   shuffled groups) partitions — they interoperate with signature arrays
-   persisted in snapshots and with [--no-incremental] reruns, so any
-   drift would split caches that must agree.  One Sigbuf is reused
+   shuffled groups) partitions — the reference encoders define what a
+   signature is, and the objective's caches, the structural memos and the
+   search's dedup tables all key by these arrays, so any drift would
+   split caches that must agree.  One Sigbuf is reused
    across all cases, exercising arena reuse and growth. *)
 let prop_sigbuf_roundtrip =
   let partition_gen =

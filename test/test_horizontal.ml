@@ -27,10 +27,10 @@ let ctx = lazy (Pipeline.prepare ~device (program ()))
 let fast_params =
   { Hgga.default_params with Hgga.max_generations = 60; stall_generations = 20 }
 
-let solve ?(params = fast_params) ?(horizontal = true) ?(domains = 1)
-    ?(incremental = true) ?(arena = true) ?checkpoint ?resume_from () =
+let solve ?(params = fast_params) ?(horizontal = true) ?(domains = 1) ?guard ?checkpoint
+    ?resume_from () =
   let ctx = Lazy.force ctx in
-  let obj = Pipeline.objective ~domains ~incremental ~arena ctx in
+  let obj = Pipeline.objective ?guard ctx in
   Hgga.solve
     ~params:{ params with Hgga.horizontal; domains }
     ?checkpoint ?resume_from obj
@@ -212,19 +212,21 @@ let test_measured_agrees_with_projection () =
 (* Determinism contract with horizontal search on                      *)
 
 let test_determinism_matrix () =
-  (* Fixed islands: bit-identical results for any domain count, with
-     incremental on/off and arena on/off. *)
+  (* Fixed islands: bit-identical results for any domain count, and
+     with the per-candidate oracle leaf in place of the arena leaf. *)
   let params = { fast_params with Hgga.islands = 2 } in
   let base = solve ~params () in
+  let oracle =
+    Legacy_leaf.guard ~model:Objective.Proposed (Lazy.force ctx).Pipeline.inputs
+  in
   List.iter
-    (fun (name, domains, incremental, arena) ->
-      let r = solve ~params ~domains ~incremental ~arena () in
+    (fun (name, domains, guard) ->
+      let r = solve ~params ~domains ?guard () in
       check Alcotest.bool name true (same_result base r))
     [
-      ("domains 4", 4, true, true);
-      ("no-incremental", 1, false, true);
-      ("no-arena", 1, true, false);
-      ("all off, domains 4", 4, false, false);
+      ("domains 4", 4, None);
+      ("oracle leaf", 1, Some oracle);
+      ("oracle leaf, domains 4", 4, Some oracle);
     ]
 
 let test_vertical_only_unchanged () =
@@ -361,47 +363,136 @@ let test_horizontal_excludes_portfolio () =
   | _ -> Alcotest.fail "horizontal + portfolio solve succeeded"
 
 (* ------------------------------------------------------------------ *)
+(* Plane-order independence under the execution oracle                 *)
+
+module Fused_program = Kf_fusion.Fused_program
+module Sem = Kf_exec.Semantics
+
+(* The oracle executes every site, so run a scaled-down grid: fusion
+   legality and semantics are size-invariant (paper §II-C). *)
+let scaled =
+  lazy
+    (let p =
+       Kf_ir.Program.with_grid (program ())
+         (Kf_ir.Grid.make ~nx:64 ~ny:16 ~nz:2 ~block_x:32 ~block_y:8)
+     in
+     let meta = Kf_ir.Metadata.build p in
+     let exec = Kf_graph.Exec_order.build (Kf_graph.Datadep.build p) in
+     (p, meta, exec))
+
+let reorder_planes f (fp : Fused_program.t) =
+  {
+    fp with
+    Fused_program.units =
+      List.map
+        (function Fused_program.Horizontal planes -> Fused_program.Horizontal (f planes) | u -> u)
+        fp.Fused_program.units;
+  }
+
+(* [Semantics.run_fused] runs a pack's planes in canonical order; legal
+   planes are data-independent, so reversed and seeded-permutation
+   orders must leave a bitwise-identical state. *)
+let plane_orders_agree rng plan =
+  let p, meta, exec = Lazy.force scaled in
+  let fp = Fused_program.build ~device ~meta ~exec plan in
+  let reference = Sem.run_fused fp in
+  List.for_all
+    (fun order ->
+      let v = Sem.compare_states p reference (Sem.run_fused (reorder_planes order fp)) in
+      v.Sem.equivalent && v.Sem.max_abs_diff = 0.)
+    [ List.rev; shuffle rng ]
+
+let test_winner_plane_order () =
+  let r = Lazy.force hresult in
+  check Alcotest.bool "winner has a multi-plane pack" true
+    (Plan.horizontal_pack_count r.Hgga.plan >= 1);
+  check Alcotest.bool "plane order irrelevant" true (plane_orders_agree (Rng.create 11) r.Hgga.plan)
+
+(* Random legal packings of the video frames: each frame's chain is cut
+   into contiguous stage segments (convex vertical groups), and
+   segments of distinct frames are packed together.  Packings whose
+   condensed graph is cyclic or that violate a constraint are
+   discarded. *)
+let prop_packs_plane_order seed =
+  let rng = Rng.create seed in
+  let _, meta, exec = Lazy.force scaled in
+  let segments =
+    List.concat_map
+      (fun f ->
+        let rec cut s acc =
+          if s >= spec.Video.stages then List.rev acc
+          else
+            let len = 1 + Rng.int rng (spec.Video.stages - s) in
+            cut (s + len) (List.init len (fun i -> (f * spec.Video.stages) + s + i) :: acc)
+        in
+        cut 0 [])
+      (List.init spec.Video.frames Fun.id)
+  in
+  let frame g = List.hd g / spec.Video.stages in
+  let packs =
+    List.fold_left
+      (fun packs g ->
+        match packs with
+        | pack :: rest
+          when List.length pack < 3
+               && (not (List.exists (fun h -> frame h = frame g) pack))
+               && Rng.int rng 3 > 0 ->
+            (g :: pack) :: rest
+        | _ -> [ g ] :: packs)
+      [] (shuffle rng segments)
+  in
+  let plan = Plan.of_composed ~n packs in
+  QCheck.assume
+    (List.for_all (fun pack -> Plan.planes_independent ~exec pack) packs
+    && Plan.horizontal_pack_count plan >= 1
+    && Plan.validate ~device ~meta ~exec plan = []);
+  plane_orders_agree rng plan
+
+(* ------------------------------------------------------------------ *)
 (* perf_gate schema dispatch                                           *)
 
 let test_perf_gate_unknown_schema () =
   (* Regression for the schema dispatch table: an unknown schema must
-     exit 2 and list the known schemas, which now include the
-     horizontal bench. *)
+     exit 2 and list the known schemas, which include the horizontal
+     bench.  "kfuse-bench/1" is unknown too: no bench writes it. *)
   match Sys.getenv_opt "PERF_GATE" with
   | None -> Alcotest.skip ()
   | Some exe ->
-      let json = Filename.temp_file "kfuse_gate" ".json" in
-      let err = Filename.temp_file "kfuse_gate" ".err" in
-      Fun.protect
-        ~finally:(fun () ->
-          Sys.remove json;
-          Sys.remove err)
-        (fun () ->
-          let out = open_out json in
-          output_string out "{\"schema\": \"kfuse-bench-bogus/9\"}\n";
-          close_out out;
-          let cmd =
-            Printf.sprintf "%s %s %s 2>%s" (Filename.quote exe)
-              (Filename.quote json) (Filename.quote json) (Filename.quote err)
-          in
-          let code =
-            match Unix.system cmd with
-            | Unix.WEXITED c -> c
-            | _ -> -1
-          in
-          check Alcotest.int "unknown schema exits 2" 2 code;
-          let ic = open_in err in
-          let len = in_channel_length ic in
-          let msg = really_input_string ic len in
-          close_in ic;
-          let contains sub =
-            let ls = String.length sub and l = String.length msg in
-            let rec go i = i + ls <= l && (String.sub msg i ls = sub || go (i + 1)) in
-            go 0
-          in
-          check Alcotest.bool "names the failure" true (contains "unknown schema");
-          check Alcotest.bool "lists the horizontal schema" true
-            (contains "kfuse-bench-horizontal/1"))
+      List.iter
+        (fun schema ->
+          let json = Filename.temp_file "kfuse_gate" ".json" in
+          let err = Filename.temp_file "kfuse_gate" ".err" in
+          Fun.protect
+            ~finally:(fun () ->
+              Sys.remove json;
+              Sys.remove err)
+            (fun () ->
+              let out = open_out json in
+              Printf.fprintf out "{\"schema\": %S}\n" schema;
+              close_out out;
+              let cmd =
+                Printf.sprintf "%s %s %s 2>%s" (Filename.quote exe)
+                  (Filename.quote json) (Filename.quote json) (Filename.quote err)
+              in
+              let code =
+                match Unix.system cmd with
+                | Unix.WEXITED c -> c
+                | _ -> -1
+              in
+              check Alcotest.int (schema ^ " exits 2") 2 code;
+              let ic = open_in err in
+              let len = in_channel_length ic in
+              let msg = really_input_string ic len in
+              close_in ic;
+              let contains sub =
+                let ls = String.length sub and l = String.length msg in
+                let rec go i = i + ls <= l && (String.sub msg i ls = sub || go (i + 1)) in
+                go 0
+              in
+              check Alcotest.bool "names the failure" true (contains "unknown schema");
+              check Alcotest.bool "lists the horizontal schema" true
+                (contains "kfuse-bench-horizontal/1")))
+        [ "kfuse-bench-bogus/9"; "kfuse-bench/1" ]
 
 let suite =
   [
@@ -428,6 +519,10 @@ let suite =
       test_resume_requires_horizontal;
     Alcotest.test_case "horizontal excludes portfolio" `Quick
       test_horizontal_excludes_portfolio;
+    Alcotest.test_case "winner plane order irrelevant" `Quick test_winner_plane_order;
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:40 ~name:"random packs: plane order irrelevant" QCheck.small_int
+         prop_packs_plane_order);
     Alcotest.test_case "perf_gate rejects unknown schema" `Quick
       test_perf_gate_unknown_schema;
   ]

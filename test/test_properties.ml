@@ -174,19 +174,18 @@ let prop_incremental_matches_full =
       let measured_runtime =
         Array.map (fun r -> r.Measure.runtime_s) (Measure.program_results ~device p)
       in
-      let mk incremental =
-        Objective.create ~incremental (Inputs.make ~device ~meta ~exec ~measured_runtime)
-      in
-      let obj_inc = mk true and obj_full = mk false in
+      let inputs = Inputs.make ~device ~meta ~exec ~measured_runtime in
+      let obj_inc = Objective.create inputs in
       let n = Program.num_kernels p in
       let rng = Rng.create (seed + 11) in
       let groups = ref (Grouping.random_plan obj_inc rng n) in
       let agree = ref true in
       (* Walk a random mutation sequence with the search's own operators,
-         checking both evaluation modes agree bit-for-bit at every step. *)
+         checking the cached plan cost against the uncached
+         per-candidate oracle bit-for-bit at every step. *)
       for _ = 1 to 10 do
         let ci = Objective.plan_cost obj_inc !groups in
-        let cf = Objective.plan_cost obj_full !groups in
+        let cf = Legacy_leaf.plan_cost ~model:Objective.Proposed inputs !groups in
         if Int64.bits_of_float ci <> Int64.bits_of_float cf then agree := false;
         let gs = !groups in
         (match Rng.int rng 3 with
@@ -208,6 +207,63 @@ let prop_incremental_matches_full =
       done;
       !agree)
 
+(* The structural memos are result-invisible: every memoized [Grouping]
+   operator returns exactly what its unmemoized counterpart in
+   [Legacy_grouping] returns — on the first call (a memo miss), on a
+   repeat (a hit), and with the partition's groups permuted (a
+   canonical-key hit for the merge).  Partitions are one random feasible
+   plan plus arbitrary bucketings, which are mostly non-convex and
+   unschedulable, so closure, cycle absorption and repair all run. *)
+let prop_struct_memos_match_unmemoized =
+  QCheck.Test.make ~count:30 ~name:"structural memos return what the unmemoized operators do"
+    QCheck.small_int
+    (fun seed ->
+      let p, meta, exec = context_of_seed seed in
+      let measured_runtime =
+        Array.map (fun r -> r.Measure.runtime_s) (Measure.program_results ~device p)
+      in
+      let obj = Objective.create (Inputs.make ~device ~meta ~exec ~measured_runtime) in
+      let n = Program.num_kernels p in
+      let rng = Rng.create ((seed * 17) + 5) in
+      let bucketing () =
+        let b = Array.make (max 1 (n / 3)) [] in
+        for k = n - 1 downto 0 do
+          let i = Rng.int rng (Array.length b) in
+          b.(i) <- k :: b.(i)
+        done;
+        List.filter (( <> ) []) (Array.to_list b)
+      in
+      let permuted groups =
+        let a = Array.of_list groups in
+        Rng.shuffle rng a;
+        Array.to_list a
+      in
+      (* [memo] runs twice: a miss (or an earlier case's entry), then a hit. *)
+      let agrees raw memo = raw = memo () && raw = memo () in
+      List.for_all
+        (fun groups ->
+          let arr = Array.of_list groups in
+          let a = Rng.choose rng arr and b = Rng.choose rng arr in
+          let shuffled = permuted groups in
+          agrees (Legacy_grouping.schedulable obj groups) (fun () -> Grouping.schedulable obj groups)
+          && agrees (Legacy_grouping.repair_schedule obj groups) (fun () ->
+                 Grouping.repair_schedule obj groups)
+          && List.for_all
+               (fun g ->
+                 agrees (Legacy_grouping.kin_adjacent_groups obj groups g) (fun () ->
+                     Grouping.kin_adjacent_groups obj groups g))
+               groups
+          && agrees (Legacy_grouping.absorbing_merge obj groups a) (fun () ->
+                 Grouping.absorbing_merge obj groups a)
+          && (a = b
+             || agrees (Legacy_grouping.merge_pair obj groups a b) (fun () ->
+                    Grouping.merge_pair obj groups a b)
+                && agrees (Legacy_grouping.merge_pair obj shuffled a b) (fun () ->
+                       Grouping.merge_pair obj shuffled a b))
+          && agrees (Legacy_grouping.local_refine obj groups) (fun () ->
+                 Grouping.local_refine obj groups))
+        [ Grouping.random_plan obj rng n; bucketing (); bucketing () ])
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -221,4 +277,5 @@ let suite =
       prop_projection_below_roofline_performance;
       prop_plan_cost_additive;
       prop_incremental_matches_full;
+      prop_struct_memos_match_unmemoized;
     ]

@@ -17,13 +17,15 @@ module Motivating = Kf_workloads.Motivating
 let check = Alcotest.check
 let device = Device.k20x
 
-let objective_of ?incremental program =
+let inputs_of program =
   let meta = Kf_ir.Metadata.build program in
   let exec = Kf_graph.Exec_order.build (Kf_graph.Datadep.build program) in
   let measured_runtime =
     Array.map (fun r -> r.Measure.runtime_s) (Measure.program_results ~device program)
   in
-  Objective.create ?incremental (Inputs.make ~device ~meta ~exec ~measured_runtime)
+  Inputs.make ~device ~meta ~exec ~measured_runtime
+
+let objective_of ?guard program = Objective.create ?guard (inputs_of program)
 
 let motivating_obj () = objective_of (Motivating.program ())
 
@@ -288,36 +290,24 @@ let test_hgga_islands_search () =
 let test_cache_probe_accounting () =
   (* Every lookup resolves as exactly one hit or one miss: probe a known
      sequence and check the ledger balances, per shard and aggregated.
-     The incremental path answers singletons straight from the measured
-     array, so its ledger counts only multi-member probes; the full path
-     counts every probe (the PR 3 invariant). *)
-  List.iter
-    (fun incremental ->
-      let obj = objective_of ~incremental (Motivating.program ()) in
-      let groups = [ [ 0; 1 ]; [ 1; 2 ]; [ 3; 4 ]; [ 0 ]; [ 2 ] ] in
-      let probes = ref 0 in
-      for _ = 1 to 3 do
-        List.iter
-          (fun g ->
-            if incremental then (if List.length g >= 2 then incr probes) else incr probes;
-            ignore (Objective.group_cost obj g))
-          groups
-      done;
-      let distinct =
-        List.length (if incremental then List.filter (fun g -> List.length g >= 2) groups else groups)
-      in
-      let agg = Objective.cache_stats obj in
-      check Alcotest.int "hits + misses = probes" !probes
-        (agg.Objective.hits + agg.Objective.misses);
-      check Alcotest.int "one miss per distinct key" distinct agg.Objective.misses;
-      let shards = Objective.shard_stats obj in
-      check Alcotest.int "shard count exposed" (Objective.num_shards obj) (Array.length shards);
-      let sum f = Array.fold_left (fun acc s -> acc + f s) 0 shards in
-      check Alcotest.int "shard hits sum" agg.Objective.hits (sum (fun s -> s.Objective.hits));
-      check Alcotest.int "shard misses sum" agg.Objective.misses
-        (sum (fun s -> s.Objective.misses));
-      check Alcotest.int "shard sizes sum" agg.Objective.size (sum (fun s -> s.Objective.size)))
-    [ true; false ]
+     Singletons are answered straight from the measured array, so the
+     ledger counts only multi-member probes. *)
+  let obj = motivating_obj () in
+  let groups = [ [ 0; 1 ]; [ 1; 2 ]; [ 3; 4 ]; [ 0 ]; [ 2 ] ] in
+  let multi = List.filter (fun g -> List.length g >= 2) groups in
+  for _ = 1 to 3 do
+    List.iter (fun g -> ignore (Objective.group_cost obj g)) groups
+  done;
+  let agg = Objective.cache_stats obj in
+  check Alcotest.int "hits + misses = probes" (3 * List.length multi)
+    (agg.Objective.hits + agg.Objective.misses);
+  check Alcotest.int "one miss per distinct key" (List.length multi) agg.Objective.misses;
+  let shards = Objective.shard_stats obj in
+  check Alcotest.int "shard count exposed" (Objective.num_shards obj) (Array.length shards);
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 shards in
+  check Alcotest.int "shard hits sum" agg.Objective.hits (sum (fun s -> s.Objective.hits));
+  check Alcotest.int "shard misses sum" agg.Objective.misses (sum (fun s -> s.Objective.misses));
+  check Alcotest.int "shard sizes sum" agg.Objective.size (sum (fun s -> s.Objective.size))
 
 let test_cache_consistency_after_search () =
   (* Same invariant after a real multi-island, multi-domain search. *)
@@ -344,75 +334,124 @@ let test_cache_consistency_after_search () =
   check Alcotest.int "shard sizes sum" agg.Objective.size (sum (fun s -> s.Objective.size))
 
 let test_concurrent_duplicate_miss () =
-  (* Four domains race on the same cold key.  The two paths discharge
-     the exactly-once budget-accounting obligation differently — the
-     string-keyed table collapses the race in flight (one miss, three
-     hits), the per-domain incremental tables let each domain evaluate
-     privately and collapse duplicates at the merge barrier — but both
-     must agree on the verdict and count one evaluation once quiescent. *)
-  List.iter
-    (fun incremental ->
-      let obj = objective_of ~incremental (Motivating.program ()) in
-      let spawned =
-        List.init 4 (fun _ ->
-            Domain.spawn (fun () -> Objective.group_cost obj [ 0; 1 ]))
-      in
-      let costs = List.map Domain.join spawned in
-      (match costs with
-      | c :: rest -> List.iter (fun c' -> check (Alcotest.float 0.) "same verdict" c c') rest
-      | [] -> ());
-      Objective.merge_locals obj;
-      check Alcotest.int "evaluated exactly once" 1 (Objective.evaluations obj);
-      let agg = Objective.cache_stats obj in
-      if incremental then begin
-        (* Each domain resolved the probe in its own table; hit/miss
-           splits are scheduling-dependent telemetry, the ledger and the
-           merged evaluation count are not. *)
-        check Alcotest.int "ledger balances" 4 (agg.Objective.hits + agg.Objective.misses);
-        check Alcotest.bool "at least one miss" true (agg.Objective.misses >= 1);
-        check Alcotest.int "one merged entry" 1 agg.Objective.size
-      end
-      else begin
-        check Alcotest.int "one miss" 1 agg.Objective.misses;
-        check Alcotest.int "three hits" 3 agg.Objective.hits
-      end;
-      (* A warm re-probe from yet another domain hits the merged base. *)
-      let c = Domain.join (Domain.spawn (fun () -> Objective.group_cost obj [ 0; 1 ])) in
-      (match costs with c0 :: _ -> check (Alcotest.float 0.) "warm verdict" c0 c | [] -> ());
-      Objective.merge_locals obj;
-      check Alcotest.int "still one evaluation" 1 (Objective.evaluations obj))
-    [ true; false ]
-
-let test_merge_equivalence_with_striped_cache () =
-  (* Per-domain memo tables merged at barriers must be observationally
-     equivalent to the old striped shared cache: same costs bit-for-bit
-     and the same evaluation count at quiescent points, for any mix of
-     racing and disjoint keys. *)
-  let groups = [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 0; 1 ] ] in
-  let run incremental =
-    let obj = objective_of ~incremental (Motivating.program ()) in
-    let spawned =
-      List.init 4 (fun _ ->
-          Domain.spawn (fun () -> List.map (fun g -> Objective.group_cost obj g) groups))
-    in
-    let costs = List.map Domain.join spawned in
-    Objective.merge_locals obj;
-    (costs, Objective.evaluations obj)
+  (* Four domains race on the same cold key.  Each evaluates it privately
+     in its own table; the merge barrier collapses the duplicates, so the
+     verdicts agree and one evaluation is counted once quiescent. *)
+  let obj = motivating_obj () in
+  let spawned =
+    List.init 4 (fun _ -> Domain.spawn (fun () -> Objective.group_cost obj [ 0; 1 ]))
   in
-  let inc_costs, inc_evals = run true in
-  let str_costs, str_evals = run false in
-  List.iter2
-    (fun a b ->
-      List.iter2
-        (fun x y ->
-          check Alcotest.bool "bitwise-equal cost" true
-            (Int64.bits_of_float x = Int64.bits_of_float y))
-        a b)
-    inc_costs str_costs;
-  check Alcotest.int "same evaluation count" str_evals inc_evals;
-  check Alcotest.int "one evaluation per distinct key" 4 inc_evals
+  let costs = List.map Domain.join spawned in
+  (match costs with
+  | c :: rest -> List.iter (fun c' -> check (Alcotest.float 0.) "same verdict" c c') rest
+  | [] -> ());
+  Objective.merge_locals obj;
+  check Alcotest.int "evaluated exactly once" 1 (Objective.evaluations obj);
+  (* Which domain's table answers a probe is scheduling-dependent
+     telemetry; the ledger and the merged evaluation count are not. *)
+  let agg = Objective.cache_stats obj in
+  check Alcotest.int "ledger balances" 4 (agg.Objective.hits + agg.Objective.misses);
+  check Alcotest.bool "at least one miss" true (agg.Objective.misses >= 1);
+  check Alcotest.int "one merged entry" 1 agg.Objective.size;
+  (* A warm re-probe from yet another domain hits the merged base. *)
+  let c = Domain.join (Domain.spawn (fun () -> Objective.group_cost obj [ 0; 1 ])) in
+  (match costs with c0 :: _ -> check (Alcotest.float 0.) "warm verdict" c0 c | [] -> ());
+  Objective.merge_locals obj;
+  check Alcotest.int "still one evaluation" 1 (Objective.evaluations obj)
 
 let bits = Int64.bits_of_float
+
+let test_merge_equivalence_vs_oracle () =
+  (* Per-domain memo tables merged at barriers: racing and disjoint keys
+     from four domains yield the oracle leaf's costs bit for bit, and one
+     evaluation per distinct key at the quiescent point. *)
+  let groups = [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 0; 1 ] ] in
+  let inputs = inputs_of (Motivating.program ()) in
+  let obj = Objective.create inputs in
+  let spawned =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> List.map (fun g -> Objective.group_cost obj g) groups))
+  in
+  let costs = List.map Domain.join spawned in
+  Objective.merge_locals obj;
+  let oracle =
+    List.map (fun g -> (Legacy_leaf.verdict ~model:Objective.Proposed inputs g).Objective.cost) groups
+  in
+  List.iter
+    (List.iter2
+       (fun want got -> check Alcotest.bool "bitwise-equal cost" true (bits want = bits got))
+       oracle)
+    costs;
+  check Alcotest.int "one evaluation per distinct key" 4 (Objective.evaluations obj)
+
+(* A guard that evaluates normally and records, under a lock, the
+   distinct multi-member keys it is handed — an oracle for the
+   objective's exactly-once evaluation count. *)
+let counting_guard () =
+  let seen = Hashtbl.create 256 and lock = Mutex.create () in
+  let guard eval g =
+    if List.length g >= 2 then begin
+      Mutex.lock lock;
+      Hashtbl.replace seen g ();
+      Mutex.unlock lock
+    end;
+    eval g
+  in
+  let keys () =
+    Mutex.lock lock;
+    let ks = Hashtbl.fold (fun g () acc -> g :: acc) seen [] in
+    Mutex.unlock lock;
+    List.sort compare ks
+  in
+  (guard, keys)
+
+let test_exactly_once_vs_counting_guard () =
+  (* At every generation barrier Objective.evaluations equals the number
+     of distinct groups the guard saw, for 1 and 4 worker domains.  In a
+     horizontal search multi-plane packs are evaluations too but are
+     never guarded: their count is read off the exported cache (keys
+     with a [-3] plane separator), whose remaining keys must be exactly
+     the guarded groups. *)
+  let run ~horizontal ~domains program =
+    let guard, keys = counting_guard () in
+    let obj = objective_of ~guard program in
+    let params =
+      { Hgga.default_params with Hgga.max_generations = 30; stall_generations = 1000;
+        islands = 2; domains; horizontal }
+    in
+    let barriers = ref [] in
+    let on_generation (p : Hgga.progress) =
+      barriers := (p.Hgga.p_evaluations, List.length (keys ())) :: !barriers
+    in
+    let r = Hgga.solve ~params ~on_generation obj in
+    let exported = List.map fst (Objective.export_group_verdicts obj) in
+    let packs, groups = List.partition (Array.exists (( = ) (-3))) exported in
+    let groups = List.sort compare (List.map Array.to_list groups) in
+    check Alcotest.bool "exported group keys = guarded keys" true (groups = keys ());
+    check Alcotest.int "evaluations = guarded groups + packs"
+      (List.length (keys ()) + List.length packs)
+      (Objective.evaluations obj);
+    if not horizontal then
+      List.iter
+        (fun (evals, guarded) ->
+          check Alcotest.int "evaluations = guarded groups at a barrier" guarded evals)
+        !barriers
+    else check Alcotest.bool "packs were evaluated" true (packs <> []);
+    (r, keys ())
+  in
+  List.iter
+    (fun (horizontal, program) ->
+      let r1, k1 = run ~horizontal ~domains:1 program
+      and r4, k4 = run ~horizontal ~domains:4 program in
+      check Alcotest.bool "same plan" true (Plan.equal r1.Hgga.plan r4.Hgga.plan);
+      check Alcotest.int "same evaluations" r1.Hgga.stats.Hgga.evaluations
+        r4.Hgga.stats.Hgga.evaluations;
+      check Alcotest.bool "same guarded keys" true (k1 = k4))
+    [
+      (false, Kf_workloads.Cloverleaf.program ());
+      (true, Kf_workloads.Video.generate Kf_workloads.Video.default);
+    ]
+
 
 let test_plan_cache_permuted () =
   (* Permuted-but-equal plans share one plan-cache entry: the canonical
@@ -432,10 +471,12 @@ let test_plan_cache_permuted () =
     (Objective.plan_eval_total e1)
 
 let test_incremental_full_equivalence () =
-  (* The PR 5 contract: incremental evaluation is a throughput knob,
-     never a result knob.  Same best plan, bitwise-equal cost, identical
-     improvement history and evaluation count — panmictic and island
+  (* The cached, delta-evaluated search against the uncached oracle
+     leaf: installing the leaf as the guard changes no plan, cost,
+     improvement history or evaluation count, and the result's cost is
+     the oracle's canonical-order plan sum — panmictic and island
      variants. *)
+  let inputs = inputs_of (Kf_workloads.Cloverleaf.program ()) in
   List.iter
     (fun (islands, migration_interval) ->
       let params =
@@ -447,12 +488,16 @@ let test_incremental_full_equivalence () =
           migration_interval;
         }
       in
-      let run incremental =
-        Hgga.solve ~params (objective_of ~incremental (Kf_workloads.Cloverleaf.program ()))
+      let ri = Hgga.solve ~params (Objective.create inputs) in
+      let rf =
+        Hgga.solve ~params
+          (Objective.create ~guard:(Legacy_leaf.guard ~model:Objective.Proposed inputs) inputs)
       in
-      let ri = run true and rf = run false in
       check Alcotest.bool "same plan" true (Plan.equal ri.Hgga.plan rf.Hgga.plan);
       check Alcotest.bool "bitwise-equal cost" true (bits ri.Hgga.cost = bits rf.Hgga.cost);
+      check Alcotest.bool "cost = oracle plan cost" true
+        (bits ri.Hgga.cost
+        = bits (Legacy_leaf.plan_cost ~model:Objective.Proposed inputs ri.Hgga.groups));
       let hi = ri.Hgga.stats.Hgga.improvement_history
       and hf = rf.Hgga.stats.Hgga.improvement_history in
       check Alcotest.int "same history length" (List.length hi) (List.length hf);
@@ -498,8 +543,10 @@ let suite =
     Alcotest.test_case "cache probe accounting" `Quick test_cache_probe_accounting;
     Alcotest.test_case "cache consistency after search" `Slow test_cache_consistency_after_search;
     Alcotest.test_case "concurrent duplicate miss" `Quick test_concurrent_duplicate_miss;
-    Alcotest.test_case "merge equivalence vs striped cache" `Quick
-      test_merge_equivalence_with_striped_cache;
+    Alcotest.test_case "merge equivalence vs oracle leaf" `Quick
+      test_merge_equivalence_vs_oracle;
+    Alcotest.test_case "exactly-once evaluations vs counting guard" `Slow
+      test_exactly_once_vs_counting_guard;
     Alcotest.test_case "plan cache permuted plans" `Quick test_plan_cache_permuted;
     Alcotest.test_case "incremental vs full equivalence" `Slow test_incremental_full_equivalence;
   ]

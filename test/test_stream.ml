@@ -25,7 +25,7 @@ let objective_of program =
   let measured_runtime =
     Array.map (fun r -> r.Measure.runtime_s) (Measure.program_results ~device program)
   in
-  Objective.create ~incremental:true (Inputs.make ~device ~meta ~exec ~measured_runtime)
+  Objective.create (Inputs.make ~device ~meta ~exec ~measured_runtime)
 
 let env : Stream.env = objective_of
 

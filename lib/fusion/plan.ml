@@ -214,10 +214,6 @@ module Sigbuf = struct
       comps;
     comps
 
-  let append_extra t extra =
-    push t (-2);
-    List.iter (push t) extra
-
   let length t = t.len
   let unsafe_buf t = t.buf
 

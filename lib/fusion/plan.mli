@@ -173,7 +173,7 @@ module Sigbuf : sig
 
   val encode_groups_exact : t -> int list list -> unit
   (** Encode groups in the given order without canonicalizing
-      ([-1]-separated) — for memo keys of order-sensitive operators. *)
+      ([-1]-separated). *)
 
   val encode_cgroup : t -> int list list -> unit
   (** Encode one pack's canonical signature: plane signatures joined by
@@ -186,11 +186,6 @@ module Sigbuf : sig
       [-1], planes within a pack by [-3]) and return the canonical pack
       list.  An all-singleton composition encodes byte-identically to
       {!encode_plan} of the underlying groups. *)
-
-  val append_extra : t -> int list -> unit
-  (** Append a [-2] separator then the given ints to the current
-      encoding — for memo keys that mix a partition with scalar
-      arguments. *)
 
   val length : t -> int
 

@@ -19,312 +19,406 @@ let normalize groups =
 let exec_of obj = (Objective.inputs obj).Inputs.exec
 let meta_of obj = (Objective.inputs obj).Inputs.meta
 
-(* Strongly connected components of the condensed (per-group) dependency
-   graph.  Per-group path convexity (paper Eq. 1.3) does not by itself
-   guarantee that the new kernels can be ordered — two convex groups can
-   still depend on each other through different members — so merges must
-   also swallow any condensation cycle they create. *)
-let condensation_sccs exec groups_arr =
-  let dag = Exec_order.dag exec in
-  let ng = Array.length groups_arr in
-  let group_of = Hashtbl.create 64 in
-  Array.iteri (fun gi g -> List.iter (fun k -> Hashtbl.replace group_of k gi) g) groups_arr;
-  let adj = Array.make ng [] in
-  let radj = Array.make ng [] in
-  for u = 0 to Dag.num_nodes dag - 1 do
-    if Hashtbl.mem group_of u then
-      List.iter
-        (fun v ->
-          match (Hashtbl.find_opt group_of u, Hashtbl.find_opt group_of v) with
-          | Some gu, Some gv when gu <> gv ->
-              adj.(gu) <- gv :: adj.(gu);
-              radj.(gv) <- gu :: radj.(gv)
-          | _ -> ())
-        (Dag.succs dag u)
-  done;
-  (* Kosaraju. *)
-  let visited = Array.make ng false in
-  let order = ref [] in
-  let rec dfs1 v =
-    if not visited.(v) then begin
-      visited.(v) <- true;
-      List.iter dfs1 adj.(v);
-      order := v :: !order
-    end
-  in
-  for v = 0 to ng - 1 do
-    dfs1 v
-  done;
-  let comp = Array.make ng (-1) in
-  let rec dfs2 v c =
-    if comp.(v) < 0 then begin
-      comp.(v) <- c;
-      List.iter (fun w -> dfs2 w c) radj.(v)
-    end
-  in
-  let nc = ref 0 in
-  List.iter
-    (fun v ->
-      if comp.(v) < 0 then begin
-        dfs2 v !nc;
-        incr nc
-      end)
-    !order;
-  let sccs = Array.make !nc [] in
-  Array.iteri (fun gi c -> sccs.(c) <- gi :: sccs.(c)) comp;
-  Array.to_list sccs
-
-(* Structural operators are pure functions of the (fixed) execution
-   order, metadata and their arguments, and the GA re-asks the same
-   structural questions constantly, so each of the wrappers below
-   memoizes its operator in the objective's {!Objective.memos} under an
-   exact-order signature (see {!Struct_memo} for why the keys must not
-   be canonicalized). *)
-(* Group-level acyclicity (Kahn's algorithm on bitset adjacency).  Both
-   consumers of [sccs_of] only inspect component {e sizes}, so when the
-   condensation is acyclic any all-singleton component list is
-   behaviorally interchangeable with Kosaraju's — which lets the memo
-   miss path skip the full SCC pass in the (overwhelmingly common)
-   schedulable case. *)
-let group_dag_acyclic succs arr =
-  let ng = Array.length arr in
-  if ng <= 1 || Array.length succs = 0 then true
-  else begin
-    let n = Bitset.universe_size succs.(0) in
-    let out =
-      Array.map
-        (fun g ->
-          let b = Bitset.create n in
-          List.iter (fun u -> Bitset.union_into b succs.(u)) g;
-          b)
-        arr
-    in
-    let edge i j = i <> j && List.exists (Bitset.mem out.(i)) arr.(j) in
-    let indeg = Array.make ng 0 in
-    for i = 0 to ng - 1 do
-      for j = 0 to ng - 1 do
-        if edge i j then indeg.(j) <- indeg.(j) + 1
-      done
-    done;
-    let queue = ref [] in
-    Array.iteri (fun j d -> if d = 0 then queue := j :: !queue) indeg;
-    let removed = ref 0 in
-    while !queue <> [] do
-      match !queue with
-      | [] -> ()
-      | i :: tl ->
-          queue := tl;
-          incr removed;
-          for j = 0 to ng - 1 do
-            if edge i j then begin
-              indeg.(j) <- indeg.(j) - 1;
-              if indeg.(j) = 0 then queue := j :: !queue
-            end
-          done
-    done;
-    !removed = ng
-  end
-
-let sccs_of obj exec groups_arr =
-  let m = Objective.memos obj in
-  Struct_memo.find_exact m.Struct_memo.sccs
-    (Array.to_list groups_arr)
-    (fun () ->
-      if group_dag_acyclic m.Struct_memo.succs groups_arr then
-        List.init (Array.length groups_arr) (fun i -> [ i ])
-      else condensation_sccs exec groups_arr)
-
-(* Memo hits return a fresh bitset (the table copies on both sides):
-   callers mutate the closure in place, and a shared cached bitset would
-   be corrupted by the first caller. *)
-let closure_of obj dag bs =
-  Struct_memo.find_or_compute_bitset (Objective.memos obj).Struct_memo.closure bs (fun () ->
-      Dag.path_closure dag bs)
-
-let schedulable obj groups =
-  List.for_all
-    (fun scc -> List.length scc <= 1)
-    (sccs_of obj (exec_of obj) (Array.of_list groups))
-
-(* Group indices (never 0 itself) in a condensation cycle with group 0:
-   [{j | 0 ->+ j and j ->+ 0}] at group granularity, walked directly on
-   the precomputed per-kernel successor bitsets.  Exactly the members of
-   the [condensation_sccs] component containing group 0, minus 0 — but
-   without rebuilding adjacency tables or running a full Kosaraju pass,
-   which dominates the raw merge on small programs. *)
-let cycle_with_zero succs arr =
-  let ng = Array.length arr in
-  if ng <= 1 || Array.length succs = 0 then []
-  else begin
-    let n = Bitset.universe_size succs.(0) in
-    let out =
-      Array.map
-        (fun g ->
-          let b = Bitset.create n in
-          List.iter (fun u -> Bitset.union_into b succs.(u)) g;
-          b)
-        arr
-    in
-    let edge i j = i <> j && List.exists (Bitset.mem out.(i)) arr.(j) in
-    let fwd = Array.make ng false in
-    let bwd = Array.make ng false in
-    let rec dfs seen via i =
-      for j = 0 to ng - 1 do
-        if (not seen.(j)) && via i j then begin
-          seen.(j) <- true;
-          dfs seen via j
-        end
-      done
-    in
-    dfs fwd (fun i j -> edge i j) 0;
-    dfs bwd (fun i j -> edge j i) 0;
-    let acc = ref [] in
-    for j = ng - 1 downto 1 do
-      if fwd.(j) && bwd.(j) then acc := j :: !acc
-    done;
-    !acc
-  end
-
-let absorbing_merge_raw obj groups seed =
-  let exec = exec_of obj in
-  let dag = Exec_order.dag exec in
-  let n = Dag.num_nodes dag in
-  let merged = ref (Bitset.of_list n seed) in
-  let rest = ref groups in
-  let stable = ref false in
-  while not !stable do
-    (* Close under the path constraint, then absorb any group that now
-       intersects the closure; repeat until nothing more is pulled in. *)
-    merged := closure_of obj dag !merged;
-    let intersecting, untouched =
-      List.partition (fun g -> List.exists (Bitset.mem !merged) g) !rest
-    in
-    if intersecting <> [] then begin
-      List.iter (fun g -> List.iter (Bitset.add !merged) g) intersecting;
-      rest := untouched
-    end
-    else begin
-      (* Closure stable: absorb any condensation cycle through the merged
-         group (the merge may have created mutual dependencies with
-         otherwise-untouched groups). *)
-      let arr = Array.of_list (Bitset.to_list !merged :: !rest) in
-      let absorb_idx = cycle_with_zero (Objective.memos obj).Struct_memo.succs arr in
-      match absorb_idx with
-      | [] -> stable := true
-      | _ ->
-          List.iter (fun gi -> List.iter (Bitset.add !merged) arr.(gi)) absorb_idx;
-          rest := List.filteri (fun i _ -> not (List.mem (i + 1) absorb_idx)) !rest
-    end
-  done;
-  let group = Bitset.to_list !merged in
-  if Objective.group_feasible obj group then Some (group, !rest) else None
-
-(* The absorbed member set is a pure set-level fixpoint (closure + cycle
-   absorption), independent of the order of [groups] and [seed], so the
-   memo key is canonical and permuted-but-equal calls collide; only the
-   order-preserving [rest] is rebuilt from the live argument on a hit.
-   Memoizing the merge (feasibility probe included) skips repeat cache
-   probes; with the default unbounded verdict cache the skipped probe
-   would have been a hit, so evaluation counts are unchanged. *)
-let absorbing_merge obj groups seed =
-  let merged =
-    Struct_memo.find_canonical (Objective.memos obj).Struct_memo.merge groups seed
-      (fun () ->
-        match absorbing_merge_raw obj groups seed with
-        | Some (group, _) -> Some group
-        | None -> None)
-  in
-  match merged with
-  | None -> None
-  | Some group ->
-      (* Same boolean as a bitset membership test, without building the
-         bitset: the merged member list is short and sorted. *)
-      let rec mem_int (k : int) = function
-        | [] -> false
-        | x :: tl -> x = k || mem_int k tl
-      in
-      Some (group, List.filter (fun g -> not (List.exists (fun k -> mem_int k group) g)) groups)
-
-let repair_schedule obj groups =
-  (* Merge every multi-group condensation cycle; if the merged group is
-     infeasible, dissolve the cycle's groups into singletons (a refinement
-     never introduces new cycles). *)
-  let result = ref groups in
-  let continue_ = ref true in
-  while !continue_ do
-    let arr = Array.of_list !result in
-    match List.find_opt (fun scc -> List.length scc > 1) (sccs_of obj (exec_of obj) arr) with
-    | None -> continue_ := false
-    | Some scc ->
-        let in_scc = List.concat_map (fun gi -> arr.(gi)) scc in
-        let others =
-          List.filteri (fun i _ -> not (List.mem i scc)) !result
-        in
-        (match absorbing_merge obj others in_scc with
-        | Some (merged, rest) -> result := merged :: rest
-        | None -> result := List.map (fun k -> [ k ]) in_scc @ others)
-  done;
-  !result
-
-let merge_pair obj groups a b =
-  let others = List.filter (fun g -> g <> a && g <> b) groups in
-  absorbing_merge obj others (a @ b)
-
 let kin_neighbor_list obj group =
   let meta = meta_of obj in
   List.concat_map (fun k -> Metadata.kin_neighbors meta k) group
   |> List.sort_uniq compare
   |> List.filter (fun k -> not (List.mem k group))
 
-(* The adjacency predicate depends only on the probe group's (fixed,
-   metadata-derived) kinship neighbor set, never on the rest of the
-   partition — so the memo caches that set per group, and the
-   order-preserving filter over [groups] runs on every call. *)
+(* A group's kinship neighbor set depends only on its (fixed,
+   metadata-derived) members, never on the rest of the partition, so
+   it is memoized per group; the cached bitset is read-only. *)
+let kin_set obj group =
+  Struct_memo.find_group (Objective.memos obj).Struct_memo.kin group (fun () ->
+      let n = Dag.num_nodes (Exec_order.dag (exec_of obj)) in
+      Bitset.of_list n (kin_neighbor_list obj group))
+
 let kin_adjacent_groups obj groups group =
-  let nb =
-    Struct_memo.find_group (Objective.memos obj).Struct_memo.kin group (fun () ->
-        let n = Dag.num_nodes (Exec_order.dag (exec_of obj)) in
-        Bitset.of_list n (kin_neighbor_list obj group))
-  in
+  let nb = kin_set obj group in
   List.filter (fun g -> g <> group && List.exists (Bitset.mem nb) g) groups
+
+module Partition = struct
+  (* Groups are named by ids in [0, n): a live id has members, a free id
+     sits on the [free] stack.  [gsucc.(g)] / [gpred.(g)] are the ids of
+     the groups holding a direct successor / predecessor of a member of
+     [g] in the execution DAG — the condensed graph, kept exact across
+     every update by [detach] and [attach].  [order] holds the live ids
+     in the order of the equivalent [int list list]. *)
+  type t = {
+    obj : Objective.t;
+    succs : int array array;
+    preds : int array array;
+    group_of : int array;
+    members : int list array;
+    gsucc : Bitset.t array;
+    gpred : Bitset.t array;
+    order : int array;
+    mutable len : int;
+    free : int array;
+    mutable nfree : int;
+    (* working sets of [merge], [kin_adjacent] and [acyclic] *)
+    mark : Bitset.t;
+    reach : Bitset.t;
+    kset : Bitset.t;
+    stack : int array;
+  }
+
+  type merge = { absorbed : int list; group : int list }
+
+  let length st = st.len
+  let nth st i = st.order.(i)
+  let group_of st k = st.group_of.(k)
+  let members st g = st.members.(g)
+  let merged_group m = m.group
+  let to_groups st = List.init st.len (fun i -> st.members.(st.order.(i)))
+
+  let of_groups obj groups =
+    let memos = Objective.memos obj in
+    let n = Array.length memos.Struct_memo.succs in
+    let invalid () = invalid_arg "Grouping.Partition.of_groups: not a partition of the kernels" in
+    let group_of = Array.make n (-1) and members = Array.make n [] in
+    List.iteri
+      (fun g ms ->
+        if ms = [] then invalid ();
+        List.iter
+          (fun k ->
+            if k < 0 || k >= n || group_of.(k) >= 0 then invalid ();
+            group_of.(k) <- g)
+          ms;
+        members.(g) <- ms)
+      groups;
+    if Array.exists (fun g -> g < 0) group_of then invalid ();
+    let len = List.length groups in
+    let st =
+      {
+        obj;
+        succs = memos.Struct_memo.succs;
+        preds = memos.Struct_memo.preds;
+        group_of;
+        members;
+        gsucc = Array.init n (fun _ -> Bitset.create n);
+        gpred = Array.init n (fun _ -> Bitset.create n);
+        order = Array.init n (fun i -> i);
+        len;
+        free = Array.init n (fun i -> n - 1 - i);
+        nfree = n - len;
+        mark = Bitset.create n;
+        reach = Bitset.create n;
+        kset = Bitset.create n;
+        stack = Array.make n 0;
+      }
+    in
+    Array.iteri
+      (fun u vs ->
+        let gu = group_of.(u) in
+        Array.iter
+          (fun v ->
+            let gv = group_of.(v) in
+            if gu <> gv then begin
+              Bitset.add st.gsucc.(gu) gv;
+              Bitset.add st.gpred.(gv) gu
+            end)
+          vs)
+      st.succs;
+    st
+
+  let detach st g =
+    Bitset.iter (fun h -> Bitset.remove st.gpred.(h) g) st.gsucc.(g);
+    Bitset.iter (fun h -> Bitset.remove st.gsucc.(h) g) st.gpred.(g);
+    Bitset.clear st.gsucc.(g);
+    Bitset.clear st.gpred.(g)
+
+  let attach st g =
+    List.iter
+      (fun k ->
+        Array.iter
+          (fun v ->
+            let h = st.group_of.(v) in
+            if h <> g then begin
+              Bitset.add st.gsucc.(g) h;
+              Bitset.add st.gpred.(h) g
+            end)
+          st.succs.(k);
+        Array.iter
+          (fun u ->
+            let h = st.group_of.(u) in
+            if h <> g then begin
+              Bitset.add st.gpred.(g) h;
+              Bitset.add st.gsucc.(h) g
+            end)
+          st.preds.(k))
+      st.members.(g)
+
+  let fresh_id st =
+    st.nfree <- st.nfree - 1;
+    st.free.(st.nfree)
+
+  let release st g =
+    st.members.(g) <- [];
+    st.free.(st.nfree) <- g;
+    st.nfree <- st.nfree + 1
+
+  let set_order st ids =
+    List.iteri (fun i g -> st.order.(i) <- g) ids;
+    st.len <- List.length ids
+
+  let live st = List.init st.len (nth st)
+
+  (* Split groups into singletons, one per member in member order
+     (concatenated over [gs]); returns the new ids in that order. *)
+  let split st gs =
+    List.iter (detach st) gs;
+    let ids =
+      List.concat_map
+        (fun g ->
+          let ms = st.members.(g) in
+          release st g;
+          List.map
+            (fun k ->
+              let id = fresh_id st in
+              st.group_of.(k) <- id;
+              st.members.(id) <- [ k ];
+              id)
+            ms)
+        gs
+    in
+    List.iter (attach st) ids;
+    ids
+
+  let kin_adjacent st g =
+    let nb = kin_set st.obj st.members.(g) in
+    Bitset.clear st.mark;
+    Bitset.iter (fun k -> Bitset.add st.mark st.group_of.(k)) nb;
+    let acc = ref [] in
+    for i = st.len - 1 downto 0 do
+      let h = st.order.(i) in
+      if h <> g && Bitset.mem st.mark h then acc := h :: !acc
+    done;
+    !acc
+
+  (* Grow the seed ids in [mark] to the absorbed set of a merge: the
+     seeds plus every group both reachable from and reaching them in the
+     condensed graph.  A path-closure member outside the seeds lies on a
+     kernel path between two seed members, so its group is such a group;
+     and once these groups are absorbed, no group outside can close a
+     cycle through the merged group (it would reach and be reached by
+     the seeds already).  So one forward and one backward search reach
+     the fixpoint the kernel-level closure and cycle absorption iterate
+     to.  The backward search only visits forward-reached groups. *)
+  let absorb st =
+    let sp = ref 0 in
+    let push g =
+      st.stack.(!sp) <- g;
+      incr sp
+    in
+    let pop () =
+      decr sp;
+      st.stack.(!sp)
+    in
+    Bitset.clear st.reach;
+    Bitset.iter push st.mark;
+    while !sp > 0 do
+      Bitset.iter
+        (fun h ->
+          if not (Bitset.mem st.mark h || Bitset.mem st.reach h) then begin
+            Bitset.add st.reach h;
+            push h
+          end)
+        st.gsucc.(pop ())
+    done;
+    Bitset.iter push st.mark;
+    while !sp > 0 do
+      Bitset.iter
+        (fun h ->
+          if Bitset.mem st.reach h then begin
+            Bitset.remove st.reach h;
+            Bitset.add st.mark h;
+            push h
+          end)
+        st.gpred.(pop ())
+    done
+
+  let merge st seeds =
+    Bitset.clear st.mark;
+    List.iter (Bitset.add st.mark) seeds;
+    absorb st;
+    Bitset.clear st.kset;
+    Bitset.iter (fun g -> List.iter (Bitset.add st.kset) st.members.(g)) st.mark;
+    let group = Bitset.to_list st.kset in
+    if Objective.group_feasible st.obj group then
+      Some { absorbed = Bitset.to_list st.mark; group }
+    else None
+
+  let commit st { absorbed; group } =
+    List.iter (detach st) absorbed;
+    List.iter (release st) absorbed;
+    let id = fresh_id st in
+    List.iter (fun k -> st.group_of.(k) <- id) group;
+    st.members.(id) <- group;
+    attach st id;
+    set_order st (id :: List.filter (fun g -> not (List.mem g absorbed)) (live st))
+
+  let eject st k =
+    let g = st.group_of.(k) in
+    match st.members.(g) with
+    | [ _ ] -> false
+    | ms ->
+        let remainder = List.filter (( <> ) k) ms in
+        Objective.group_feasible st.obj remainder
+        && Exec_order.group_is_convex (exec_of st.obj) remainder
+        && begin
+             detach st g;
+             let id = fresh_id st in
+             st.group_of.(k) <- id;
+             st.members.(id) <- [ k ];
+             st.members.(g) <- remainder;
+             attach st g;
+             attach st id;
+             set_order st (id :: g :: List.filter (( <> ) g) (live st));
+             true
+           end
+
+  let dissolve st g =
+    let before = live st in
+    let ids = split st [ g ] in
+    set_order st (List.concat_map (fun h -> if h = g then ids else [ h ]) before)
+
+  (* Kahn's algorithm on the condensed graph. *)
+  let acyclic st =
+    let indeg = Array.make (Array.length st.group_of) 0 in
+    let sp = ref 0 in
+    for i = 0 to st.len - 1 do
+      let g = st.order.(i) in
+      indeg.(g) <- Bitset.cardinal st.gpred.(g);
+      if indeg.(g) = 0 then begin
+        st.stack.(!sp) <- g;
+        incr sp
+      end
+    done;
+    let removed = ref 0 in
+    while !sp > 0 do
+      decr sp;
+      incr removed;
+      Bitset.iter
+        (fun h ->
+          indeg.(h) <- indeg.(h) - 1;
+          if indeg.(h) = 0 then begin
+            st.stack.(!sp) <- h;
+            incr sp
+          end)
+        st.gsucc.(st.stack.(!sp))
+    done;
+    !removed = st.len
+
+  (* Kosaraju over list positions, with adjacency lists built kernel by
+     kernel in successor order: the first multi-group component it
+     reports (as positions, highest first) fixes the order in which
+     [repair] visits cycles, and so the order of its output list. *)
+  let first_cycle st =
+    let ng = st.len in
+    let pos = Array.make (Array.length st.group_of) 0 in
+    for i = 0 to ng - 1 do
+      pos.(st.order.(i)) <- i
+    done;
+    let adj = Array.make ng [] and radj = Array.make ng [] in
+    Array.iteri
+      (fun u vs ->
+        let gu = pos.(st.group_of.(u)) in
+        Array.iter
+          (fun v ->
+            let gv = pos.(st.group_of.(v)) in
+            if gu <> gv then begin
+              adj.(gu) <- gv :: adj.(gu);
+              radj.(gv) <- gu :: radj.(gv)
+            end)
+          vs)
+      st.succs;
+    let visited = Array.make ng false and finished = ref [] in
+    let rec dfs1 v =
+      if not visited.(v) then begin
+        visited.(v) <- true;
+        List.iter dfs1 adj.(v);
+        finished := v :: !finished
+      end
+    in
+    for v = 0 to ng - 1 do
+      dfs1 v
+    done;
+    let comp = Array.make ng (-1) in
+    let rec dfs2 v c =
+      if comp.(v) < 0 then begin
+        comp.(v) <- c;
+        List.iter (fun w -> dfs2 w c) radj.(v)
+      end
+    in
+    let nc = ref 0 in
+    List.iter
+      (fun v ->
+        if comp.(v) < 0 then begin
+          dfs2 v !nc;
+          incr nc
+        end)
+      !finished;
+    let sccs = Array.make !nc [] in
+    Array.iteri (fun p c -> sccs.(c) <- p :: sccs.(c)) comp;
+    Array.find_opt (fun scc -> List.length scc > 1) sccs
+
+  (* Merge every multi-group condensation cycle; if the merged group is
+     infeasible, dissolve the cycle's groups into singletons (a
+     refinement never introduces new cycles). *)
+  let rec repair st =
+    if not (acyclic st) then
+      match first_cycle st with
+      | None -> ()
+      | Some scc ->
+          let ids = List.map (fun p -> st.order.(p)) scc in
+          (match merge st ids with
+          | Some m -> commit st m
+          | None ->
+              let singles = split st ids in
+              set_order st (singles @ List.filter (fun g -> not (List.mem g ids)) (live st)));
+          repair st
+end
+
+let schedulable obj groups = Partition.acyclic (Partition.of_groups obj groups)
+
+let repair_schedule obj groups =
+  let st = Partition.of_groups obj groups in
+  Partition.repair st;
+  Partition.to_groups st
+
+let absorbing_merge obj groups seed =
+  let st = Partition.of_groups obj groups in
+  let seeds = List.sort_uniq Int.compare (List.map (Partition.group_of st) seed) in
+  Partition.merge st seeds
+  |> Option.map (fun m ->
+         Partition.commit st m;
+         (* the merged group comes first *)
+         (m.Partition.group, List.tl (Partition.to_groups st)))
+
+let merge_pair obj groups a b = absorbing_merge obj groups (a @ b)
 
 let random_plan obj rng ?merge_attempts n =
   let attempts = match merge_attempts with Some a -> a | None -> 2 * n in
-  let groups = ref (List.init n (fun k -> [ k ])) in
-  (* Kept in sync with [groups]; most attempts mutate nothing, so the
-     array is only rebuilt after an accepted merge. *)
-  let arr = ref (Array.of_list !groups) in
+  let st = Partition.of_groups obj (List.init n (fun k -> [ k ])) in
   for _ = 1 to attempts do
-    if Array.length !arr >= 2 then begin
-      let g = Rng.choose rng !arr in
-      match kin_adjacent_groups obj !groups g with
+    if Partition.length st >= 2 then begin
+      let g = Partition.nth st (Rng.int rng (Partition.length st)) in
+      match Partition.kin_adjacent st g with
       | [] -> ()
-      | candidates -> begin
-          let partner = Rng.choose rng (Array.of_list candidates) in
-          (* Deliberately the raw merge, not the memoized one: initial
-             plans are drawn from novel random partitions, so memo probes
-             at this site rarely hit and their key encoding outweighs the
-             (fast-cycle-check) merge itself — and every probe would also
-             pollute the table crossover relies on.  Memoization is
-             result-invisible, so this is a throughput choice only. *)
-          let others = List.filter (fun g' -> g' <> g && g' <> partner) !groups in
-          match absorbing_merge_raw obj others (g @ partner) with
-          | Some (merged, rest) ->
+      | candidates -> (
+          let partner = List.nth candidates (Rng.int rng (List.length candidates)) in
+          match Partition.merge st [ g; partner ] with
+          | Some m ->
               (* Keep the merge only when the model likes it at least half
                  the time; always-greedy initial populations collapse into
                  one basin. *)
-              let keep =
-                Objective.group_profitable obj merged || Rng.chance rng 0.25
-              in
-              if keep then begin
-                groups := merged :: rest;
-                arr := Array.of_list !groups
-              end
-          | None -> ()
-        end
+              if Objective.group_profitable obj m.group || Rng.chance rng 0.25 then
+                Partition.commit st m
+          | None -> ())
     end
   done;
-  normalize !groups
+  normalize (Partition.to_groups st)
 
 let dissolve groups g =
   let found = ref false in
@@ -341,19 +435,8 @@ let dissolve groups g =
   out
 
 let eject obj groups k =
-  let target = List.find_opt (fun g -> List.mem k g) groups in
-  match target with
-  | None | Some [ _ ] -> None
-  | Some g ->
-      let remainder = List.filter (( <> ) k) g in
-      if
-        Objective.group_feasible obj remainder
-        && Exec_order.group_is_convex (exec_of obj) remainder
-      then begin
-        let others = List.filter (fun g' -> g' <> g) groups in
-        Some ([ k ] :: remainder :: others)
-      end
-      else None
+  let st = Partition.of_groups obj groups in
+  if Partition.eject st k then Some (Partition.to_groups st) else None
 
 let relocation_pass obj current =
   let cost gs = Objective.plan_cost obj gs in
@@ -442,7 +525,7 @@ let swap_pass obj current =
     (multi ());
   !improved
 
-let local_refine_raw ~max_passes obj groups =
+let local_refine ?(max_passes = 3) obj groups =
   let n = List.fold_left (fun acc g -> acc + List.length g) 0 groups in
   let current = ref groups in
   let improved = ref true in
@@ -454,15 +537,6 @@ let local_refine_raw ~max_passes obj groups =
     if n <= 48 then improved := swap_pass obj current || !improved
   done;
   normalize !current
-
-(* Refinement is deterministic in its input and the GA refines the
-   generation champion every generation — which rarely changes between
-   improvements, so repeat refinements of the same (exact-order) plan
-   are hits.  The objective probes a hit skips would all be cache hits
-   themselves, so evaluation counts are unchanged. *)
-let local_refine ?(max_passes = 3) obj groups =
-  Struct_memo.find_exact_with (Objective.memos obj).Struct_memo.refine groups [ max_passes ]
-    (fun () -> local_refine_raw ~max_passes obj groups)
 
 let enforce_profitability obj groups =
   normalize

@@ -10,11 +10,76 @@
 
 type groups = int list list
 
+(** The partition state every structural operator works on: which group
+    each kernel is in, each group's members, and the condensed
+    (group-level) dependency graph of the execution DAG as successor and
+    predecessor sets per group, all updated in place by merges, ejects
+    and dissolves.  Groups are named by integer ids; [to_groups] lists
+    them in the order the list operators below would produce — a merge
+    puts the merged group first and keeps the others in order, an eject
+    puts [[k]] and the remainder first, a dissolve puts the singletons
+    where the group was.  A caller that applies many operators (random
+    plan construction, crossover repair, schedule repair) keeps one state
+    and converts to lists once, for the result. *)
+module Partition : sig
+  type t
+
+  val of_groups : Objective.t -> groups -> t
+  (** @raise Invalid_argument unless the groups partition all kernels of
+      the objective's program. *)
+
+  val to_groups : t -> groups
+  val length : t -> int
+
+  val nth : t -> int -> int
+  (** Id of the [i]-th group in list order. *)
+
+  val group_of : t -> int -> int
+  (** Id of the group holding a kernel. *)
+
+  val members : t -> int -> int list
+
+  val kin_adjacent : t -> int -> int list
+  (** Ids of the groups (other than the given one), in list order, that
+      hold a kinship neighbor of one of its members. *)
+
+  type merge
+  (** A feasible merge, computed but not applied. *)
+
+  val merge : t -> int list -> merge option
+  (** [merge st seeds] computes the absorbing merge of the groups
+      [seeds]: they absorb every group that is both reachable from and
+      reaching them in the condensed graph, which is the least superset
+      closed under the path constraint (paper Eq. 1.3) that leaves no
+      condensation cycle through the merged group.  [None] when the
+      merged group is infeasible.  The state is not changed. *)
+
+  val merged_group : merge -> int list
+  (** The merged group's members, sorted. *)
+
+  val commit : t -> merge -> unit
+  (** Apply a merge computed on the current state (no update in
+      between). *)
+
+  val eject : t -> int -> bool
+  (** The list [eject] in place; [false] leaves the state unchanged. *)
+
+  val dissolve : t -> int -> unit
+  (** Replace a group by its singletons, in member order. *)
+
+  val acyclic : t -> bool
+  (** Whether the condensed graph is acyclic (the list [schedulable]). *)
+
+  val repair : t -> unit
+  (** The list [repair_schedule] in place. *)
+end
+
 val absorbing_merge : Objective.t -> groups -> int list -> (int list * groups) option
-(** [absorbing_merge obj groups seed] merges all groups intersecting the
-    convex closure of [seed] into one, re-closing until stable.  Returns
-    the merged group and the untouched remainder, or [None] when the
-    merged group is infeasible (resources or kinship). *)
+(** [absorbing_merge obj groups seed] merges the groups holding a member
+    of [seed] into one, absorbing third groups as {!Partition.merge}
+    does.  Returns the merged group (sorted) and the untouched remainder
+    in order, or [None] when the merged group is infeasible (resources
+    or kinship).  [groups] must partition all kernels. *)
 
 val merge_pair : Objective.t -> groups -> int list -> int list -> (int list * groups) option
 (** Absorbing merge seeded with the union of two existing groups (which
@@ -24,7 +89,8 @@ val random_plan : Objective.t -> Kf_util.Rng.t -> ?merge_attempts:int -> int -> 
 (** [random_plan obj rng ~merge_attempts n] starts from the identity
     partition over [n] kernels and performs random absorbing merges of
     kin-adjacent groups, keeping only feasible results.
-    [merge_attempts] defaults to [2 * n]. *)
+    [merge_attempts] defaults to [2 * n].  [n] must be the objective's
+    kernel count. *)
 
 val dissolve : groups -> int list -> groups
 (** Replace one group (matched by equality) by its singletons. *)

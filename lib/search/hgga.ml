@@ -3,6 +3,7 @@ module Pool = Kf_util.Pool
 module Inputs = Kf_model.Inputs
 module Program = Kf_ir.Program
 module Sig_tbl = Struct_memo.Sig_tbl
+module Partition = Grouping.Partition
 module Sigbuf = Kf_fusion.Plan.Sigbuf
 
 type params = {
@@ -172,41 +173,41 @@ let crossover obj rng (a : individual) (b : individual) =
          lowers the projected total.  Usually the best improving merge is
          taken, but sometimes a random improving one — a deterministic
          repair drives every child into the same pairing basin. *)
-      let groups = ref base in
+      let st = Partition.of_groups obj base in
       List.iter
         (fun k ->
-          let own = [ k ] in
-          if List.mem own !groups then begin
-            let candidates = Grouping.kin_adjacent_groups obj !groups own in
+          let own = Partition.group_of st k in
+          if Partition.members st own = [ k ] then begin
             let improving =
               List.filter_map
                 (fun g ->
-                  match Grouping.merge_pair obj !groups own g with
+                  match Partition.merge st [ own; g ] with
                   | None -> None
-                  | Some (merged, rest) ->
+                  | Some m ->
                       let before =
-                        Objective.group_cost obj own +. Objective.group_cost obj g
+                        Objective.group_cost obj [ k ] +. Objective.group_cost obj (Partition.members st g)
                       in
-                      let delta = Objective.group_cost obj merged -. before in
-                      if delta < 0. then Some (delta, merged, rest) else None)
-                candidates
+                      let delta = Objective.group_cost obj (Partition.merged_group m) -. before in
+                      if delta < 0. then Some (delta, m) else None)
+                (Partition.kin_adjacent st own)
             in
             match improving with
             | [] -> ()
             | options ->
-                let _, merged, rest =
+                let _, m =
                   if Rng.chance rng 0.7 then
                     List.fold_left
-                      (fun acc o -> match (acc, o) with (d1, _, _), (d2, _, _) when d1 <= d2 -> acc | _ -> o)
+                      (fun acc o -> match (acc, o) with (d1, _), (d2, _) when d1 <= d2 -> acc | _ -> o)
                       (List.hd options) (List.tl options)
                   else Rng.choose rng (Array.of_list options)
                 in
-                groups := merged :: rest
+                Partition.commit st m
           end)
         orphans;
       (* The injected groups can form condensation cycles with the
          receiver's surviving groups; restore schedulability. *)
-      Grouping.normalize (Grouping.repair_schedule obj !groups)
+      Partition.repair st;
+      Grouping.normalize (Partition.to_groups st)
 
 let mutate obj rng groups =
   let multi = List.filter (fun g -> List.length g >= 2) groups in

@@ -242,7 +242,7 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
   | _ -> ());
   let dag = Exec_order.dag inputs.Inputs.exec in
   let nk = Kf_graph.Dag.num_nodes dag in
-  let succs = Array.init nk (fun u -> Kf_util.Bitset.of_list nk (Kf_graph.Dag.succs dag u)) in
+  let adjacency f = Array.init nk (fun u -> Array.of_list (f dag u)) in
   {
     inputs;
     model;
@@ -254,7 +254,9 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
     plans = bounded_create plan_cache_capacity;
     locals = [];
     reg_lock = Mutex.create ();
-    memos = Struct_memo.create_memos ~succs ();
+    memos =
+      Struct_memo.create_memos ~succs:(adjacency Kf_graph.Dag.succs)
+        ~preds:(adjacency Kf_graph.Dag.preds) ();
     stats_lock = Mutex.create ();
     evaluations = 0;
     eval_time_s = 0.;

@@ -74,7 +74,7 @@ val create :
     signatures ({!Kf_fusion.Plan.group_signature}) encoded in a
     per-domain arena ({!Kf_fusion.Plan.Sigbuf}); a plan-level cache sits
     above them ({!eval_plan}); singletons are answered from the measured
-    runtimes; structural operators are memoized ({!memos}).  The leaf
+    runtimes; kinship neighbor sets are memoized ({!memos}).  The leaf
     evaluates each missed group over per-program features precomputed
     once into a {!Kf_model.Feature_arena}, allocating nothing but the
     verdict.  Its verdicts are bit-identical to building the fused
@@ -147,8 +147,8 @@ val alloc_per_eval : t -> float
     Sampled only while [Kf_obs.Metrics] is enabled; 0 with no samples. *)
 
 val memos : t -> Struct_memo.memos
-(** The structural-operator memo bundle; [Grouping] routes its pure
-    operators through it. *)
+(** The structural memo bundle (kinship neighbor sets) and the
+    execution DAG's adjacency arrays, for [Grouping]. *)
 
 val struct_memos : t -> Struct_memo.memos option
 (** [Some (memos t)], always.  The option is kept for callers written

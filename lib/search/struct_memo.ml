@@ -219,26 +219,6 @@ let find_group t group compute =
   Sigbuf.encode_group l.l_sb group;
   probe t l compute
 
-let find_exact t groups compute =
-  let l = local_of t in
-  Sigbuf.encode_groups_exact l.l_sb groups;
-  probe t l compute
-
-let find_exact_with t groups extra compute =
-  let l = local_of t in
-  Sigbuf.encode_groups_exact l.l_sb groups;
-  Sigbuf.append_extra l.l_sb extra;
-  probe t l compute
-
-let find_canonical t groups extra compute =
-  let l = local_of t in
-  Sigbuf.encode_plan l.l_sb groups;
-  let extra =
-    if Plan.is_sorted_strict extra then extra else List.sort Int.compare extra
-  in
-  Sigbuf.append_extra l.l_sb extra;
-  probe t l compute
-
 let merge_table t =
   List.iter
     (fun (_, (l : _ local)) ->
@@ -261,144 +241,12 @@ let table_stats t =
     (fun (h, m) (_, (l : _ local)) -> (h + l.l_hits, m + l.l_misses))
     (0, 0) t.locals
 
-(* Bitset-keyed memo, same base + per-domain-local discipline.
-   [Bitset.hash] is a pure function of the set's contents (no
-   per-process seed), so nothing here depends on [OCAMLRUNPARAM=R]. *)
-module Bs_table = struct
-  module H = Hashtbl.Make (struct
-    type t = Bitset.t
-
-    let equal = Bitset.equal
-    let hash = Bitset.hash
-  end)
-
-  type local = {
-    b_tbl : Bitset.t H.t;
-    mutable b_hits : int;
-    mutable b_misses : int;
-    mutable b_pub_hits : int;
-    mutable b_pub_misses : int;
-  }
-
-  type t = {
-    base : Bitset.t H.t;
-    mutable locals : (int * local) list;
-    reg_lock : Mutex.t;
-    m_hits : Kf_obs.Metrics.counter;
-    m_misses : Kf_obs.Metrics.counter;
-  }
-end
-
-type bitset_table = Bs_table.t
-
-let bitset_table ?shards:_ name =
-  {
-    Bs_table.base = Bs_table.H.create 256;
-    locals = [];
-    reg_lock = Mutex.create ();
-    m_hits = Kf_obs.Metrics.counter (Printf.sprintf "struct_memo.%s.hits" name);
-    m_misses = Kf_obs.Metrics.counter (Printf.sprintf "struct_memo.%s.misses" name);
-  }
-
-let bs_local_of (t : bitset_table) =
-  let did = (Domain.self () :> int) in
-  let rec find = function
-    | [] -> None
-    | (d, (l : Bs_table.local)) :: tl -> if d = did then Some l else find tl
-  in
-  match find t.Bs_table.locals with
-  | Some l -> l
-  | None ->
-      let l =
-        {
-          Bs_table.b_tbl = Bs_table.H.create 64;
-          b_hits = 0;
-          b_misses = 0;
-          b_pub_hits = 0;
-          b_pub_misses = 0;
-        }
-      in
-      Mutex.lock t.Bs_table.reg_lock;
-      t.Bs_table.locals <- (did, l) :: t.Bs_table.locals;
-      Mutex.unlock t.Bs_table.reg_lock;
-      l
-
-let find_or_compute_bitset (t : bitset_table) key compute =
-  (* Both the key and the cached value are interned as copies: the caller
-     owns (and typically mutates) the bitsets on its side of the call. *)
-  let l = bs_local_of t in
-  match Bs_table.H.find_opt t.Bs_table.base key with
-  | Some v ->
-      l.Bs_table.b_hits <- l.Bs_table.b_hits + 1;
-      Bitset.copy v
-  | None -> (
-      match Bs_table.H.find_opt l.Bs_table.b_tbl key with
-      | Some v ->
-          l.Bs_table.b_hits <- l.Bs_table.b_hits + 1;
-          Bitset.copy v
-      | None ->
-          l.Bs_table.b_misses <- l.Bs_table.b_misses + 1;
-          let owned = Bitset.copy key in
-          let v = compute () in
-          Bs_table.H.replace l.Bs_table.b_tbl owned (Bitset.copy v);
-          v)
-
-let merge_bitset_table (t : bitset_table) =
-  List.iter
-    (fun (_, (l : Bs_table.local)) ->
-      Bs_table.H.iter
-        (fun k v ->
-          if not (Bs_table.H.mem t.Bs_table.base k) then
-            Bs_table.H.replace t.Bs_table.base k v)
-        l.Bs_table.b_tbl;
-      Bs_table.H.reset l.Bs_table.b_tbl;
-      Kf_obs.Metrics.incr
-        ~by:(l.Bs_table.b_hits - l.Bs_table.b_pub_hits)
-        t.Bs_table.m_hits;
-      Kf_obs.Metrics.incr
-        ~by:(l.Bs_table.b_misses - l.Bs_table.b_pub_misses)
-        t.Bs_table.m_misses;
-      l.Bs_table.b_pub_hits <- l.Bs_table.b_hits;
-      l.Bs_table.b_pub_misses <- l.Bs_table.b_misses)
-    t.Bs_table.locals
-
-let bitset_table_stats (t : bitset_table) =
-  List.fold_left
-    (fun (h, m) (_, (l : Bs_table.local)) ->
-      (h + l.Bs_table.b_hits, m + l.Bs_table.b_misses))
-    (0, 0) t.Bs_table.locals
-
 type memos = {
-  merge : int list option table;
   kin : Bitset.t table;
-  closure : bitset_table;
-  sccs : int list list table;
-  refine : int list list table;
-  succs : Bitset.t array;
+  succs : int array array;
+  preds : int array array;
 }
 
-let create_memos ~succs () =
-  {
-    merge = table "merge";
-    kin = table "kin";
-    closure = bitset_table "closure";
-    sccs = table "sccs";
-    refine = table "refine";
-    succs;
-  }
-
-let merge_memos m =
-  merge_table m.merge;
-  merge_table m.kin;
-  merge_bitset_table m.closure;
-  merge_table m.sccs;
-  merge_table m.refine
-
-let memo_stats m =
-  [
-    ("merge", table_stats m.merge);
-    ("kin", table_stats m.kin);
-    ("closure", bitset_table_stats m.closure);
-    ("sccs", table_stats m.sccs);
-    ("refine", table_stats m.refine);
-  ]
+let create_memos ~succs ~preds () = { kin = table "kin"; succs; preds }
+let merge_memos m = merge_table m.kin
+let memo_stats m = [ ("kin", table_stats m.kin) ]

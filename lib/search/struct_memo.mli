@@ -1,19 +1,15 @@
-(** Memoization of the search's pure structural operators.
+(** Memoization of the search's pure structural queries.
 
-    The grouping operators (absorbing merges, kinship adjacency, path
-    closures, condensation SCCs) are pure functions of the execution
-    order, the metadata and their arguments — and profiling shows the GA
-    re-asks the same structural questions constantly (a quarter to a half
-    of all calls are exact repeats).  Each table below memoizes one
-    operator.  Keys are canonical (order-normalized) only where the
-    memoized {e value} is provably independent of argument order — the
-    absorbed member set of a merge, a group's kinship neighbor set; the
-    order-sensitive parts (the [rest] list a merge returns, the filtered
-    candidate list kinship adjacency returns) are recomputed from the
-    live argument on every hit, because downstream RNG draws
-    ([Rng.choose] over candidate lists) depend on input order.  Operators
-    whose whole result is order-sensitive ([local_refine], SCCs of a
-    group array) keep exact-order keys.
+    Kinship adjacency asks, for one group, which kernels share data with
+    its members: a pure function of the metadata and the group, asked
+    again and again for the same groups (over nine in ten probes hit).
+    The table caches a group's kinship neighbor set under the group's
+    canonical (sorted) signature; the order-sensitive candidate list is
+    filtered from the live partition on every call, because downstream
+    RNG draws depend on its order.  The other structural operators (the
+    absorbing merge, schedulability, repair) run on the incremental
+    partition state of {!Grouping.Partition} and are not memoized: on
+    that state a merge costs less than a key encoding and probe.
 
     Sharing discipline (data-oriented, replacing the former striped
     mutexes): each memo is a read-only {e base} table shared by every
@@ -76,19 +72,6 @@ val find_group : 'a table -> int list -> (unit -> 'a) -> 'a
     table; concurrent duplicate misses may compute the value more than
     once, which is harmless for pure computations. *)
 
-val find_exact : 'a table -> int list list -> (unit -> 'a) -> 'a
-(** Probe keyed by the groups in the given order ([-1]-separated) — for
-    order-sensitive operators. *)
-
-val find_exact_with : 'a table -> int list list -> int list -> (unit -> 'a) -> 'a
-(** Like {!find_exact} with trailing scalar arguments appended to the
-    key after a [-2] separator. *)
-
-val find_canonical : 'a table -> int list list -> int list -> (unit -> 'a) -> 'a
-(** Probe keyed by the canonical partition signature plus the sorted
-    extra members — permuted-but-equal arguments collide.  Only for
-    operators whose memoized value is order-free. *)
-
 val merge_table : 'a table -> unit
 (** Fold every domain's private entries into the shared base
     (insert-if-absent) and clear the private tables.  Must only be
@@ -97,53 +80,22 @@ val merge_table : 'a table -> unit
 val table_stats : 'a table -> int * int
 (** [(hits, misses)] accumulated over all domains, live. *)
 
-type bitset_table
-(** A memo table from bitsets to bitsets with the same sharing
-    discipline ({!Kf_util.Bitset.hash} is a pure content hash, so
-    nothing depends on [OCAMLRUNPARAM=R]).  Avoids the list/array
-    round-trips an int-array key would cost on the hottest memo (path
-    closures). *)
-
-val bitset_table : ?shards:int -> string -> bitset_table
-(** Like {!table}; [?shards] is likewise ignored. *)
-
-val find_or_compute_bitset : bitset_table -> Kf_util.Bitset.t -> (unit -> Kf_util.Bitset.t) -> Kf_util.Bitset.t
-(** Like {!find_group} for bitsets, but both key and value are interned
-    as defensive copies and every hit returns a fresh copy — callers own
-    (and may mutate) the bitsets on their side of the call. *)
-
-val merge_bitset_table : bitset_table -> unit
-val bitset_table_stats : bitset_table -> int * int
-
 type memos = {
-  merge : int list option table;
-      (** the absorbed member set (sorted) of [Grouping.absorbing_merge],
-          or [None] for an infeasible merge — keyed canonically by
-          (other groups, seed); the order-preserving [rest] is rebuilt
-          from the live argument on each hit *)
   kin : Kf_util.Bitset.t table;
       (** a group's kinship neighbor set, keyed by the sorted group; the
           cached bitset is read-only *)
-  closure : bitset_table;
-      (** [Dag.path_closure] keyed by the seed set itself *)
-  sccs : int list list table;
-      (** [Grouping.condensation_sccs] keyed by the group array *)
-  refine : int list list table;
-      (** [Grouping.local_refine] keyed by the exact-order input plus the
-          pass bound — the per-generation champion rarely changes, so
-          repeat refinements are hits *)
-  succs : Kf_util.Bitset.t array;
-      (** per-kernel direct-successor bitsets of the (fixed) execution
-          DAG, precomputed once — the group-level cycle check on memo
-          misses runs on these instead of rebuilding adjacency tables *)
+  succs : int array array;
+  preds : int array array;
+      (** per-kernel direct successors / predecessors of the (fixed)
+          execution DAG in increasing order, precomputed once for the
+          partition state of {!Grouping.Partition} *)
 }
-(** The bundle of operator memos every objective owns. *)
+(** The operator memos (and fixed adjacency) every objective owns. *)
 
-val create_memos : succs:Kf_util.Bitset.t array -> unit -> memos
+val create_memos : succs:int array array -> preds:int array array -> unit -> memos
 
 val merge_memos : memos -> unit
-(** {!merge_table} / {!merge_bitset_table} over every memo.  Call at
-    generation barriers. *)
+(** {!merge_table} over every memo.  Call at generation barriers. *)
 
 val memo_stats : memos -> (string * (int * int)) list
 (** [(name, (hits, misses))] per table, in a fixed order. *)

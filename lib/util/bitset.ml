@@ -1,13 +1,15 @@
-type t = { n : int; words : Bytes.t }
+type t = { n : int; words : int array }
 
-(* One byte per 8 members; Bytes gives structural compare/hash for free via
-   the primitives below. *)
+(* [Sys.int_size] (63 on 64-bit hosts) members per native int word.
+   Words past the universe's last member stay zero, so structural
+   equality, comparison and hashing of the word arrays are by content. *)
 
-let words_for n = (n + 7) / 8
+let bits = Sys.int_size
+let words_for n = (n + bits - 1) / bits
 
 let create n =
   if n < 0 then invalid_arg "Bitset.create: negative size";
-  { n; words = Bytes.make (words_for n) '\000' }
+  { n; words = Array.make (words_for n) 0 }
 
 let universe_size t = t.n
 
@@ -16,17 +18,17 @@ let check t i =
 
 let add t i =
   check t i;
-  let b = Char.code (Bytes.get t.words (i / 8)) in
-  Bytes.set t.words (i / 8) (Char.chr (b lor (1 lsl (i mod 8))))
+  let w = i / bits in
+  Array.unsafe_set t.words w (Array.unsafe_get t.words w lor (1 lsl (i mod bits)))
 
 let remove t i =
   check t i;
-  let b = Char.code (Bytes.get t.words (i / 8)) in
-  Bytes.set t.words (i / 8) (Char.chr (b land lnot (1 lsl (i mod 8)) land 0xFF))
+  let w = i / bits in
+  Array.unsafe_set t.words w (Array.unsafe_get t.words w land lnot (1 lsl (i mod bits)))
 
 let mem t i =
   check t i;
-  Char.code (Bytes.get t.words (i / 8)) land (1 lsl (i mod 8)) <> 0
+  Array.unsafe_get t.words (i / bits) land (1 lsl (i mod bits)) <> 0
 
 let singleton n i =
   let t = create n in
@@ -38,89 +40,74 @@ let of_list n l =
   List.iter (add t) l;
   t
 
-let copy t = { n = t.n; words = Bytes.copy t.words }
+let copy t = { n = t.n; words = Array.copy t.words }
 
-let popcount_byte =
-  let table = Array.make 256 0 in
-  for i = 1 to 255 do
-    table.(i) <- table.(i lsr 1) + (i land 1)
-  done;
-  fun b -> table.(b)
+let popcount w =
+  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
+  go w 0
 
-let cardinal t =
-  let acc = ref 0 in
-  for w = 0 to Bytes.length t.words - 1 do
-    acc := !acc + popcount_byte (Char.code (Bytes.get t.words w))
-  done;
-  !acc
-
-let is_empty t =
-  let rec go w = w >= Bytes.length t.words || (Bytes.get t.words w = '\000' && go (w + 1)) in
-  go 0
+let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let same_universe a b =
   if a.n <> b.n then invalid_arg "Bitset: universe size mismatch"
 
 let equal a b =
   same_universe a b;
-  Bytes.equal a.words b.words
+  a.words = b.words
 
 let binop op a b =
   same_universe a b;
-  let out = create a.n in
-  for w = 0 to Bytes.length a.words - 1 do
-    let v = op (Char.code (Bytes.get a.words w)) (Char.code (Bytes.get b.words w)) in
-    Bytes.set out.words w (Char.chr (v land 0xFF))
-  done;
-  out
+  { n = a.n; words = Array.map2 op a.words b.words }
 
 let union a b = binop ( lor ) a b
 let inter a b = binop ( land ) a b
 let diff a b = binop (fun x y -> x land lnot y) a b
 
-let subset a b =
+let for_all2 p a b =
   same_universe a b;
-  let rec go w =
-    w >= Bytes.length a.words
-    || Char.code (Bytes.get a.words w) land lnot (Char.code (Bytes.get b.words w)) land 0xFF = 0
-       && go (w + 1)
-  in
+  let rec go w = w >= Array.length a.words || (p a.words.(w) b.words.(w) && go (w + 1)) in
   go 0
 
-let disjoint a b =
-  same_universe a b;
-  let rec go w =
-    w >= Bytes.length a.words
-    || Char.code (Bytes.get a.words w) land Char.code (Bytes.get b.words w) = 0 && go (w + 1)
-  in
-  go 0
+let subset a b = for_all2 (fun x y -> x land lnot y = 0) a b
+let disjoint a b = for_all2 (fun x y -> x land y = 0) a b
 
 let union_into dst src =
   same_universe dst src;
-  for w = 0 to Bytes.length dst.words - 1 do
-    let v = Char.code (Bytes.get dst.words w) lor Char.code (Bytes.get src.words w) in
-    Bytes.set dst.words w (Char.chr v)
+  for w = 0 to Array.length dst.words - 1 do
+    dst.words.(w) <- dst.words.(w) lor src.words.(w)
   done
 
-let clear t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'
+let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 let intersects_outside a b ~outside =
   same_universe a b;
   same_universe a outside;
   let rec go w =
-    w < Bytes.length a.words
-    && (Char.code (Bytes.get a.words w)
-        land Char.code (Bytes.get b.words w)
-        land lnot (Char.code (Bytes.get outside.words w))
-        land 0xFF
-        <> 0
-       || go (w + 1))
+    w < Array.length a.words
+    && (a.words.(w) land b.words.(w) land lnot outside.words.(w) <> 0 || go (w + 1))
   in
   go 0
 
+(* Index of the single set bit of [b], by binary search. *)
+let bit_index b =
+  let rec go b i width =
+    if width = 0 then i
+    else if b land ((1 lsl width) - 1) = 0 then go (b lsr width) (i + width) (width / 2)
+    else go b i (width / 2)
+  in
+  go b 0 32
+
+(* Visits set bits lowest first, reading each word once when the walk
+   reaches it. *)
 let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
+  for w = 0 to Array.length t.words - 1 do
+    let x = ref t.words.(w) in
+    while !x <> 0 do
+      let b = !x land - !x in
+      f ((w * bits) + bit_index b);
+      x := !x lxor b
+    done
   done
 
 let fold f t init =
@@ -131,17 +118,19 @@ let fold f t init =
 let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
 
 let choose t =
-  let exception Found of int in
-  try
-    iter (fun i -> raise (Found i)) t;
-    raise Not_found
-  with Found i -> i
+  let rec go w =
+    if w >= Array.length t.words then raise Not_found
+    else
+      let x = t.words.(w) in
+      if x = 0 then go (w + 1) else (w * bits) + bit_index (x land -x)
+  in
+  go 0
 
 let compare a b =
   let c = Stdlib.compare a.n b.n in
-  if c <> 0 then c else Bytes.compare a.words b.words
+  if c <> 0 then c else Stdlib.compare a.words b.words
 
-let hash t = Hashtbl.hash (t.n, Bytes.to_string t.words)
+let hash t = Array.fold_left (fun h w -> (h * 1_000_003) lxor w) t.n t.words land max_int
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"

@@ -1,4 +1,5 @@
 module Bitset = Kf_util.Bitset
+module Rng = Kf_util.Rng
 module Inputs = Kf_model.Inputs
 module Exec_order = Kf_graph.Exec_order
 module Dag = Kf_graph.Dag
@@ -114,6 +115,28 @@ let repair_schedule obj groups =
   done;
   !result
 
+let dissolve groups g =
+  let found = ref false in
+  List.concat_map
+    (fun g' ->
+      if (not !found) && g' = g then begin
+        found := true;
+        List.map (fun k -> [ k ]) g'
+      end
+      else [ g' ])
+    groups
+
+let eject obj groups k =
+  match List.find_opt (fun g -> List.mem k g) groups with
+  | None | Some [ _ ] -> None
+  | Some g ->
+      let remainder = List.filter (( <> ) k) g in
+      if
+        Objective.group_feasible obj remainder
+        && Exec_order.group_is_convex (exec_of obj) remainder
+      then Some ([ k ] :: remainder :: List.filter (fun g' -> g' <> g) groups)
+      else None
+
 let kin_adjacent_groups obj groups group =
   let meta = (Objective.inputs obj).Inputs.meta in
   let neighbors =
@@ -122,6 +145,27 @@ let kin_adjacent_groups obj groups group =
     |> List.filter (fun k -> not (List.mem k group))
   in
   List.filter (fun g -> g <> group && List.exists (fun k -> List.mem k neighbors) g) groups
+
+(* [Grouping.random_plan], draw for draw, over the list operators
+   above: each attempt rebuilds the merge from the current list. *)
+let random_plan obj rng ?merge_attempts n =
+  let attempts = match merge_attempts with Some a -> a | None -> 2 * n in
+  let groups = ref (List.init n (fun k -> [ k ])) in
+  for _ = 1 to attempts do
+    if List.length !groups >= 2 then begin
+      let g = Rng.choose rng (Array.of_list !groups) in
+      match kin_adjacent_groups obj !groups g with
+      | [] -> ()
+      | candidates -> (
+          let partner = Rng.choose rng (Array.of_list candidates) in
+          match merge_pair obj !groups g partner with
+          | Some (merged, rest) ->
+              if Objective.group_profitable obj merged || Rng.chance rng 0.25 then
+                groups := merged :: rest
+          | None -> ())
+    end
+  done;
+  Grouping.normalize !groups
 
 (* The hill climb of [Grouping.local_refine], move for move, over the
    operators above. *)
@@ -133,7 +177,7 @@ let relocation_pass obj current =
       let base = cost !current in
       let own = List.find (List.mem k) !current in
       let as_singleton =
-        if List.length own = 1 then Some !current else Grouping.eject obj !current k
+        if List.length own = 1 then Some !current else eject obj !current k
       in
       match as_singleton with
       | None -> ()
@@ -181,8 +225,8 @@ let swap_pass obj current =
                       if live g1 && live g2 then begin
                         let base = cost !current in
                         let plan =
-                          Grouping.eject obj !current k1 >>= fun p1 ->
-                          Grouping.eject obj p1 k2 >>= fun p2 ->
+                          eject obj !current k1 >>= fun p1 ->
+                          eject obj p1 k2 >>= fun p2 ->
                           let r2 = List.filter (( <> ) k2) g2
                           and r1 = List.filter (( <> ) k1) g1 in
                           (if List.mem r2 p2 then merge_pair obj p2 [ k1 ] r2 else None)

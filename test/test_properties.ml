@@ -264,6 +264,90 @@ let prop_struct_memos_match_unmemoized =
                  Grouping.local_refine obj groups))
         [ Grouping.random_plan obj rng n; bucketing (); bucketing () ])
 
+let objective_of_seed seed =
+  let p, meta, exec = context_of_seed seed in
+  let measured_runtime =
+    Array.map (fun r -> r.Measure.runtime_s) (Measure.program_results ~device p)
+  in
+  (Objective.create (Inputs.make ~device ~meta ~exec ~measured_runtime), Program.num_kernels p)
+
+(* Random plan construction chains many merges on one partition state;
+   every RNG draw must still see the candidate lists and merge outcomes
+   the list operators produce, so the plans are equal draw for draw. *)
+let prop_random_plan_matches_list_oracle =
+  QCheck.Test.make ~count:30 ~name:"random plans equal the list-based oracle's"
+    QCheck.small_int
+    (fun seed ->
+      let obj, n = objective_of_seed seed in
+      List.for_all
+        (fun (rseed, merge_attempts) ->
+          Grouping.random_plan obj (Rng.create rseed) ?merge_attempts n
+          = Legacy_grouping.random_plan obj (Rng.create rseed) ?merge_attempts n)
+        [ (seed, None); ((seed * 7) + 1, None); ((seed * 7) + 2, Some (4 * n)) ])
+
+(* A random walk of merges, ejects and dissolves on one partition state,
+   mirrored on lists by the oracle: after every step the state lists the
+   same groups in the same order with the same schedulability, and every
+   merge has the same outcome.  Walks start from a random plan or from a
+   bucketing (mostly non-convex and unschedulable, so merges absorb
+   condensation cycles). *)
+let prop_partition_walk_matches_list_oracle =
+  QCheck.Test.make ~count:25 ~name:"partition state walk matches the list operators"
+    QCheck.small_int
+    (fun seed ->
+      let obj, n = objective_of_seed seed in
+      let rng = Rng.create ((seed * 13) + 3) in
+      let start =
+        if seed mod 2 = 0 then Grouping.random_plan obj rng n
+        else begin
+          let b = Array.make (max 1 (n / 3)) [] in
+          for k = n - 1 downto 0 do
+            let i = Rng.int rng (Array.length b) in
+            b.(i) <- k :: b.(i)
+          done;
+          List.filter (( <> ) []) (Array.to_list b)
+        end
+      in
+      let module P = Grouping.Partition in
+      let st = P.of_groups obj start in
+      let lists = ref start and ok = ref true and steps = ref 0 in
+      while !ok && !steps < 40 do
+        incr steps;
+        let gs = !lists in
+        let len = List.length gs in
+        (match Rng.int rng 3 with
+        | 0 -> (
+            let a = List.nth gs (Rng.int rng len) in
+            let b =
+              match Legacy_grouping.kin_adjacent_groups obj gs a with
+              | [] -> List.nth gs (Rng.int rng len)
+              | c -> List.nth c (Rng.int rng (List.length c))
+            in
+            let ids = [ P.group_of st (List.hd a); P.group_of st (List.hd b) ] in
+            match (Legacy_grouping.merge_pair obj gs a b, P.merge st ids) with
+            | None, None -> ()
+            | Some (merged, rest), Some m ->
+                ok := merged = P.merged_group m;
+                P.commit st m;
+                lists := merged :: rest
+            | _ -> ok := false)
+        | 1 -> (
+            let k = Rng.int rng n in
+            match (Legacy_grouping.eject obj gs k, P.eject st k) with
+            | None, false -> ()
+            | Some gs', true -> lists := gs'
+            | _ -> ok := false)
+        | _ ->
+            let i = Rng.int rng len in
+            lists := Legacy_grouping.dissolve gs (List.nth gs i);
+            P.dissolve st (P.nth st i));
+        ok :=
+          !ok
+          && P.to_groups st = !lists
+          && P.acyclic st = Legacy_grouping.schedulable obj !lists
+      done;
+      !ok)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -278,4 +362,6 @@ let suite =
       prop_plan_cost_additive;
       prop_incremental_matches_full;
       prop_struct_memos_match_unmemoized;
+      prop_random_plan_matches_list_oracle;
+      prop_partition_walk_matches_list_oracle;
     ]

@@ -107,6 +107,76 @@ let test_grouping_dissolve () =
   check Alcotest.(list (list int)) "dissolved" [ [ 0 ]; [ 1 ]; [ 2 ] ]
     (Grouping.normalize (Grouping.dissolve groups [ 0; 1 ]))
 
+(* Four kernels reading one shared array (so every group is
+   kin-connected) with the dependencies 0 -> 1 and 2 -> 3 and no path
+   from 0 to 3.  Merging [0] with [3] is path-closed on its own, but
+   with [1; 2] as a third group it makes the condensation cycle
+   {0,3} -> {1,2} -> {0,3}.  [heavy] gives kernel 2 the device's full
+   register file, so any group holding it with another kernel is
+   infeasible. *)
+let cycle_program ~heavy =
+  let open Kf_ir in
+  let acc array mode = { Access.array; mode; pattern = Stencil.point; flops = 1. } in
+  let g = Grid.make ~nx:64 ~ny:32 ~nz:2 ~block_x:16 ~block_y:8 in
+  let arrays =
+    List.mapi (fun id name -> Array_info.make ~id ~name ()) [ "r"; "a"; "b"; "c"; "d" ]
+  in
+  let kernel id ?registers_per_thread reads write =
+    Kernel.make ~id ~name:(Printf.sprintf "k%d" id) ?registers_per_thread
+      ~accesses:(List.map (fun a -> acc a Access.Read) (0 :: reads) @ [ acc write Access.Write ])
+      ()
+  in
+  let kernels =
+    [
+      kernel 0 [] 1;
+      kernel 1 [ 1 ] 2;
+      kernel 2 ?registers_per_thread:(if heavy then Some 255 else None) [] 3;
+      kernel 3 [ 3 ] 4;
+    ]
+  in
+  Program.create ~name:"cycle" ~grid:g ~arrays ~kernels
+
+let cycle_groups = [ [ 0 ]; [ 3 ]; [ 1; 2 ] ]
+
+let test_grouping_merge_absorbs_cycle () =
+  let obj = objective_of (cycle_program ~heavy:false) in
+  let exec = (Objective.inputs obj).Inputs.exec in
+  check Alcotest.bool "{0,3} is path-closed" true (Kf_graph.Exec_order.group_is_convex exec [ 0; 3 ]);
+  let st = Grouping.Partition.of_groups obj cycle_groups in
+  check Alcotest.bool "schedulable before" true (Grouping.Partition.acyclic st);
+  match Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 3 ] with
+  | None -> Alcotest.fail "merge should be feasible"
+  | Some m ->
+      check Alcotest.(list int) "third group absorbed" [ 0; 1; 2; 3 ] (Grouping.Partition.merged_group m);
+      Grouping.Partition.commit st m;
+      check Alcotest.(list (list int)) "one group" [ [ 0; 1; 2; 3 ] ] (Grouping.Partition.to_groups st);
+      check
+        Alcotest.(option (pair (list int) (list (list int))))
+        "list oracle agrees"
+        (Legacy_grouping.merge_pair obj cycle_groups [ 0 ] [ 3 ])
+        (Some ([ 0; 1; 2; 3 ], []))
+
+let test_grouping_infeasible_merge_keeps_state () =
+  let obj = objective_of (cycle_program ~heavy:true) in
+  check Alcotest.bool "the pair alone is feasible" true (Objective.group_feasible obj [ 0; 3 ]);
+  let st = Grouping.Partition.of_groups obj cycle_groups in
+  let kin st = List.map (Grouping.Partition.kin_adjacent st) [ 0; 1; 2 ] in
+  let kin_before = kin st in
+  check Alcotest.bool "absorbed merge infeasible" true
+    (Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 3 ]
+    = None);
+  check Alcotest.(list (list int)) "groups unchanged" cycle_groups (Grouping.Partition.to_groups st);
+  check Alcotest.(list (list int)) "kinship unchanged" kin_before (kin st);
+  check Alcotest.bool "still schedulable" true (Grouping.Partition.acyclic st);
+  (* The state still works: split off the heavy kernel and merge. *)
+  Grouping.Partition.dissolve st (Grouping.Partition.group_of st 1);
+  match Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 1 ] with
+  | None -> Alcotest.fail "{0,1} should be feasible"
+  | Some m ->
+      Grouping.Partition.commit st m;
+      check Alcotest.(list (list int)) "merged after the failure" [ [ 0; 1 ]; [ 3 ]; [ 2 ] ]
+        (Grouping.Partition.to_groups st)
+
 let test_grouping_random_plan_valid () =
   let obj = objective_of (small_suite 5) in
   let rng = Kf_util.Rng.create 9 in
@@ -526,6 +596,10 @@ let suite =
     Alcotest.test_case "grouping normalize" `Quick test_grouping_normalize;
     Alcotest.test_case "grouping absorbing merge" `Quick test_grouping_absorbing_merge;
     Alcotest.test_case "grouping dissolve" `Quick test_grouping_dissolve;
+    Alcotest.test_case "grouping merge absorbs a condensation cycle" `Quick
+      test_grouping_merge_absorbs_cycle;
+    Alcotest.test_case "grouping infeasible merge keeps the state" `Quick
+      test_grouping_infeasible_merge_keeps_state;
     Alcotest.test_case "grouping random plans valid" `Slow test_grouping_random_plan_valid;
     Alcotest.test_case "grouping profitability cleanup" `Quick test_grouping_enforce_profitability;
     Alcotest.test_case "hgga beats identity" `Slow test_hgga_beats_identity;

@@ -93,7 +93,9 @@ let apply ctx (search : Hgga.result) =
           Fused_program.build ~device:ctx.device ~meta:ctx.meta ~exec:ctx.exec
             search.Hgga.plan
         in
-        (fused, Measure.fused_program_results ~device:ctx.device fused))
+        (* [fused] is over [Metadata.program ctx.meta], the program
+           [ctx.measured] was taken from *)
+        (fused, Measure.fused_program_results ~originals:ctx.measured ~device:ctx.device fused))
   in
   let fused_runtime =
     List.fold_left (fun acc (_, r) -> acc +. r.Measure.runtime_s) 0. fused_measured

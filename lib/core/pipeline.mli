@@ -59,7 +59,9 @@ val safe_speedup : original:float -> fused:float -> float
 val apply :
   context -> Kf_search.Hgga.result -> outcome
 (** Step 9: build and measure the fused program for a search result.
-    [speedup] is computed with {!safe_speedup}. *)
+    Original kernels, as units or horizontal planes, keep their
+    [context.measured] results.  [speedup] is computed with
+    {!safe_speedup}. *)
 
 val run :
   ?params:Kf_search.Hgga.params ->

@@ -59,5 +59,19 @@ type result = {
 }
 
 val run : config -> result
-(** @raise Invalid_argument on a zero-block configuration (the kernel
-    cannot launch: resource demand exceeds the SMX). *)
+(** Simulate one wave and extrapolate it over the grid.
+
+    Determinism contract: the result is a function of [config] alone, bit
+    for bit.  Warp [i] is warp [i mod warps_per_block] of resident block
+    [i / warps_per_block].  Each issue slot goes to the runnable
+    (unparked, unfinished) warp with the earliest ready time, and among
+    equal ready times to the one with the lowest index; the
+    floating-point operations of each instruction are applied in a fixed
+    order.  The runnable warps are kept in a binary min-heap on
+    (ready time, index), so issuing an instruction costs O(log W) for W
+    resident warps, and the issue loop allocates nothing.
+
+    @raise Invalid_argument on a zero-block configuration (the kernel
+    cannot launch: resource demand exceeds the SMX), and when warps wait
+    at a barrier that the rest of their block never reaches (the special
+    trace and the ordinary trace disagree on their barriers). *)

@@ -70,12 +70,12 @@ let program ~device p =
    kernel's registers/SMEM for fused ones).  That single definition is
    what keeps measured and projected horizontal runtimes in agreement on
    plane semantics. *)
-let horizontal ~device (p : Program.t) planes =
+let horizontal ~original ~device (p : Program.t) planes =
   let module H = Kf_fusion.Horizontal in
   let results =
     List.map
       (function
-        | Fused_program.P_original k -> kernel ~device p k
+        | Fused_program.P_original k -> original k
         | Fused_program.P_fused f -> fused ~device p f)
       planes
   in
@@ -118,14 +118,17 @@ let horizontal ~device (p : Program.t) planes =
     issue_stall_fraction = slowest.issue_stall_fraction;
   }
 
-let fused_program_results ~device (fp : Fused_program.t) =
+let fused_program_results ?originals ~device (fp : Fused_program.t) =
+  let p = fp.Fused_program.program in
+  let original =
+    match originals with Some measured -> Array.get measured | None -> kernel ~device p
+  in
   List.map
     (fun u ->
       match u with
-      | Fused_program.Original k -> (u, kernel ~device fp.Fused_program.program k)
-      | Fused_program.Fused f -> (u, fused ~device fp.Fused_program.program f)
-      | Fused_program.Horizontal planes ->
-          (u, horizontal ~device fp.Fused_program.program planes))
+      | Fused_program.Original k -> (u, original k)
+      | Fused_program.Fused f -> (u, fused ~device p f)
+      | Fused_program.Horizontal planes -> (u, horizontal ~original ~device p planes))
     fp.Fused_program.units
 
 let fused_program ~device fp =

@@ -36,7 +36,14 @@ val fused_program : device:Kf_gpu.Device.t -> Kf_fusion.Fused_program.t -> float
 (** Total runtime after fusion. *)
 
 val fused_program_results :
-  device:Kf_gpu.Device.t -> Kf_fusion.Fused_program.t -> (Kf_fusion.Fused_program.unit_ * result) list
+  ?originals:result array ->
+  device:Kf_gpu.Device.t ->
+  Kf_fusion.Fused_program.t ->
+  (Kf_fusion.Fused_program.unit_ * result) list
+(** One measurement per unit, in unit order.  [originals], when given,
+    must be {!program_results} of the same device and program; its
+    entries stand for the original kernels (whole units and horizontal
+    planes) instead of simulating them again. *)
 
 val speedup : device:Kf_gpu.Device.t -> Kf_fusion.Fused_program.t -> float
 (** Original runtime over fused runtime for the same program and device. *)

@@ -48,6 +48,42 @@ let test_fused_measurement_consistency () =
   let sum = List.fold_left (fun acc (_, r) -> acc +. r.Measure.runtime_s) 0. o.Pipeline.fused_measured in
   check (Alcotest.float 1e-12) "fused runtime = sum of unit runtimes" sum o.Pipeline.fused_runtime
 
+let test_apply_reuses_baseline () =
+  (* [apply] takes original units (and original horizontal planes) from
+     the context's baseline instead of simulating them again; the result
+     must equal a fresh measurement of the fused program bit for bit.
+     Cloverleaf's plan keeps original units. *)
+  let module Fused_program = Kf_fusion.Fused_program in
+  let bits (r : Measure.result) =
+    Printf.sprintf "%h %h %h %h %h %d %h" r.Measure.runtime_s r.Measure.gmem_bytes
+      r.Measure.achieved_gbs r.Measure.achieved_gflops r.Measure.cycles_per_wave r.Measure.waves
+      r.Measure.issue_stall_fraction
+  in
+  let reused = ref 0 in
+  List.iter
+    (fun (p, params) ->
+      let o = Pipeline.run ~params ~device p in
+      let fresh = Measure.fused_program_results ~device o.Pipeline.fused in
+      check Alcotest.int "one result per unit" (List.length fresh) (List.length o.Pipeline.fused_measured);
+      List.iter2
+        (fun (u, r) (u', r') ->
+          check Alcotest.bool "same unit" true (u == u');
+          check Alcotest.string "same measurement" (bits r') (bits r);
+          check Alcotest.bool "same occupancy" true (r.Measure.occupancy = r'.Measure.occupancy);
+          match u with
+          | Fused_program.Original k ->
+              check Alcotest.bool "baseline result reused" true
+                (r == o.Pipeline.context.Pipeline.measured.(k));
+              incr reused
+          | Fused_program.Fused _ | Fused_program.Horizontal _ -> ())
+        o.Pipeline.fused_measured fresh)
+    [
+      (Scale_les.rk_core (), fast_params);
+      (Kf_workloads.Cloverleaf.program (), fast_params);
+      (Kf_workloads.Video.generate Kf_workloads.Video.default, { fast_params with Hgga.horizontal = true });
+    ];
+  check Alcotest.bool "some original unit" true (!reused > 0)
+
 let test_objective_model_override () =
   let p = Scale_les.rk_core () in
   let ctx = Pipeline.prepare ~device p in
@@ -112,6 +148,7 @@ let suite =
     Alcotest.test_case "run rk core" `Slow test_run_rk_core;
     Alcotest.test_case "deterministic" `Slow test_run_deterministic;
     Alcotest.test_case "fused measurement consistency" `Slow test_fused_measurement_consistency;
+    Alcotest.test_case "apply reuses baseline" `Slow test_apply_reuses_baseline;
     Alcotest.test_case "objective model override" `Quick test_objective_model_override;
     Alcotest.test_case "profitability cleanup" `Slow test_profitability_cleanup_holds;
   ]

@@ -189,6 +189,206 @@ let prop_engine_no_deadlock =
       in
       r.Engine.runtime_s >= 0. && r.Engine.instructions = len * 16)
 
+(* --- Engine against the linear-scan oracle --- *)
+
+(* Every field of a result, floats by their exact bits. *)
+let engine_bits (r : Engine.result) =
+  Printf.sprintf "runtime %h cycles %h stall %h waves %d instructions %d" r.Engine.runtime_s
+    r.Engine.cycles_per_wave r.Engine.issue_stall_fraction r.Engine.waves r.Engine.instructions
+
+let outcome f x = match f x with r -> Ok r | exception Invalid_argument m -> Error m
+
+let gen_work =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun n -> Engine.Gload n) (int_range 1 3));
+        (1, map (fun n -> Engine.Prefetch n) (int_range 1 3));
+        (1, map (fun n -> Engine.Gstore n) (int_range 1 2));
+        (2, map (fun n -> Engine.Smem n) (int_range 1 4));
+        (3, map (fun n -> Engine.Compute n) (int_range 1 8));
+      ])
+
+let gen_instr = QCheck.Gen.(frequency [ (5, gen_work); (1, return Engine.Barrier) ])
+
+(* Random block specs.  Traces hold bursts of loads that fill the
+   scoreboard window, and often end in a barrier.  The special warp's
+   trace is the same, empty, a prefix, an extension, the same barrier
+   skeleton with other work between the barriers, or unrelated (the last
+   three change its length).  Mismatched barrier counts deadlock, and
+   then both engines must raise the same error. *)
+let gen_config =
+  let open QCheck.Gen in
+  let chunk =
+    frequency
+      [
+        (8, map (fun i -> [| i |]) gen_instr);
+        (1, array_size (int_range 5 9) (map (fun n -> Engine.Gload n) (int_range 1 3)));
+      ]
+  in
+  let* body = map Array.concat (list_size (int_range 0 20) chunk) in
+  let* closing = bool in
+  let trace = if closing then Array.append body [| Engine.Barrier |] else body in
+  let n = Array.length trace in
+  let* special =
+    frequency
+      [
+        (2, return trace);
+        (1, return [||]);
+        (1, map (fun k -> Array.sub trace 0 k) (int_range 0 n));
+        (1, map (fun extra -> Array.append trace extra) (array_size (int_range 1 6) gen_instr));
+        ( 2,
+          map
+            (fun fills ->
+              Array.concat
+                (List.map2
+                   (fun i fill ->
+                     match i with Engine.Barrier -> Array.append fill [| Engine.Barrier |] | _ -> fill)
+                   (Array.to_list trace) fills))
+            (list_repeat n (array_size (int_range 0 2) gen_work)) );
+        (1, array_size (int_range 0 24) gen_instr);
+      ]
+  in
+  let* warps_per_block = int_range 1 32 in
+  let* blocks = int_range 1 16 in
+  let* conflict_factor = float_range 1. 4. in
+  let* stream_factor = float_range 1. 3. in
+  let* device = oneofl Device.extended in
+  let* extra_waves = int_range 0 3 in
+  return
+    {
+      Engine.device;
+      blocks_per_smx = blocks;
+      total_blocks = blocks * device.Device.smx_count * (1 + extra_waves);
+      spec = { Engine.warps_per_block; trace; special_trace = special; conflict_factor; stream_factor };
+    }
+
+let print_config (c : Engine.config) =
+  let instr = function
+    | Engine.Gload n -> Printf.sprintf "L%d" n
+    | Prefetch n -> Printf.sprintf "P%d" n
+    | Gstore n -> Printf.sprintf "S%d" n
+    | Smem n -> Printf.sprintf "M%d" n
+    | Compute n -> Printf.sprintf "C%d" n
+    | Barrier -> "B"
+  in
+  let trace t = String.concat " " (Array.to_list (Array.map instr t)) in
+  Printf.sprintf "%s blocks %d/%d warps %d conflict %h stream %h\ntrace [%s]\nspecial [%s]"
+    c.Engine.device.Device.name c.Engine.blocks_per_smx c.Engine.total_blocks
+    c.Engine.spec.Engine.warps_per_block c.Engine.spec.Engine.conflict_factor
+    c.Engine.spec.Engine.stream_factor (trace c.Engine.spec.Engine.trace)
+    (trace c.Engine.spec.Engine.special_trace)
+
+let prop_engine_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"engine equals the linear-scan oracle bit for bit"
+    (QCheck.make ~print:print_config gen_config)
+    (fun cfg ->
+      let bits = Result.map engine_bits in
+      bits (outcome Engine.run cfg) = bits (outcome Legacy_engine.run cfg))
+
+let test_engine_oracle_extra_barrier () =
+  (* The special warp waits at a barrier no other warp of its block
+     reaches: both engines report the same deadlock. *)
+  let trace = [| Engine.Gload 1; Engine.Compute 2; Engine.Barrier; Engine.Compute 1 |] in
+  let cfg =
+    {
+      Engine.device;
+      blocks_per_smx = 2;
+      total_blocks = 28;
+      spec =
+        {
+          (spec_of trace) with
+          Engine.special_trace = Array.append trace [| Engine.Compute 1; Engine.Barrier; Engine.Compute 1 |];
+        };
+    }
+  in
+  let deadlock = "Engine.run: internal deadlock (barrier with no arrivals pending)" in
+  check Alcotest.(result string string) "oracle deadlocks" (Error deadlock)
+    (Result.map engine_bits (outcome Legacy_engine.run cfg));
+  check Alcotest.(result string string) "engine deadlocks" (Error deadlock)
+    (Result.map engine_bits (outcome Engine.run cfg))
+
+let test_engine_issue_loop_allocates_nothing () =
+  (* The same warps issue 10 and 10,000 instructions each: what the run
+     allocates may not grow with the instruction count. *)
+  let pattern =
+    [| Engine.Gload 2; Engine.Gload 1; Engine.Prefetch 1; Engine.Smem 2; Engine.Barrier;
+       Engine.Compute 3; Engine.Gload 1; Engine.Gstore 1; Engine.Compute 1; Engine.Barrier |]
+  in
+  let trace n = Array.init n (fun i -> pattern.(i mod Array.length pattern)) in
+  let words n =
+    let cfg = { Engine.device; blocks_per_smx = 4; total_blocks = 56; spec = spec_of (trace n) } in
+    let before = Gc.minor_words () in
+    let r = Engine.run cfg in
+    let after = Gc.minor_words () in
+    check Alcotest.int "all issued" (n * 32) r.Engine.instructions;
+    after -. before
+  in
+  let short = words 10 and long = words 10_000 in
+  check Alcotest.bool
+    (Printf.sprintf "minor words %.0f (10 instructions) vs %.0f (10,000)" short long)
+    true
+    (Float.abs (long -. short) <= 8.)
+
+(* Every kernel of every named workload, and every fused unit of its
+   default plan (searched on the K20X), measured on every device through
+   the engine and through the oracle. *)
+let test_measure_matches_oracle_sweep () =
+  let module Pipeline = Kfuse.Pipeline in
+  let module Fused_program = Kf_fusion.Fused_program in
+  let measure_bits (r : Measure.result) =
+    Printf.sprintf "%h %h %h %h %h %d %h" r.Measure.runtime_s r.Measure.gmem_bytes
+      r.Measure.achieved_gbs r.Measure.achieved_gflops r.Measure.cycles_per_wave r.Measure.waves
+      r.Measure.issue_stall_fraction
+  in
+  let same label new_ old =
+    let bits o = Result.map (fun r -> (measure_bits r, r.Measure.occupancy)) (outcome Lazy.force o) in
+    if bits new_ <> bits old then Alcotest.failf "%s differs from the oracle" label
+  in
+  let workloads =
+    Kf_workloads.
+      [
+        Motivating.program ();
+        Cloverleaf.program ();
+        Tealeaf.program ();
+        Scale_les.program ();
+        Scale_les.rk_core ();
+        Homme.program ();
+        Video.generate Video.default;
+      ]
+  in
+  List.iter
+    (fun (p : Kf_ir.Program.t) ->
+      let fused = (Pipeline.run ~device p).Pipeline.fused in
+      let lowered_units =
+        List.concat_map
+          (function
+            | Fused_program.Original _ -> []
+            | Fused_program.Fused f -> [ f ]
+            | Fused_program.Horizontal planes ->
+                List.filter_map
+                  (function Fused_program.P_fused f -> Some f | Fused_program.P_original _ -> None)
+                  planes)
+          fused.Fused_program.units
+      in
+      List.iter
+        (fun device ->
+          for k = 0 to Kf_ir.Program.num_kernels p - 1 do
+            same
+              (Printf.sprintf "%s kernel %d on %s" p.Kf_ir.Program.name k device.Device.name)
+              (lazy (Measure.kernel ~device p k))
+              (lazy (Legacy_engine.measure ~device p (Trace.of_kernel ~device p k)))
+          done;
+          List.iteri
+            (fun i f ->
+              same
+                (Printf.sprintf "%s fused unit %d on %s" p.Kf_ir.Program.name i device.Device.name)
+                (lazy (Measure.fused ~device p f))
+                (lazy (Legacy_engine.measure ~device p (Trace.of_fused ~device p f))))
+            lowered_units)
+        Device.extended)
+    workloads
+
 (* --- Measure --- *)
 
 let test_measure_kernel () =
@@ -226,7 +426,8 @@ let test_measure_runtime_respects_traffic () =
       check Alcotest.bool "above streaming floor" true (r.Measure.runtime_s > 0.8 *. floor_s))
     (Measure.program_results ~device p)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_engine_no_deadlock ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest [ prop_engine_no_deadlock; prop_engine_matches_oracle ]
 
 let suite =
   [
@@ -246,6 +447,10 @@ let suite =
     Alcotest.test_case "engine zero blocks" `Quick test_engine_zero_blocks;
     Alcotest.test_case "engine prefetch" `Quick test_engine_prefetch_cheaper_than_load;
     Alcotest.test_case "engine mlp cap" `Quick test_engine_mlp_cap;
+    Alcotest.test_case "engine oracle extra barrier" `Quick test_engine_oracle_extra_barrier;
+    Alcotest.test_case "engine issue loop allocates nothing" `Quick
+      test_engine_issue_loop_allocates_nothing;
+    Alcotest.test_case "measure matches oracle sweep" `Slow test_measure_matches_oracle_sweep;
     Alcotest.test_case "measure kernel" `Quick test_measure_kernel;
     Alcotest.test_case "measure program sums" `Quick test_measure_program_sums;
     Alcotest.test_case "measure determinism" `Quick test_measure_determinism;

@@ -27,6 +27,16 @@ module Suite = Kf_workloads.Suite
 let workload_names =
   [ "motivating"; "cloverleaf"; "tealeaf"; "scale-les"; "scale-les-rk"; "homme"; "video" ]
 
+(* A program file is outside input: an unreadable or invalid one is a
+   one-line classified error (exit 2), not an uncaught exception. *)
+let load_program_file path =
+  match Kf_ir.Program_io.parse_file path with
+  | p -> p
+  | exception ((Kf_ir.Program_io.Parse_error _ | Sys_error _) as e) ->
+      Format.eprintf "kfuse: %s@."
+        (Kf_robust.Error.to_string (Kf_robust.Error.classify ~stage:Kf_robust.Error.Io e));
+      exit 2
+
 let load_workload = function
   | "motivating" -> Kf_workloads.Motivating.program ()
   | "cloverleaf" -> Kf_workloads.Cloverleaf.program ()
@@ -53,8 +63,8 @@ let load_workload = function
       in
       V.generate config
   | s when String.length s > 5 && String.sub s 0 5 = "file:" ->
-      Kf_ir.Program_io.parse_file (String.sub s 5 (String.length s - 5))
-  | s when Filename.check_suffix s ".kf" -> Kf_ir.Program_io.parse_file s
+      load_program_file (String.sub s 5 (String.length s - 5))
+  | s when Filename.check_suffix s ".kf" -> load_program_file s
   | s when String.length s > 6 && String.sub s 0 6 = "suite:" ->
       (* suite:kernels=30,arrays=60,copies=4,sharing=4,load=8,kinship=2,seed=1 *)
       let spec = String.sub s 6 (String.length s - 6) in

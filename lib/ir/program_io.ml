@@ -2,6 +2,11 @@ exception Parse_error of int * string
 
 let fail line fmt = Format.kasprintf (fun s -> raise (Parse_error (line, s))) fmt
 
+(* The IR constructors validate with [Invalid_argument]; the parser
+   reports their verdicts as parse errors at the declaring line, so
+   [parse] raises nothing else on any text. *)
+let checked line f = try f () with Invalid_argument msg -> fail line "%s" msg
+
 (* --- stencil spec --- *)
 
 let parse_stencil line s =
@@ -60,6 +65,7 @@ let parse_offsets line s =
 (* --- tokenized line parsing --- *)
 
 type pending_kernel = {
+  pk_line : int;
   pk_name : string;
   pk_regs : int;
   pk_addr : int;
@@ -141,6 +147,7 @@ let parse_line st lineno raw =
       in
       st.kernels <-
         {
+          pk_line = lineno;
           pk_name = name;
           pk_regs = kv_int lineno kvs "regs" 32;
           pk_addr = kv_int lineno kvs "addr" 6;
@@ -187,17 +194,21 @@ let parse_line st lineno raw =
 
 let parse text =
   let st = { name = None; grid = None; arrays = []; kernels = [] } in
-  List.iteri (fun i line -> parse_line st (i + 1) line) (String.split_on_char '\n' text);
+  let lines = String.split_on_char '\n' text in
+  List.iteri (fun i line -> checked (i + 1) (fun () -> parse_line st (i + 1) line)) lines;
   let name = match st.name with Some n when n <> "" -> n | _ -> fail 0 "missing program line" in
   let grid = match st.grid with Some g -> g | None -> fail 0 "missing grid line" in
   let kernels =
     List.rev st.kernels
     |> List.mapi (fun id pk ->
-           Kernel.make ~id ~name:pk.pk_name ~accesses:(List.rev pk.pk_accesses)
-             ~extra_flops_per_site:pk.pk_extra ~registers_per_thread:pk.pk_regs
-             ~addr_registers:pk.pk_addr ~active_fraction:pk.pk_active ())
+           checked pk.pk_line (fun () ->
+               Kernel.make ~id ~name:pk.pk_name ~accesses:(List.rev pk.pk_accesses)
+                 ~extra_flops_per_site:pk.pk_extra ~registers_per_thread:pk.pk_regs
+                 ~addr_registers:pk.pk_addr ~active_fraction:pk.pk_active ()))
   in
-  Program.create ~name ~grid ~arrays:(List.rev st.arrays) ~kernels
+  let last_line = List.length lines - if String.ends_with ~suffix:"\n" text then 1 else 0 in
+  checked last_line (fun () ->
+      Program.create ~name ~grid ~arrays:(List.rev st.arrays) ~kernels)
 
 let parse_file path =
   let ic = open_in path in

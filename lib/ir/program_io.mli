@@ -32,8 +32,10 @@ exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
 val parse : string -> Program.t
-(** Parse the textual form.  @raise Parse_error on malformed input and
-    [Invalid_argument] if the resulting program fails validation. *)
+(** Parse the textual form.  @raise Parse_error on any invalid input —
+    malformed syntax, or a declaration the IR's validation rejects (at
+    that declaration's line; program-level checks report the last
+    line).  No other exception escapes. *)
 
 val parse_file : string -> Program.t
 (** [parse] on a file's contents.  @raise Sys_error on IO failure. *)

@@ -1,6 +1,6 @@
-(* Minimal JSON: enough to stream telemetry out and to validate it back
-   in tests.  No external JSON dependency is available in this
-   environment, so the writer and a small total parser live here. *)
+(* Minimal JSON: the writer and the one total parser shared by
+   telemetry, the serve protocol and the persisted documents (no external
+   JSON dependency is used). *)
 
 type t =
   | Null
@@ -77,10 +77,19 @@ exception Malformed of string
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
+(* Deepest nesting any caller's documents reach is about 7; the bound
+   keeps a hostile line of brackets from exhausting the stack. *)
+let max_depth = 64
+
+(* [peek] returns a preallocated option per byte: a fresh [Some c] per
+   look-ahead would make the lexer's allocation proportional to the
+   input's length times the look-aheads per byte. *)
+let some_char = Array.init 256 (fun i -> Some (Char.chr i))
+
 let of_string (s : string) : t =
   let pos = ref 0 in
   let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
+  let peek () = if !pos < len then some_char.(Char.code (String.unsafe_get s !pos)) else None in
   let advance () = incr pos in
   let rec skip_ws () =
     match peek () with
@@ -158,13 +167,15 @@ let of_string (s : string) : t =
         | Some v -> Float v
         | None -> malformed "bad number %S at offset %d" text start)
   in
-  let rec value () =
+  let rec value depth =
     skip_ws ();
     match peek () with
     | Some '"' -> Str (string_lit ())
     | Some 'n' -> literal "null" Null
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
+    | Some ('[' | '{') when depth >= max_depth ->
+        malformed "nesting deeper than %d at offset %d" max_depth !pos
     | Some '[' ->
         advance ();
         skip_ws ();
@@ -173,13 +184,13 @@ let of_string (s : string) : t =
           Arr []
         end
         else begin
-          let items = ref [ value () ] in
+          let items = ref [ value (depth + 1) ] in
           let rec more () =
             skip_ws ();
             match peek () with
             | Some ',' ->
                 advance ();
-                items := value () :: !items;
+                items := value (depth + 1) :: !items;
                 more ()
             | Some ']' -> advance ()
             | _ -> malformed "expected ',' or ']' at offset %d" !pos
@@ -200,7 +211,7 @@ let of_string (s : string) : t =
             let k = string_lit () in
             skip_ws ();
             expect ':';
-            (k, value ())
+            (k, value (depth + 1))
           in
           let fields = ref [ field () ] in
           let rec more () =
@@ -219,7 +230,7 @@ let of_string (s : string) : t =
     | Some _ -> number ()
     | None -> malformed "unexpected end of input"
   in
-  let v = value () in
+  let v = value 0 in
   skip_ws ();
   if !pos <> len then malformed "trailing content at offset %d" !pos;
   v

@@ -1,9 +1,11 @@
-(** Minimal JSON values for the telemetry stream.
+(** Minimal JSON values: the telemetry stream, the serve protocol and
+    the persisted checkpoint and cache documents all go through this one
+    codec.
 
     The writer never emits anything outside the JSON grammar (non-finite
-    floats degrade to [null]); the parser is total over well-formed input
-    and exists so tests can validate emitted telemetry without an external
-    JSON dependency. *)
+    floats degrade to [null]).  The parser is total: every input yields a
+    value or {!Malformed}, including input nested deeper than 64 levels,
+    which is rejected rather than recursed into. *)
 
 type t =
   | Null
@@ -18,6 +20,7 @@ val to_string : t -> string
 (** Compact (single-line) rendering. *)
 
 val buffer : Buffer.t -> t -> unit
+(** Append the compact rendering; strings are escaped. *)
 
 exception Malformed of string
 

@@ -138,6 +138,13 @@ let vpacks groups = List.map (fun g -> [ g ]) groups
 
 let packs_of ind = match ind.packs with Some c -> c | None -> vpacks ind.groups
 
+(* A checkpointed individual takes the evaluator that built it: a
+   vertical search stores single-plane packs and resumes through
+   [make_individual], so both modes resume bit-identically. *)
+let resumed_individual obj (snap : Snapshot.t) packs =
+  if snap.Snapshot.horizontal then make_individual_c obj packs
+  else make_individual obj (List.concat packs)
+
 let tournament obj rng pop size =
   ignore obj;
   let best = ref (Rng.choose rng pop) in
@@ -677,13 +684,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
           invalid_arg
             (Printf.sprintf "Hgga.solve: snapshot has %d islands, params ask for %d"
                (List.length snap.Snapshot.islands) k_islands);
-        if
-          (not params.horizontal)
-          && (snap.Snapshot.cbest <> []
-             || List.exists
-                  (fun (isl : Snapshot.island) -> isl.Snapshot.cpopulation <> [])
-                  snap.Snapshot.islands)
-        then
+        if snap.Snapshot.horizontal && not params.horizontal then
           invalid_arg
             "Hgga.solve: snapshot carries horizontal compositions; resume with \
              horizontal search enabled";
@@ -694,12 +695,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
             (List.map
                (fun (isl : Snapshot.island) ->
                  let ipop =
-                   match isl.Snapshot.cpopulation with
-                   | [] ->
-                       Array.of_list
-                         (List.map (fun g -> make_individual obj g) isl.Snapshot.population)
-                   | cpop ->
-                       Array.of_list (List.map (fun cp -> make_individual_c obj cp) cpop)
+                   Array.of_list (List.map (resumed_individual obj snap) isl.Snapshot.population)
                  in
                  {
                    ipop;
@@ -732,11 +728,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
   let best =
     ref
       (match resumed with
-      | Some snap -> begin
-          match snap.Snapshot.cbest with
-          | [] -> make_individual obj snap.Snapshot.best
-          | cb -> make_individual_c obj cb
-        end
+      | Some snap -> resumed_individual obj snap snap.Snapshot.best
       | None ->
           let all = all_individuals () in
           Array.fold_left (fun acc x -> if x.cost < acc.cost then x else acc) all.(0) all)
@@ -771,15 +763,8 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
             migration_cursor = !migration_cursor;
             group_cache = Objective.cache_stats obj;
             plan_cache = Objective.plan_cache_stats obj;
-            (* never persisted for search checkpoints: warm-seeding a
-               resume would change its evaluation counts and break the
-               bit-identical resume contract *)
-            group_verdicts = [];
-            best = !best.groups;
-            (* [] in vertical mode keeps the rendered bytes identical to
-               pre-composition snapshots (the writer omits empty
-               composition fields entirely). *)
-            cbest = (if params.horizontal then packs_of !best else []);
+            horizontal = params.horizontal;
+            best = packs_of !best;
             history = List.rev !history;
             islands =
               Array.to_list
@@ -787,12 +772,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
                    (fun st ->
                      {
                        Snapshot.rng_state = Rng.state st.irng;
-                       population =
-                         Array.to_list (Array.map (fun ind -> ind.groups) st.ipop);
-                       cpopulation =
-                         (if params.horizontal then
-                            Array.to_list (Array.map packs_of st.ipop)
-                          else []);
+                       population = Array.to_list (Array.map packs_of st.ipop);
                      })
                    islands);
           };

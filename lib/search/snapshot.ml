@@ -1,188 +1,128 @@
-(* GA checkpoint serialization.
+(* GA checkpoint and serve-cache serialization.
 
-   The snapshot is a small JSON document (no external JSON dependency is
-   available, so the writer and the restricted reader live here).  Costs
-   are not stored: they are recomputed on resume — evaluation is pure, so
-   recomputation is exact — which keeps the snapshot independent of float
-   formatting.  The RNG states are the one float-free piece of state that
-   must round-trip exactly; they are stored as decimal int64 strings.
+   Both documents are JSON, read through the one codec ({!Kf_obs.Json})
+   and written by the streaming Buffer helpers below — never through a
+   [Json.t] tree, because the daemon's cache document grows to megabytes
+   and is persisted every few seconds.  Costs are not stored in
+   checkpoints: they are recomputed on resume — evaluation is pure, so
+   recomputation is exact.  Floats that must round-trip exactly are
+   "%h" hexadecimal strings; RNG states are decimal int64 strings (an
+   int64 does not fit a JSON int on the OCaml side).  One format, 8, is
+   read and written; a document carrying any other number is rejected
+   and the run that wrote it must be repeated. *)
 
-   Format history:
-     v1  single population, no budget carry-over
-     v2  + wall_time_s and cumulative fault counters
-     v3  island model: per-island populations and RNG states, plus the
-         ring-migration cursor.  v1/v2 files still load as a single
-         island with cursor 0.
-     v4  + cumulative group-cache and plan-cache counters
-         (hits/misses/evictions), so resumed runs report hit rates over
-         the whole logical run.  v1-v3 files load with zero counters.
-     v5  + optional [group_verdicts]: memoized (signature, verdict)
-         pairs of the group-projection cache, so a daemon can persist
-         its warm cache across restarts ({!Cache} documents carry the
-         same payload standalone).  v1-v4 files load with an empty
-         list; search checkpoints keep writing an empty list — warm-
-         seeding a resume would change its evaluation counts and break
-         the bit-identical resume contract.
-     v6  cache documents only: optional per-entry [plan] — the best
-         plan a completed search found for the entry's triple (groups,
-         cost, and a search-parameter fingerprint), so the daemon can
-         answer a repeat request outright instead of merely warm.
-         Search checkpoints are unchanged; v5 cache files load with no
-         stored plans.
-     v7  horizontal composition: optional per-island [cpopulation]
-         (each individual's launch packs, a list of plane lists) and an
-         optional top-level [cbest].  Vertical-only checkpoints omit
-         both fields — apart from the format number the rendered bytes
-         are exactly the v6 ones — and v1-v6 files load with empty
-         compositions. *)
+module Json = Kf_obs.Json
 
-let format_version = 7
+let format_version = 8
 
-type island = {
-  rng_state : int64;  (** raw SplitMix64 state of this island's generator *)
-  population : int list list list;
-  cpopulation : int list list list list;
-      (** launch compositions, parallel to [population] (format >= 7;
-          [] for vertical-only checkpoints and older files) *)
-}
+type packs = int list list list
+
+type island = { rng_state : int64; population : packs list }
 
 type t = {
-  population_size : int;  (** total across all islands *)
+  population_size : int;
   seed : int;
-  n : int;  (** kernel count of the program being searched *)
+  n : int;
   generation : int;
   stall : int;
   evaluations : int;
   wall_time_s : float;
-      (** wall time accumulated across every run segment up to the save
-          (format >= 2; 0 when reading a format-1 snapshot) *)
   faults : Objective.fault_stats;
-      (** cumulative fault counters at the save (format >= 2; zeros when
-          reading a format-1 snapshot) *)
   migration_cursor : int;
-      (** ring migrations performed so far (format >= 3; 0 otherwise) *)
   group_cache : Objective.cache_stats;
-      (** cumulative group-cache counters at the save (format >= 4;
-          zeros otherwise; the size field is not persisted — the saved
-          process's table is gone) *)
   plan_cache : Objective.cache_stats;
-      (** cumulative plan-cache counters, like [group_cache] *)
-  group_verdicts : (int array * Objective.verdict) list;
-      (** memoized group verdicts to persist (format >= 5; [] otherwise).
-          Search checkpoints always write [] — see the format note. *)
-  best : int list list;
-  cbest : int list list list;
-      (** the best individual's launch composition (format >= 7; [] for
-          vertical-only checkpoints and older files) *)
+  horizontal : bool;
+  best : packs;
   history : (int * float) list;  (** oldest first *)
-  islands : island list;  (** island count = list length; 1 for v1/v2 *)
+  islands : island list;
 }
 
-(* --- writing --- *)
+exception Malformed of string
 
-let buf_groups b groups =
+let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
+
+(* --- writing: streaming helpers shared by both documents --- *)
+
+let add_list b add xs =
   Buffer.add_char b '[';
   List.iteri
-    (fun i g ->
+    (fun i x ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j k ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int k))
-        g;
-      Buffer.add_char b ']')
-    groups;
+      add b x)
+    xs;
   Buffer.add_char b ']'
 
-(* A composition is one more nesting level: packs of planes of members. *)
-let buf_comps b comps =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i pack ->
+let add_int b k = Buffer.add_string b (string_of_int k)
+let add_groups b groups = add_list b (fun b g -> add_list b add_int g) groups
+let add_packs b packs = add_list b add_groups packs
+
+(* %h is a hexadecimal float literal: an exact round trip, and the
+   infinity of an infeasible verdict renders as "infinity", which
+   float_of_string accepts back. *)
+let add_hex b f = Printf.bprintf b "\"%h\"" f
+let add_str b s = Json.buffer b (Json.Str s)
+
+(* [signature, feasible 0/1, cost, orig_sum] *)
+let add_verdict b (sg, (v : Objective.verdict)) =
+  Buffer.add_string b "[[";
+  Array.iteri
+    (fun i k ->
       if i > 0 then Buffer.add_char b ',';
-      buf_groups b pack)
-    comps;
+      add_int b k)
+    sg;
+  Printf.bprintf b "],%d," (if v.Objective.feasible then 1 else 0);
+  add_hex b v.Objective.cost;
+  Buffer.add_char b ',';
+  add_hex b v.Objective.orig_sum;
   Buffer.add_char b ']'
+
+let add_header b kind =
+  Printf.bprintf b "{\n  \"format\": %d,\n  \"kind\": \"%s\",\n" format_version kind
+
+let kind = "checkpoint"
 
 let render t =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"format\": %d,\n" format_version;
+  add_header b kind;
   Printf.bprintf b "  \"population_size\": %d,\n" t.population_size;
   Printf.bprintf b "  \"seed\": %d,\n" t.seed;
   Printf.bprintf b "  \"n\": %d,\n" t.n;
   Printf.bprintf b "  \"generation\": %d,\n" t.generation;
   Printf.bprintf b "  \"stall\": %d,\n" t.stall;
   Printf.bprintf b "  \"evaluations\": %d,\n" t.evaluations;
-  (* %h is a hexadecimal float literal: exact round trip. *)
-  Printf.bprintf b "  \"wall_time_s\": \"%h\",\n" t.wall_time_s;
+  Buffer.add_string b "  \"wall_time_s\": ";
+  add_hex b t.wall_time_s;
   let f = t.faults in
-  Printf.bprintf b "  \"faults\": [%d,%d,%d,%d,%d,%d],\n" f.Objective.injected
-    f.Objective.trapped f.Objective.corrupted f.Objective.retries f.Objective.recovered
-    f.Objective.quarantined;
-  Printf.bprintf b "  \"migration_cursor\": %d,\n" t.migration_cursor;
-  Printf.bprintf b "  \"group_cache\": [%d,%d,%d],\n" t.group_cache.Objective.hits
-    t.group_cache.Objective.misses t.group_cache.Objective.evictions;
-  Printf.bprintf b "  \"plan_cache\": [%d,%d,%d],\n" t.plan_cache.Objective.hits
-    t.plan_cache.Objective.misses t.plan_cache.Objective.evictions;
-  if t.group_verdicts <> [] then begin
-    Buffer.add_string b "  \"group_verdicts\": [";
-    List.iteri
-      (fun i (sg, (v : Objective.verdict)) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b "\n    [[";
-        Array.iteri
-          (fun j k ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (string_of_int k))
-          sg;
-        (* feasible as 0/1 (the restricted reader has no booleans); costs
-           as %h hex-float strings for an exact round trip — "%h" renders
-           the infinity of an infeasible verdict as "infinity", which
-           float_of_string accepts back. *)
-        Printf.bprintf b "],%d,\"%h\",\"%h\"]"
-          (if v.Objective.feasible then 1 else 0)
-          v.Objective.cost v.Objective.orig_sum)
-      t.group_verdicts;
-    Buffer.add_string b "\n  ],\n"
-  end;
-  Buffer.add_string b "  \"best\": ";
-  buf_groups b t.best;
-  if t.cbest <> [] then begin
-    Buffer.add_string b ",\n  \"cbest\": ";
-    buf_comps b t.cbest
-  end;
-  Buffer.add_string b ",\n  \"history\": [";
-  List.iteri
-    (fun i (gen, cost) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "[%d,\"%h\"]" gen cost)
+  Buffer.add_string b ",\n  \"faults\": ";
+  add_list b add_int
+    Objective.[ f.injected; f.trapped; f.corrupted; f.retries; f.recovered; f.quarantined ];
+  Printf.bprintf b ",\n  \"migration_cursor\": %d,\n" t.migration_cursor;
+  let add_cache name (c : Objective.cache_stats) =
+    Printf.bprintf b "  \"%s\": [%d,%d,%d],\n" name c.hits c.misses c.evictions
+  in
+  add_cache "group_cache" t.group_cache;
+  add_cache "plan_cache" t.plan_cache;
+  Printf.bprintf b "  \"horizontal\": %b,\n  \"best\": " t.horizontal;
+  add_packs b t.best;
+  Buffer.add_string b ",\n  \"history\": ";
+  add_list b
+    (fun b (gen, cost) ->
+      Printf.bprintf b "[%d," gen;
+      add_hex b cost;
+      Buffer.add_char b ']')
     t.history;
-  Buffer.add_string b "],\n  \"islands\": [";
+  Buffer.add_string b ",\n  \"islands\": [";
   List.iteri
     (fun i isl ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    {\"rng_state\": ";
-      Printf.bprintf b "\"%Ld\", \"population\": [" isl.rng_state;
+      Printf.bprintf b "\n    {\"rng_state\": \"%Ld\", \"population\": [" isl.rng_state;
       List.iteri
-        (fun j groups ->
+        (fun j packs ->
           if j > 0 then Buffer.add_char b ',';
           Buffer.add_string b "\n      ";
-          buf_groups b groups)
+          add_packs b packs)
         isl.population;
-      Buffer.add_string b "\n    ]";
-      if isl.cpopulation <> [] then begin
-        Buffer.add_string b ", \"cpopulation\": [";
-        List.iteri
-          (fun j comps ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b "\n      ";
-            buf_comps b comps)
-          isl.cpopulation;
-        Buffer.add_string b "\n    ]"
-      end;
-      Buffer.add_string b "}")
+      Buffer.add_string b "\n    ]}")
     t.islands;
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
@@ -213,328 +153,139 @@ let atomic_write path contents =
 
 let save path t = atomic_write path (render t)
 
-(* --- restricted JSON reading --- *)
+(* --- reading: typed accessors over the shared codec's tree --- *)
 
-type json =
-  | Jnum of int
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+let field j name =
+  match Json.member name j with Some v -> v | None -> malformed "missing field %S" name
 
-exception Malformed of string
+let as_int name = function Json.Int v -> v | _ -> malformed "field %S: expected int" name
 
-let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
-
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | Some d -> malformed "expected %C at offset %d, found %C" c !pos d
-    | None -> malformed "expected %C at offset %d, found end of input" c !pos
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> malformed "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some (('"' | '\\' | '/') as c) -> Buffer.add_char b c
-          | Some 'n' -> Buffer.add_char b '\n'
-          | Some 't' -> Buffer.add_char b '\t'
-          | Some c -> malformed "unsupported escape \\%C" c
-          | None -> malformed "unterminated escape");
-          advance ();
-          go ()
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let rec go () =
-      match peek () with
-      | Some ('0' .. '9' | '-') ->
-          advance ();
-          go ()
-      | _ -> ()
-    in
-    go ();
-    if !pos = start then malformed "expected number at offset %d" start;
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> Jnum v
-    | None -> malformed "bad number at offset %d" start
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (string_lit ())
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Jarr []
-        end
-        else begin
-          let items = ref [ value () ] in
-          let rec more () =
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items := value () :: !items;
-                more ()
-            | Some ']' -> advance ()
-            | _ -> malformed "expected ',' or ']' at offset %d" !pos
-          in
-          more ();
-          Jarr (List.rev !items)
-        end
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Jobj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            (k, value ())
-          in
-          let fields = ref [ field () ] in
-          let rec more () =
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields := field () :: !fields;
-                more ()
-            | Some '}' -> advance ()
-            | _ -> malformed "expected ',' or '}' at offset %d" !pos
-          in
-          more ();
-          Jobj (List.rev !fields)
-        end
-    | Some _ -> number ()
-    | None -> malformed "unexpected end of input"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> len then malformed "trailing content at offset %d" !pos;
+let as_nat name j =
+  let v = as_int name j in
+  if v < 0 then malformed "field %S must be non-negative" name;
   v
 
-let field obj name =
-  match obj with
-  | Jobj fields -> begin
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> malformed "missing field %S" name
-    end
-  | _ -> malformed "expected an object for field %S" name
+let as_str name = function Json.Str v -> v | _ -> malformed "field %S: expected string" name
+let as_list name = function Json.Arr v -> v | _ -> malformed "field %S: expected array" name
+let as_bool name = function Json.Bool v -> v | _ -> malformed "field %S: expected bool" name
 
-let as_int name = function Jnum v -> v | _ -> malformed "field %S: expected int" name
-let as_str name = function Jstr v -> v | _ -> malformed "field %S: expected string" name
-let as_arr name = function Jarr v -> v | _ -> malformed "field %S: expected array" name
-
-let as_groups name j =
-  List.map (fun g -> List.map (as_int name) (as_arr name g)) (as_arr name j)
-
-let as_comps name j = List.map (fun pack -> as_groups name pack) (as_arr name j)
-
-let field_opt obj name =
-  match obj with Jobj fields -> List.assoc_opt name fields | _ -> None
-
-let rng_state_of_string name s =
-  match Int64.of_string_opt s with
-  | Some v -> v
-  | None -> malformed "bad %s %S" name s
-
-let cost_of_string name s =
+let as_hex name j =
+  let s = as_str name j in
   match float_of_string_opt s with
   | Some v when not (Float.is_nan v) -> v
-  | Some _ -> malformed "%s must not be NaN" name
+  | Some _ -> malformed "field %S must not be NaN" name
   | None -> malformed "bad %s %S" name s
 
-(* Format 5 added the persisted warm cache; older files (and search
-   checkpoints, which write none) load with an empty list. *)
-let parse_group_verdicts j =
-  match field_opt j "group_verdicts" with
-  | None -> []
-  | Some v ->
-      List.map
-        (fun entry ->
-          match as_arr "group_verdicts" entry with
-          | [ sg; feas; cost; orig ] ->
-              let signature =
-                Array.of_list (List.map (as_int "group_verdicts") (as_arr "group_verdicts" sg))
-              in
-              if Array.length signature = 0 then
-                malformed "group_verdicts signatures must be non-empty";
-              let feasible =
-                match as_int "group_verdicts" feas with
-                | 0 -> false
-                | 1 -> true
-                | _ -> malformed "group_verdicts feasible flag must be 0 or 1"
-              in
-              ( signature,
-                {
-                  Objective.feasible;
-                  cost = cost_of_string "group_verdicts cost" (as_str "group_verdicts" cost);
-                  orig_sum =
-                    cost_of_string "group_verdicts orig_sum" (as_str "group_verdicts" orig);
-                } )
-          | _ -> malformed "group_verdicts entries are [signature, feasible, cost, orig_sum]")
-        (as_arr "group_verdicts" v)
+let as_groups name j = List.map (fun g -> List.map (as_int name) (as_list name g)) (as_list name j)
+let as_packs name j = List.map (as_groups name) (as_list name j)
+
+let as_nats name j = List.map (as_nat name) (as_list name j)
+
+let as_verdict j =
+  match as_list "verdicts" j with
+  | [ sg; feasible; cost; orig_sum ] ->
+      let signature = Array.of_list (List.map (as_int "signature") (as_list "signature" sg)) in
+      if Array.length signature = 0 then malformed "verdict signatures must be non-empty";
+      let feasible =
+        match as_int "feasible" feasible with
+        | 0 -> false
+        | 1 -> true
+        | _ -> malformed "verdict feasible flag must be 0 or 1"
+      in
+      ( signature,
+        { Objective.feasible; cost = as_hex "cost" cost; orig_sum = as_hex "orig_sum" orig_sum } )
+  | _ -> malformed "verdicts are [signature, feasible, cost, orig_sum]"
+
+(* Parse and check the envelope: the format number first, so an old
+   document without a [kind] still reports its format. *)
+let parse_document ~kind s =
+  let j = try Json.of_string s with Json.Malformed msg -> raise (Malformed msg) in
+  let fmt = as_int "format" (field j "format") in
+  if fmt <> format_version then malformed "unsupported %s format %d — re-run" kind fmt;
+  let k = as_str "kind" (field j "kind") in
+  if k <> kind then malformed "expected a %S document, found kind %S" kind k;
+  j
+
+(* Every stored individual must partition 0..n-1: anything else would
+   surface deep inside the resumed search as an index or assignment
+   error instead of a corrupt checkpoint.  The member count is checked
+   first, which also bounds [n] by the document's size. *)
+let check_individual ~n ~horizontal what packs =
+  if (not horizontal) && List.exists (fun p -> List.length p <> 1) packs then
+    malformed "%s: a vertical checkpoint stores single-plane packs" what;
+  let members = List.fold_left (List.fold_left (fun acc g -> acc + List.length g)) 0 packs in
+  if members <> n then malformed "%s holds %d kernel ids for a %d-kernel program" what members n;
+  match Kf_fusion.Plan.of_composed ~n packs with
+  | _ -> ()
+  | exception Invalid_argument msg -> malformed "%s: %s" what msg
 
 let of_string s =
-  let j = parse_json s in
-  let fmt = as_int "format" (field j "format") in
-  (* Format 1 lacked wall_time_s and faults; formats 1 and 2 lacked
-     islands (they stored one population and one rng_state).  The missing
-     fields default so every older checkpoint keeps resuming — as a
-     single island, with per-segment budgets for v1, exactly as it was
-     written. *)
-  if fmt < 1 || fmt > format_version then malformed "unsupported snapshot format %d" fmt;
-  let wall_time_s =
-    match field_opt j "wall_time_s" with
-    | None -> 0.
-    | Some v -> (
-        let str = as_str "wall_time_s" v in
-        match float_of_string_opt str with
-        | Some w when Float.is_finite w && w >= 0. -> w
-        | Some _ -> malformed "wall_time_s must be finite and non-negative"
-        | None -> malformed "bad wall_time_s %S" str)
-  in
+  let j = parse_document ~kind s in
+  let nat name = as_nat name (field j name) in
+  let population_size = nat "population_size" and n = nat "n" in
+  let wall_time_s = as_hex "wall_time_s" (field j "wall_time_s") in
+  if not (Float.is_finite wall_time_s && wall_time_s >= 0.) then
+    malformed "wall_time_s must be finite and non-negative";
   let faults =
-    match field_opt j "faults" with
-    | None -> Objective.zero_faults ()
-    | Some v -> (
-        match List.map (as_int "faults") (as_arr "faults" v) with
-        | [ injected; trapped; corrupted; retries; recovered; quarantined ]
-          when List.for_all (fun c -> c >= 0)
-                 [ injected; trapped; corrupted; retries; recovered; quarantined ] ->
-            { Objective.injected; trapped; corrupted; retries; recovered; quarantined }
-        | _ -> malformed "faults must be six non-negative ints")
+    match as_nats "faults" (field j "faults") with
+    | [ injected; trapped; corrupted; retries; recovered; quarantined ] ->
+        { Objective.injected; trapped; corrupted; retries; recovered; quarantined }
+    | _ -> malformed "faults must be six ints"
   in
-  let migration_cursor =
-    match field_opt j "migration_cursor" with
-    | None -> 0
-    | Some v ->
-        let c = as_int "migration_cursor" v in
-        if c < 0 then malformed "migration_cursor must be non-negative";
-        c
+  (* the size field is not persisted: the saved process's table is gone *)
+  let cache_stats name =
+    match as_nats name (field j name) with
+    | [ hits; misses; evictions ] -> { Objective.hits; misses; evictions; size = 0 }
+    | _ -> malformed "%s must be three ints" name
   in
-  (* Format 4 added the cache counters; older files report zeros (the
-     hit-rate history before the upgrade is simply unknown). *)
-  let cache_counts name =
-    match field_opt j name with
-    | None -> { Objective.hits = 0; misses = 0; evictions = 0; size = 0 }
-    | Some v -> (
-        match List.map (as_int name) (as_arr name v) with
-        | [ hits; misses; evictions ] when hits >= 0 && misses >= 0 && evictions >= 0 ->
-            { Objective.hits; misses; evictions; size = 0 }
-        | _ -> malformed "%s must be three non-negative ints" name)
+  let horizontal = as_bool "horizontal" (field j "horizontal") in
+  let individual what j =
+    let packs = as_packs what j in
+    check_individual ~n ~horizontal what packs;
+    packs
   in
-  let group_cache = cache_counts "group_cache" in
-  let plan_cache = cache_counts "plan_cache" in
-  let group_verdicts = parse_group_verdicts j in
+  let islands =
+    List.mapi
+      (fun i isl ->
+        let rng_str = as_str "rng_state" (field isl "rng_state") in
+        let rng_state =
+          match Int64.of_string_opt rng_str with
+          | Some v -> v
+          | None -> malformed "bad rng_state %S" rng_str
+        in
+        let population =
+          List.map (individual "population") (as_list "population" (field isl "population"))
+        in
+        if population = [] then malformed "island %d is empty" i;
+        { rng_state; population })
+      (as_list "islands" (field j "islands"))
+  in
+  if islands = [] then malformed "islands must be non-empty";
+  let total = List.fold_left (fun acc isl -> acc + List.length isl.population) 0 islands in
+  if total <> population_size then
+    malformed "island sizes sum to %d, not population_size %d" total population_size;
   let history =
     List.map
       (fun entry ->
-        match as_arr "history" entry with
-        | [ g; c ] ->
-            let cost_str = as_str "history" c in
-            let cost =
-              match float_of_string_opt cost_str with
-              | Some v -> v
-              | None -> malformed "bad history cost %S" cost_str
-            in
-            (as_int "history" g, cost)
+        match as_list "history" entry with
+        | [ g; c ] -> (as_int "history" g, as_hex "history" c)
         | _ -> malformed "history entries are [generation, cost] pairs")
-      (as_arr "history" (field j "history"))
-  in
-  let islands =
-    match field_opt j "islands" with
-    | Some v ->
-        let isls =
-          List.map
-            (fun isl ->
-              let population =
-                List.map
-                  (fun g -> as_groups "population" g)
-                  (as_arr "population" (field isl "population"))
-              in
-              let cpopulation =
-                match field_opt isl "cpopulation" with
-                | None -> []
-                | Some c ->
-                    let cpop = List.map (as_comps "cpopulation") (as_arr "cpopulation" c) in
-                    if List.length cpop <> List.length population then
-                      malformed "cpopulation must be parallel to population";
-                    cpop
-              in
-              {
-                rng_state =
-                  rng_state_of_string "rng_state" (as_str "rng_state" (field isl "rng_state"));
-                population;
-                cpopulation;
-              })
-            (as_arr "islands" v)
-        in
-        if isls = [] then malformed "islands must be non-empty";
-        isls
-    | None ->
-        (* v1/v2: one flat population and a single rng_state. *)
-        [
-          {
-            rng_state =
-              rng_state_of_string "rng_state" (as_str "rng_state" (field j "rng_state"));
-            population =
-              List.map
-                (fun g -> as_groups "population" g)
-                (as_arr "population" (field j "population"));
-            cpopulation = [];
-          };
-        ]
+      (as_list "history" (field j "history"))
   in
   {
-    population_size = as_int "population_size" (field j "population_size");
+    population_size;
     seed = as_int "seed" (field j "seed");
-    n = as_int "n" (field j "n");
-    generation = as_int "generation" (field j "generation");
-    stall = as_int "stall" (field j "stall");
-    evaluations = as_int "evaluations" (field j "evaluations");
+    n;
+    generation = nat "generation";
+    stall = nat "stall";
+    evaluations = nat "evaluations";
     wall_time_s;
     faults;
-    migration_cursor;
-    group_cache;
-    plan_cache;
-    group_verdicts;
-    best = as_groups "best" (field j "best");
-    cbest = (match field_opt j "cbest" with None -> [] | Some c -> as_comps "cbest" c);
+    migration_cursor = nat "migration_cursor";
+    group_cache = cache_stats "group_cache";
+    plan_cache = cache_stats "plan_cache";
+    horizontal;
+    best = individual "best" (field j "best");
     history;
     islands;
   }
@@ -562,62 +313,29 @@ module Cache = struct
 
   let kind = "serve-cache"
 
-  (* The restricted writer has no escaper; reject strings it could not
-     round-trip (keys are hex digests, fingerprints are [A-Za-z0-9|.:-]
-     by construction, so this never fires on daemon-produced data). *)
-  let check_plain what s =
-    String.iter
-      (fun c ->
-        if c = '"' || c = '\\' || Char.code c < 0x20 then
-          invalid_arg (Printf.sprintf "Snapshot.Cache.save: %s must not need JSON escaping" what))
-      s
-
   let render (t : t) =
     let b = Buffer.create 4096 in
-    Buffer.add_string b "{\n";
-    Printf.bprintf b "  \"format\": %d,\n" format_version;
-    Printf.bprintf b "  \"kind\": \"%s\",\n" kind;
+    add_header b kind;
     Buffer.add_string b "  \"entries\": [";
     List.iteri
       (fun i e ->
         if i > 0 then Buffer.add_char b ',';
-        check_plain "key" e.key;
-        Printf.bprintf b "\n    {\"key\": \"%s\", \"verdicts\": [" e.key;
-        List.iteri
-          (fun j (sg, (v : Objective.verdict)) ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b "[[";
-            Array.iteri
-              (fun k x ->
-                if k > 0 then Buffer.add_char b ',';
-                Buffer.add_string b (string_of_int x))
-              sg;
-            Printf.bprintf b "],%d,\"%h\",\"%h\"]"
-              (if v.Objective.feasible then 1 else 0)
-              v.Objective.cost v.Objective.orig_sum)
-          e.verdicts;
-        Buffer.add_string b "]";
+        Buffer.add_string b "\n    {\"key\": ";
+        add_str b e.key;
+        Buffer.add_string b ", \"verdicts\": ";
+        add_list b add_verdict e.verdicts;
+        Buffer.add_string b ", \"plan\": ";
         (match e.plan with
-        | None -> ()
+        | None -> Buffer.add_string b "null"
         | Some p ->
-            check_plain "plan fingerprint" p.fingerprint;
-            if Float.is_nan p.cost then
-              invalid_arg "Snapshot.Cache.save: plan cost must not be NaN";
-            Buffer.add_string b ", \"plan\": {\"groups\": [";
-            List.iteri
-              (fun j g ->
-                if j > 0 then Buffer.add_char b ',';
-                Buffer.add_char b '[';
-                List.iteri
-                  (fun k x ->
-                    if k > 0 then Buffer.add_char b ',';
-                    Buffer.add_string b (string_of_int x))
-                  g;
-                Buffer.add_char b ']')
-              p.groups;
-            Printf.bprintf b "], \"cost\": \"%h\", \"fingerprint\": \"%s\"}" p.cost
-              p.fingerprint);
-        Buffer.add_string b "}")
+            Buffer.add_string b "{\"groups\": ";
+            add_groups b p.groups;
+            Buffer.add_string b ", \"cost\": ";
+            add_hex b p.cost;
+            Buffer.add_string b ", \"fingerprint\": ";
+            add_str b p.fingerprint;
+            Buffer.add_char b '}');
+        Buffer.add_char b '}')
       t;
     Buffer.add_string b "\n  ]\n}\n";
     Buffer.contents b
@@ -625,31 +343,25 @@ module Cache = struct
   let save path t = atomic_write path (render t)
 
   let of_string s : t =
-    let j = parse_json s in
-    let fmt = as_int "format" (field j "format") in
-    if fmt < 5 || fmt > format_version then malformed "unsupported cache format %d" fmt;
-    let k = as_str "kind" (field j "kind") in
-    if k <> kind then malformed "expected a %S document, found kind %S" kind k;
+    let j = parse_document ~kind s in
     List.map
       (fun e ->
         let key = as_str "key" (field e "key") in
         if key = "" then malformed "cache entry key must be non-empty";
-        (* reuse the snapshot verdict shape under a wrapper object *)
-        let verdicts = parse_group_verdicts (Jobj [ ("group_verdicts", field e "verdicts") ]) in
+        let verdicts = List.map as_verdict (as_list "verdicts" (field e "verdicts")) in
         let plan =
-          (* absent before format 6 (and optional since) *)
-          match field_opt e "plan" with
-          | None -> None
-          | Some p ->
+          match field e "plan" with
+          | Json.Null -> None
+          | p ->
               Some
                 {
-                  groups = as_groups "plan groups" (field p "groups");
-                  cost = cost_of_string "plan cost" (as_str "plan cost" (field p "cost"));
-                  fingerprint = as_str "plan fingerprint" (field p "fingerprint");
+                  groups = as_groups "groups" (field p "groups");
+                  cost = as_hex "cost" (field p "cost");
+                  fingerprint = as_str "fingerprint" (field p "fingerprint");
                 }
         in
         { key; verdicts; plan })
-      (as_arr "entries" (field j "entries"))
+      (as_list "entries" (field j "entries"))
 
   let load path = of_string (read_file path)
 end

@@ -1,7 +1,7 @@
 (** Checkpoint snapshots of a running {!Hgga} search.
 
     A snapshot captures everything the solver needs to continue exactly
-    where it stopped: every island's population (as raw groupings — costs
+    where it stopped: every island's population (as launch packs — costs
     are recomputed on resume, evaluation being pure) and RNG state, the
     incumbent, the generation and stall counters, the improvement
     history, and the ring-migration cursor.  Resuming from a snapshot
@@ -9,20 +9,23 @@
     search as the uninterrupted run, so a killed long search loses at
     most one checkpoint interval.
 
-    The on-disk form is a small self-describing JSON document (written
-    atomically via a temporary file + rename); no external JSON library
-    is required.  Format 3 introduced the island model; formats 1 and 2
-    still load, as a single island with migration cursor 0. *)
+    The on-disk form is a JSON document read through {!Kf_obs.Json} and
+    written atomically via a temporary file + rename.  There is one
+    format, 8, with a [kind] field telling checkpoints from {!Cache}
+    documents; no older format is read — a checkpoint or cache file
+    written by an earlier format is rejected and the run re-done.  Resume
+    and the serve daemon's warm restart from a format-8 file are
+    bit-identical to the uninterrupted process. *)
 
 val format_version : int
 
+type packs = int list list list
+(** An individual as its launch packs: packs of planes of kernel ids.  A
+    vertical individual is all single-plane packs. *)
+
 type island = {
   rng_state : int64;  (** raw {!Kf_util.Rng} state of this island's generator *)
-  population : int list list list;
-  cpopulation : int list list list list;
-      (** launch compositions (packs of planes), parallel to
-          [population]; [] for vertical-only checkpoints and snapshots
-          that predate format 7 *)
+  population : packs list;
 }
 
 type t = {
@@ -36,41 +39,31 @@ type t = {
           resume seeds {!Objective.add_evaluations} with it so evaluation
           budgets span the whole logical run *)
   wall_time_s : float;
-      (** wall time accumulated across every run segment up to the save
-          (0 when the snapshot predates format 2); counted against
-          [budget.max_wall_s] on resume *)
-  faults : Objective.fault_stats;
-      (** cumulative fault counters at the save (zeros for format-1
-          snapshots) *)
+      (** wall time accumulated across every run segment up to the save;
+          counted against [budget.max_wall_s] on resume *)
+  faults : Objective.fault_stats;  (** cumulative fault counters at the save *)
   migration_cursor : int;
-      (** ring migrations performed so far (0 when the snapshot predates
-          format 3); drives the rotating migration offset on resume *)
+      (** ring migrations performed so far; drives the rotating migration
+          offset on resume *)
   group_cache : Objective.cache_stats;
-      (** cumulative group-cache hit/miss/eviction counters (zeros when
-          the snapshot predates format 4; the [size] field is always 0 —
-          the saved process's table does not survive) *)
+      (** cumulative group-cache hit/miss/eviction counters (the [size]
+          field is always 0 — the saved process's table does not
+          survive) *)
   plan_cache : Objective.cache_stats;
       (** cumulative plan-cache counters, like [group_cache] *)
-  group_verdicts : (int array * Objective.verdict) list;
-      (** memoized (canonical signature, verdict) pairs to persist —
-          a warm cache for processes that outlive one search (format 5;
-          [] for older snapshots).  Search checkpoints always write []:
-          warm-seeding a resume would change its evaluation counts and
-          break the bit-identical resume contract, so only the serve
-          daemon populates this (usually via {!Cache} documents). *)
-  best : int list list;  (** incumbent grouping *)
-  cbest : int list list list;
-      (** the incumbent's launch composition; [] for vertical-only
-          checkpoints and snapshots that predate format 7 *)
+  horizontal : bool;
+      (** written by a horizontal search: individuals resume through the
+          composition evaluator, and only a horizontal search may resume
+          them *)
+  best : packs;  (** incumbent *)
   history : (int * float) list;  (** improvement history, oldest first *)
-  islands : island list;
-      (** per-island state, island 0 first; a single island for
-          snapshots that predate format 3 *)
+  islands : island list;  (** per-island state, island 0 first *)
 }
 
 exception Malformed of string
 (** Raised by {!load}/{!of_string} on syntactically or structurally
-    invalid snapshot data. *)
+    invalid snapshot data, a document of another kind, or any format
+    other than {!format_version}. *)
 
 val render : t -> string
 val save : string -> t -> unit
@@ -82,19 +75,21 @@ val save : string -> t -> unit
     failure. *)
 
 val of_string : string -> t
-(** Accepts the current format plus formats 1 and 2 (missing budget
-    fields default to zero; their single population and RNG state load
-    as one island).  @raise Malformed on invalid input. *)
+(** Every field is required.  Beyond the syntax, the load checks that
+    [best] and every individual partition the kernels [0..n-1], that a
+    vertical snapshot holds only single-plane packs, that no island is
+    empty, and that island sizes sum to [population_size].
+    @raise Malformed on invalid input. *)
 
 val load : string -> t
 (** @raise Sys_error on IO failure, [Malformed] on invalid content. *)
 
 (** Standalone warm-cache documents: the serve daemon's persisted group
-    verdicts, keyed by a content digest of (program, device, model) so a
-    restarted daemon only reuses verdicts for identical inputs.  Same
-    crash-safe write discipline as snapshots; [kind] discriminates the
-    document so a search checkpoint can never be loaded as a cache (or
-    vice versa). *)
+    verdicts and stored plans, keyed by a content digest of (program,
+    device, model) so a restarted daemon only reuses them for identical
+    inputs.  Same format 8, codec and crash-safe write discipline as
+    snapshots; [kind] discriminates the document so a search checkpoint
+    can never be loaded as a cache (or vice versa). *)
 module Cache : sig
   type stored_plan = {
     groups : int list list;  (** the best plan found, canonical form *)
@@ -104,12 +99,13 @@ module Cache : sig
             a stored plan only answers a request whose parameters
             fingerprint identically (see [Serve.Server]) *)
   }
-  (** Format 6: a completed search's answer for the entry's triple, so
-      a repeat request can be served outright rather than merely
-      warm-seeded. *)
+  (** A completed search's answer for the entry's triple, so a repeat
+      request can be served outright rather than merely warm-seeded.
+      The load does not check [groups] against any program: the server
+      does, before it serves them. *)
 
   type entry = {
-    key : string;  (** content digest — printable, no JSON escaping *)
+    key : string;  (** content digest *)
     verdicts : (int array * Objective.verdict) list;
     plan : stored_plan option;
   }
@@ -117,14 +113,13 @@ module Cache : sig
   type nonrec t = entry list
 
   val render : t -> string
-  (** @raise Invalid_argument if a key or plan fingerprint would need
-      JSON escaping, or a plan cost is NaN. *)
 
   val save : string -> t -> unit
   (** Atomic, error-checked write like {!Snapshot.save}. *)
 
   val of_string : string -> t
-  (** @raise Malformed on invalid input, a non-cache document, or an
+  (** Every field is required; an entry without a plan stores [null].
+      @raise Malformed on invalid input, a non-cache document, or an
       unsupported format. *)
 
   val load : string -> t

@@ -1,11 +1,16 @@
 (* Cross-request warm cache: group verdicts keyed by a content digest of
    (program text, device, model).  Verdicts are pure functions of that
    triple, so an entry seeded into a later objective over the same triple
-   can only skip evaluations, never change a result.  Since format 6 an
-   entry can also carry the *answer* — the best plan a completed search
-   found, fingerprinted by its search parameters — so a repeat request
-   is served outright instead of merely warm.  The store persists as a
-   Snapshot.Cache document so a restarted daemon starts warm.
+   can only skip evaluations, never change a result.  An entry can also
+   carry the *answer* — the best plan a completed search found,
+   fingerprinted by its search parameters — so a repeat request is
+   served outright instead of merely warm.
+
+   The store persists as a Snapshot.Cache document, format 8 — the one
+   format, with no reader for older ones: a daemon restarted over an
+   older file logs it as unreadable and starts cold.  A warm restart from
+   a format-8 file serves the repeat request with the same answer and
+   cost as the process that wrote it.
 
    Long streaming sessions mint one digest per program version, so the
    bound matters: eviction is LRU (every find/absorb bumps recency) and

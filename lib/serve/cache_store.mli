@@ -36,7 +36,8 @@ val find : t -> string -> (int array * Kf_search.Objective.verdict) list
 val find_plan : t -> string -> Kf_search.Snapshot.Cache.stored_plan option
 (** The stored answer for a key, if a search over this triple already
     completed.  The caller must check the plan's [fingerprint] against
-    the request's resolved search parameters before serving it. *)
+    the request's resolved search parameters, and its groups against the
+    request's program (a loaded plan is unchecked), before serving it. *)
 
 val absorb : t -> string -> (int array * Kf_search.Objective.verdict) list -> unit
 (** Merge a request's exported verdicts.  The larger of the stored and

@@ -214,7 +214,6 @@ let resolve_program req =
       | p -> p
       | exception Kf_ir.Program_io.Parse_error (line, msg) ->
           bad "program parse error at line %d: %s" line msg
-      | exception Invalid_argument msg -> bad "invalid program: %s" msg
     end
   | None, None -> bad "request needs a \"workload\" name or an inline \"program\""
 

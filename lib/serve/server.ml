@@ -284,6 +284,14 @@ let run_request t job ~started_s ~remaining =
           end);
       finish ()
 
+(* A stored plan comes from a file: it answers only when it is a valid
+   plan of the request's program — otherwise the request searches, so a
+   corrupt cache file only costs warmth. *)
+let plan_fits program groups =
+  match Kf_fusion.Plan.of_groups ~n:(Kf_ir.Program.num_kernels program) groups with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
 (* The satellite of the deadline bugfix: a request fully answerable from
    the warm store costs no search, so it must be served even when the
    deadline has (nearly) elapsed at dequeue — the cache probe runs
@@ -302,8 +310,9 @@ let try_cached t job =
     let program, device, model = Protocol.resolve req in
     let key = Cache_store.key ~program ~device ~model in
     match Cache_store.find_plan t.cache key with
-    | Some p when String.equal p.Snapshot.Cache.fingerprint (params_fingerprint (params_of o))
-      ->
+    | Some p
+      when String.equal p.Snapshot.Cache.fingerprint (params_fingerprint (params_of o))
+           && plan_fits program p.Snapshot.Cache.groups ->
         Metrics.incr (Lazy.force m_warm_requests);
         Metrics.incr (Lazy.force m_cached_results);
         Metrics.incr (Lazy.force m_completed);

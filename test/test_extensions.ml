@@ -121,7 +121,13 @@ let test_io_errors () =
   expect_line 1 "nonsense";
   expect_line 2 "program x\ngrid 1 2\n";
   expect_line 3 "program x\ngrid 8 8 1 blocks 8 8\nread foo\n";
-  expect_line 4 "program x\ngrid 8 8 1 blocks 8 8\nkernel k\n  read missing point\n"
+  expect_line 4 "program x\ngrid 8 8 1 blocks 8 8\nkernel k\n  read missing point\n";
+  (* IR validation verdicts are parse errors too: at the declaring line,
+     and at the last line for program-level checks *)
+  expect_line 2 "program x\ngrid 0 8 1 blocks 8 8\n";
+  expect_line 3 "program x\ngrid 8 8 1 blocks 8 8\narray a elem 0\n";
+  expect_line 4 "program x\ngrid 8 8 1 blocks 8 8\narray a\nkernel k\nkernel j\n  read a point\n";
+  expect_line 6 "program x\ngrid 8 8 1 blocks 8 8\narray a\narray b\nkernel k\n  read a point\n"
 
 let test_io_file () =
   let p = Motivating.program () in

@@ -1,6 +1,6 @@
 (* Horizontal composition tests: pack legality, mode-aware canonical
    signatures, the video workload's horizontal-beats-vertical win, the
-   determinism contract with horizontal search on, snapshot v7, and the
+   determinism contract with horizontal search on, snapshots, and the
    perf_gate schema dispatch for the horizontal bench. *)
 
 module Device = Kf_gpu.Device
@@ -246,11 +246,11 @@ let test_mutation_walk_stays_canonical () =
     (Plan.canonical_comps comps = comps)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot v7                                                         *)
+(* Snapshot                                                            *)
 
 let horizontal_snapshot () =
   {
-    Snapshot.population_size = 4;
+    Snapshot.population_size = 2;
     seed = 7;
     n = 6;
     generation = 3;
@@ -263,16 +263,14 @@ let horizontal_snapshot () =
     migration_cursor = 0;
     group_cache = { Objective.hits = 5; misses = 3; evictions = 0; size = 0 };
     plan_cache = { Objective.hits = 1; misses = 1; evictions = 0; size = 0 };
-    group_verdicts = [];
-    best = [ [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 4; 5 ] ];
-    cbest = [ [ [ 0; 1 ]; [ 2 ] ]; [ [ 3 ] ]; [ [ 4; 5 ] ] ];
+    horizontal = true;
+    best = [ [ [ 0; 1 ]; [ 2 ] ]; [ [ 3 ] ]; [ [ 4; 5 ] ] ];
     history = [ (0, 1.0); (2, 0.75) ];
     islands =
       [
         {
           Snapshot.rng_state = 123456789L;
-          population = [ [ [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 4; 5 ] ]; [ [ 0 ]; [ 1; 2 ]; [ 3 ]; [ 4 ]; [ 5 ] ] ];
-          cpopulation =
+          population =
             [
               [ [ [ 0; 1 ]; [ 2 ] ]; [ [ 3 ] ]; [ [ 4; 5 ] ] ];
               [ [ [ 0 ] ]; [ [ 1; 2 ]; [ 3 ] ]; [ [ 4 ] ]; [ [ 5 ] ] ];
@@ -281,32 +279,40 @@ let horizontal_snapshot () =
       ];
   }
 
-let test_snapshot_v7_roundtrip () =
+let test_snapshot_horizontal_roundtrip () =
   let snap = horizontal_snapshot () in
   let back = Snapshot.of_string (Snapshot.render snap) in
   check Alcotest.bool "horizontal roundtrip identical" true (snap = back)
 
-let test_snapshot_vertical_render_has_no_composition_fields () =
-  (* Vertical-only checkpoints must render without any composition
-     fields, so vertical runs keep their historical document shape. *)
+let test_snapshot_vertical_roundtrip () =
+  (* A vertical checkpoint stores the same packs field, all single-plane,
+     with the [horizontal] flag off; both survive the round trip, and a
+     multi-plane pack under the vertical flag is refused. *)
+  let vpacks = List.map (fun g -> [ g ]) in
   let snap =
     { (horizontal_snapshot ()) with
-      Snapshot.cbest = [];
+      Snapshot.horizontal = false;
+      best = vpacks [ [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 4; 5 ] ];
       islands =
-        List.map
-          (fun i -> { i with Snapshot.cpopulation = [] })
-          (horizontal_snapshot ()).Snapshot.islands;
+        [
+          {
+            Snapshot.rng_state = 123456789L;
+            population =
+              [ vpacks [ [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 4; 5 ] ];
+                vpacks [ [ 0 ]; [ 1; 2 ]; [ 3 ]; [ 4 ]; [ 5 ] ] ];
+          };
+        ];
     }
   in
-  let doc = Snapshot.render snap in
-  let contains sub =
-    let ls = String.length sub and l = String.length doc in
-    let rec go i = i + ls <= l && (String.sub doc i ls = sub || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "no cbest field" false (contains "cbest");
-  check Alcotest.bool "no cpopulation field" false (contains "cpopulation");
-  check Alcotest.bool "still roundtrips" true (Snapshot.of_string doc = snap)
+  let back = Snapshot.of_string (Snapshot.render snap) in
+  check Alcotest.bool "vertical roundtrip identical" true (snap = back);
+  check Alcotest.bool "flag kept" false back.Snapshot.horizontal;
+  match
+    Snapshot.of_string
+      (Snapshot.render { snap with Snapshot.best = (horizontal_snapshot ()).Snapshot.best })
+  with
+  | exception Snapshot.Malformed _ -> ()
+  | _ -> Alcotest.fail "vertical snapshot accepted a multi-plane pack"
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume with horizontal search                          *)
@@ -511,9 +517,8 @@ let suite =
     Alcotest.test_case "vertical-only path unchanged" `Quick test_vertical_only_unchanged;
     Alcotest.test_case "champion composition canonical" `Quick
       test_mutation_walk_stays_canonical;
-    Alcotest.test_case "snapshot v7 roundtrip" `Quick test_snapshot_v7_roundtrip;
-    Alcotest.test_case "vertical snapshot has no composition fields" `Quick
-      test_snapshot_vertical_render_has_no_composition_fields;
+    Alcotest.test_case "horizontal snapshot roundtrip" `Quick test_snapshot_horizontal_roundtrip;
+    Alcotest.test_case "vertical snapshot roundtrip" `Quick test_snapshot_vertical_roundtrip;
     Alcotest.test_case "checkpoint/resume identical" `Slow test_checkpoint_resume_identical;
     Alcotest.test_case "horizontal snapshot needs horizontal resume" `Quick
       test_resume_requires_horizontal;

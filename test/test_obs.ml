@@ -81,7 +81,22 @@ let test_json_malformed () =
       match Json.of_string s with
       | exception Json.Malformed _ -> ()
       | v -> failf "expected Malformed on %S, got %s" s (Json.to_string v))
-    [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}" ]
+    [
+      "";
+      "{";
+      "[1,";
+      "{\"a\":}";
+      "tru";
+      "\"unterminated";
+      "1 2";
+      "{\"a\" 1}";
+      (* nesting is bounded, so a line of brackets cannot exhaust the stack *)
+      String.make 1_000_000 '[';
+      String.make 65 '[' ^ String.make 65 ']';
+    ];
+  (* ... while the bound leaves room for any real document *)
+  let deep = String.make 64 '[' ^ String.make 64 ']' in
+  check bool "64 levels parse" true (Json.to_string (Json.of_string deep) = deep)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)

@@ -370,9 +370,11 @@ let solve_clover ?checkpoint ?resume_from ?budget params =
   let ctx = Pipeline.prepare ~device (Cloverleaf.program ()) in
   Hgga.solve ~params ?checkpoint ?resume_from ?budget (Pipeline.objective ctx)
 
+let vpacks groups = List.map (fun g -> [ g ]) groups
+
 let sample_snapshot () =
   {
-      Snapshot.population_size = 60;
+      Snapshot.population_size = 3;
       seed = 42;
       n = 5;
       generation = 14;
@@ -391,35 +393,32 @@ let sample_snapshot () =
       migration_cursor = 4;
       group_cache = { Objective.hits = 120; misses = 40; evictions = 8; size = 0 };
       plan_cache = { Objective.hits = 30; misses = 12; evictions = 0; size = 0 };
-      group_verdicts =
-        [
-          ([| 0; 1 |], { Objective.feasible = true; cost = 0.125; orig_sum = 0.5 });
-          ([| 2; 3; 4 |], { Objective.feasible = false; cost = infinity; orig_sum = 0.75 });
-        ];
-      best = [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ] ];
-      cbest = [];
+      horizontal = false;
+      best = vpacks [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ] ];
       history = [ (0, 0.25); (3, 0.125) ];
       islands =
         [
           {
             Snapshot.rng_state = -8313746488903152427L;
-            population = [ [ [ 0; 1; 2; 3; 4 ] ]; [ [ 0 ]; [ 1; 2 ]; [ 3; 4 ] ] ];
-            cpopulation = [];
+            population =
+              [ vpacks [ [ 0; 1; 2; 3; 4 ] ]; vpacks [ [ 0 ]; [ 1; 2 ]; [ 3; 4 ] ] ];
           };
           {
             Snapshot.rng_state = 7459286063232097792L;
-            population = [ [ [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ] ];
-            cpopulation = [];
+            population = [ vpacks [ [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ] ];
           };
         ];
   }
 
 let test_snapshot_roundtrip () =
-  (* Two islands with distinct RNG states and uneven populations, plus a
-     warm-cache verdict list with an infeasible infinity entry: the v5
-     document must survive the render/parse round trip exactly. *)
+  (* Two islands with distinct RNG states (one above 2^62, which no JSON
+     int on the OCaml side holds) and uneven populations: the document
+     must survive the render/parse round trip exactly, and be standard
+     JSON for the shared codec. *)
   let snap = sample_snapshot () in
-  let back = Snapshot.of_string (Snapshot.render snap) in
+  let doc = Snapshot.render snap in
+  ignore (Kf_obs.Json.of_string doc);
+  let back = Snapshot.of_string doc in
   check Alcotest.bool "roundtrip identical" true (snap = back)
 
 let test_snapshot_atomic_save () =
@@ -469,37 +468,60 @@ let test_snapshot_atomic_save () =
       check Alcotest.bool "temp cleaned after failed rename" false
         (Sys.file_exists (blocked ^ ".tmp")))
 
-let test_snapshot_v2_compat () =
-  (* A hand-written format-2 document (flat population + single
-     rng_state, no migration cursor) must load as one island with
-     cursor 0, so pre-island checkpoints keep resuming. *)
-  let v2 =
-    {|{
-  "format": 2,
-  "population_size": 3,
-  "seed": 7,
-  "n": 3,
-  "generation": 5,
-  "stall": 1,
-  "evaluations": 40,
-  "wall_time_s": "0x1.4p3",
-  "faults": [1,0,0,0,0,0],
-  "rng_state": "-42",
-  "best": [[0,1],[2]],
-  "history": [[0,"0x1p0"]],
-  "population": [[[0],[1],[2]],[[0,1],[2]],[[0,1,2]]]
-}|}
-  in
-  let snap = Snapshot.of_string v2 in
-  check Alcotest.int "one island" 1 (List.length snap.Snapshot.islands);
-  check Alcotest.int "cursor defaults to 0" 0 snap.Snapshot.migration_cursor;
-  let isl = List.hd snap.Snapshot.islands in
-  check Alcotest.bool "rng state kept" true (isl.Snapshot.rng_state = -42L);
-  check Alcotest.int "population kept" 3 (List.length isl.Snapshot.population);
-  check (Alcotest.float 0.) "wall time kept" 10.0 snap.Snapshot.wall_time_s;
-  (* Cache ledgers arrived in format 4: older documents load with zeros. *)
-  check Alcotest.int "group cache defaults to zero" 0 snap.Snapshot.group_cache.Objective.hits;
-  check Alcotest.int "plan cache defaults to zero" 0 snap.Snapshot.plan_cache.Objective.misses
+let expect_malformed ~contains doc =
+  match Snapshot.of_string doc with
+  | exception Snapshot.Malformed msg ->
+      let l = String.length contains in
+      let rec has i =
+        i + l <= String.length msg && (String.sub msg i l = contains || has (i + 1))
+      in
+      if not (has 0) then Alcotest.failf "message %S lacks %S" msg contains
+  | _ -> Alcotest.failf "accepted %S" doc
+
+let test_snapshot_old_formats_rejected () =
+  (* One format is read: a format-2 document (flat population, no
+     islands) and a format-7 one (the last before the shared codec) are
+     both refused as unsupported rather than defaulted. *)
+  expect_malformed ~contains:"unsupported checkpoint format 2"
+    {|{"format": 2, "population_size": 3, "seed": 7, "n": 3, "generation": 5,
+       "stall": 1, "evaluations": 40, "wall_time_s": "0x1.4p3",
+       "faults": [1,0,0,0,0,0], "rng_state": "-42", "best": [[0,1],[2]],
+       "history": [[0,"0x1p0"]], "population": [[[0],[1],[2]],[[0,1],[2]],[[0,1,2]]]}|};
+  let v8 = Snapshot.render (sample_snapshot ()) and head = "{\n  \"format\": 8," in
+  check Alcotest.bool "format leads the document" true (String.starts_with ~prefix:head v8);
+  let rest = String.sub v8 (String.length head) (String.length v8 - String.length head) in
+  expect_malformed ~contains:"unsupported checkpoint format 7" ("{\n  \"format\": 7," ^ rest)
+
+(* Well-formed documents that are not a valid search state: each must be
+   a corrupt checkpoint at load, not an index or assignment error deep
+   inside the resumed search.  The sample has islands of sizes 2 and 1. *)
+let with_islands f =
+  let snap = sample_snapshot () in
+  Snapshot.render { snap with Snapshot.islands = f snap.Snapshot.islands }
+
+let test_snapshot_rejects_bad_kernel_id () =
+  expect_malformed ~contains:"kernel id 999"
+    (Snapshot.render
+       { (sample_snapshot ()) with Snapshot.best = vpacks [ [ 0; 1 ]; [ 2 ]; [ 3; 999 ] ] })
+
+let test_snapshot_rejects_missing_kernel () =
+  expect_malformed ~contains:"kernel 1 unassigned"
+    (with_islands (function
+      | a :: rest ->
+          let population = [ vpacks [ [ 0 ]; [ 2; 3; 4; 4 ] ]; vpacks [ [ 0; 1; 2; 3; 4 ] ] ] in
+          { a with Snapshot.population } :: rest
+      | [] -> []))
+
+let test_snapshot_rejects_empty_island () =
+  expect_malformed ~contains:"island 1 is empty"
+    (with_islands (function
+      | [ a; b ] ->
+          [
+            { a with Snapshot.population = a.Snapshot.population @ b.Snapshot.population };
+            { b with Snapshot.population = [] };
+          ]
+      | l -> l));
+  expect_malformed ~contains:"sum to 4" (with_islands (fun l -> l @ List.tl l))
 
 let test_snapshot_malformed () =
   List.iter
@@ -512,10 +534,18 @@ let test_snapshot_malformed () =
       "{";
       "[1,2]";
       "{\"format\": 99}";
-      "{\"format\": 1}";
-      (* islands present but empty: structurally invalid *)
-      "{\"format\": 3, \"population_size\": 2, \"seed\": 1, \"n\": 1, \"generation\": 0, \
-       \"stall\": 0, \"evaluations\": 0, \"best\": [[0]], \"history\": [], \"islands\": []}";
+      "{\"format\": 8}";
+      (* a serve-cache document is not a checkpoint *)
+      "{\"format\": 8, \"kind\": \"serve-cache\", \"entries\": []}";
+      (* no islands at all: structurally invalid *)
+      String.concat ""
+        [
+          "{\"format\": 8, \"kind\": \"checkpoint\", \"population_size\": 0, \"seed\": 1, ";
+          "\"n\": 1, \"generation\": 0, \"stall\": 0, \"evaluations\": 0, ";
+          "\"wall_time_s\": \"0x0p+0\", \"faults\": [0,0,0,0,0,0], \"migration_cursor\": 0, ";
+          "\"group_cache\": [0,0,0], \"plan_cache\": [0,0,0], \"horizontal\": false, ";
+          "\"best\": [[[0]]], \"history\": [], \"islands\": []}";
+        ];
     ]
 
 let test_checkpoint_resume_identical () =
@@ -741,6 +771,91 @@ let test_resume_carries_faults () =
         (resumed.Hgga.stats.Hgga.faults.Objective.injected
          >= snap.Snapshot.faults.Objective.injected))
 
+(* ------------------------------------------------------------------ *)
+(* Parser totality                                                     *)
+
+(* Every parser of bytes from outside the process answers any input with
+   a value or its own module's exception: truncated and byte-mutated
+   copies of five real documents must never escape as anything else. *)
+let fuzz_inputs =
+  lazy
+    (let module Protocol = Kf_serve.Protocol in
+     let module Program_io = Kf_ir.Program_io in
+     let horizontal =
+       {
+         (sample_snapshot ()) with
+         Snapshot.horizontal = true;
+         best = [ [ [ 0; 1 ]; [ 2 ] ]; [ [ 3; 4 ] ] ];
+       }
+     in
+     let cache =
+       [
+         {
+           Snapshot.Cache.key = "0123abcd";
+           verdicts =
+             [
+               ([| 0; 1 |], { Objective.feasible = true; cost = 0.125; orig_sum = 0.5 });
+               ([| 2; 3 |], { Objective.feasible = false; cost = infinity; orig_sum = 0.75 });
+             ];
+           plan =
+             Some
+               { Snapshot.Cache.groups = [ [ 0; 1 ]; [ 2; 3 ] ]; cost = 0.25; fingerprint = "fp|1" };
+         };
+       ]
+     in
+     let request =
+       Kf_obs.Json.to_string
+         (Kf_serve.Client.request ~id:"r" ~program:(Program_io.print (Motivating.program ()))
+            ~options:[ ("generations", Kf_obs.Json.Int 5) ]
+            ())
+     in
+     let accept f s = try ignore (f s) with Snapshot.Malformed _ -> () in
+     [
+       ("vertical checkpoint", Snapshot.render (sample_snapshot ()), accept Snapshot.of_string);
+       ("horizontal checkpoint", Snapshot.render horizontal, accept Snapshot.of_string);
+       ("cache document", Snapshot.Cache.render cache, accept Snapshot.Cache.of_string);
+       ( "request line",
+         request,
+         fun s ->
+           try ignore (Protocol.resolve (Protocol.parse_request s))
+           with Protocol.Bad_request _ -> () );
+       ( ".kf text",
+         Program_io.print (Cloverleaf.program ()),
+         fun s -> try ignore (Program_io.parse s) with Program_io.Parse_error _ -> () );
+     ])
+
+let test_parsers_total_under_truncation () =
+  List.iter
+    (fun (name, text, parse) ->
+      for len = 0 to String.length text - 1 do
+        match parse (String.sub text 0 len) with
+        | () -> ()
+        | exception e ->
+            Alcotest.failf "%s truncated to %d bytes raised %s" name len (Printexc.to_string e)
+      done)
+    (Lazy.force fuzz_inputs)
+
+(* A mutation overwrites one byte with a copy of another byte of the same
+   document: uniformly random bytes mostly break the lexer, while copies
+   keep the text plausible enough to reach the semantic checks. *)
+let prop_parsers_total_under_mutation =
+  let gen = QCheck.Gen.(pair (int_bound 4) (list_size (int_range 1 3) (pair nat nat))) in
+  let mutate text muts =
+    let b = Bytes.of_string text and len = String.length text in
+    List.iter (fun (p, q) -> Bytes.set b (p mod len) text.[q mod len]) muts;
+    Bytes.to_string b
+  in
+  let print (i, muts) =
+    let name, text, _ = List.nth (Lazy.force fuzz_inputs) i in
+    Printf.sprintf "%s mutated to %S" name (mutate text muts)
+  in
+  QCheck.Test.make ~count:3000 ~name:"parsers total under 1-3 byte mutations"
+    (QCheck.make ~print gen)
+    (fun (i, muts) ->
+      let _, text, parse = List.nth (Lazy.force fuzz_inputs) i in
+      parse (mutate text muts);
+      true)
+
 let suite =
   [
     Alcotest.test_case "error classification" `Quick test_classify;
@@ -757,8 +872,17 @@ let suite =
       test_guard_retry_determinism_jitter;
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot atomic save" `Quick test_snapshot_atomic_save;
-    Alcotest.test_case "snapshot v2 compat" `Quick test_snapshot_v2_compat;
+    Alcotest.test_case "snapshot old formats rejected" `Quick test_snapshot_old_formats_rejected;
+    Alcotest.test_case "snapshot rejects bad kernel id" `Quick
+      test_snapshot_rejects_bad_kernel_id;
+    Alcotest.test_case "snapshot rejects missing kernel" `Quick
+      test_snapshot_rejects_missing_kernel;
+    Alcotest.test_case "snapshot rejects empty island" `Quick
+      test_snapshot_rejects_empty_island;
     Alcotest.test_case "snapshot malformed" `Quick test_snapshot_malformed;
+    Alcotest.test_case "parsers total under truncation" `Quick
+      test_parsers_total_under_truncation;
+    QCheck_alcotest.to_alcotest prop_parsers_total_under_mutation;
     Alcotest.test_case "prepare_safe bad input" `Quick test_prepare_safe_bad_input;
     Alcotest.test_case "run_safe under injection" `Slow test_run_safe_under_injection;
     Alcotest.test_case "run_safe acceptance" `Slow test_run_safe_all_modes_mixed;

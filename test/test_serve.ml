@@ -141,13 +141,40 @@ let test_cache_persistence () =
   Cache_store.load t2 path;
   check Alcotest.bool "roundtrip" true
     (Cache_store.find t "deadbeef" = Cache_store.find t2 "deadbeef");
-  (* a search snapshot must not load as a cache document *)
+  (* the [kind] field keeps the two documents apart: neither another
+     kind nor a search checkpoint loads as a cache document, and a cache
+     document does not load as a checkpoint *)
   let not_cache = Filename.temp_file "kfuse_cache" ".json" in
-  let oc = open_out not_cache in
-  output_string oc {|{"format": 5, "kind": "other", "entries": []}|};
-  close_out oc;
-  (match Cache_store.load t2 not_cache with
-  | _ -> Alcotest.fail "loaded a non-cache document"
+  let refused doc =
+    let oc = open_out not_cache in
+    output_string oc doc;
+    close_out oc;
+    match Cache_store.load t2 not_cache with
+    | _ -> Alcotest.failf "loaded a non-cache document: %s" doc
+    | exception Snapshot.Malformed _ -> ()
+  in
+  refused {|{"format": 8, "kind": "other", "entries": []}|};
+  refused
+    (Snapshot.render
+       {
+         Snapshot.population_size = 1;
+         seed = 1;
+         n = 1;
+         generation = 0;
+         stall = 0;
+         evaluations = 0;
+         wall_time_s = 0.;
+         faults = Objective.zero_faults ();
+         migration_cursor = 0;
+         group_cache = { Objective.hits = 0; misses = 0; evictions = 0; size = 0 };
+         plan_cache = { Objective.hits = 0; misses = 0; evictions = 0; size = 0 };
+         horizontal = false;
+         best = [ [ [ 0 ] ] ];
+         history = [];
+         islands = [ { Snapshot.rng_state = 1L; population = [ [ [ [ 0 ] ] ] ] } ];
+       });
+  (match Snapshot.load path with
+  | _ -> Alcotest.fail "loaded a cache document as a checkpoint"
   | exception Snapshot.Malformed _ -> ());
   Sys.remove path;
   Sys.remove not_cache
@@ -503,6 +530,43 @@ let test_warm_restart () =
   check (Alcotest.float 1e-12) "warm cost identical" (cost cold) (cost warm);
   Sys.remove cache_path
 
+let test_corrupt_stored_plan_searches () =
+  (* A stored plan comes from a file the daemon does not trust: one that
+     is not a plan of the request's program must fall through to a real
+     search, never be sent back as a cached answer. *)
+  let cache_path = Filename.temp_file "kfuse_corrupt_plan" ".json" in
+  Sys.remove cache_path;
+  let ask path id =
+    let c = Client.connect_retry path in
+    Client.send c (Client.request ~id ~workload:"motivating" ~options:quick_options ());
+    let _, term = terminal c ~id in
+    Client.close c;
+    term
+  in
+  let cold = with_server ~cache_path (fun _srv path -> ask path "cold") in
+  check Alcotest.string "cold result" "result" (str_field "event" cold);
+  let entries = Snapshot.Cache.load cache_path in
+  check Alcotest.bool "a plan was stored" true
+    (List.exists (fun e -> e.Snapshot.Cache.plan <> None) entries);
+  Snapshot.Cache.save cache_path
+    (List.map
+       (fun e ->
+         {
+           e with
+           Snapshot.Cache.plan =
+             Option.map
+               (fun p -> { p with Snapshot.Cache.groups = [ [ -5; 0; 0 ] ] })
+               e.Snapshot.Cache.plan;
+         })
+       entries);
+  let again = with_server ~cache_path (fun _srv path -> ask path "again") in
+  check Alcotest.string "answered" "result" (str_field "event" again);
+  check Alcotest.bool "searched, not served from the store" true
+    (str_field "stop" again <> "cached");
+  check Alcotest.bool "no cached marker" true
+    (match Json.member "cached" again with Some (Json.Bool true) -> false | _ -> true);
+  Sys.remove cache_path
+
 let test_zero_budget_warm () =
   (* The deadline-ordering bugfix: a request fully answerable from the
      warm store is served even when its deadline already elapsed in the
@@ -606,6 +670,7 @@ let suite =
     ("deadline error while others proceed", `Slow, test_deadline_error);
     ("graceful drain", `Slow, test_drain);
     ("warm restart from persisted cache", `Slow, test_warm_restart);
+    ("corrupt stored plan searches", `Slow, test_corrupt_stored_plan_searches);
     ("zero-budget warm request", `Slow, test_zero_budget_warm);
     ("streaming session", `Slow, test_stream_session);
   ]

@@ -37,7 +37,19 @@ let load_program_file path =
         (Kf_robust.Error.to_string (Kf_robust.Error.classify ~stage:Kf_robust.Error.Io e));
       exit 2
 
-let load_workload = function
+(* Bad command-line input (an unknown workload, device or model, or a
+   malformed workload spec) is a one-line classified error (exit 2) as
+   well. *)
+let invalid_argument msg =
+  Format.eprintf "kfuse: invalid argument: %s@." msg;
+  exit 2
+
+let int_attr kv v =
+  match int_of_string_opt v with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "%S is not an integer" kv)
+
+let parse_workload = function
   | "motivating" -> Kf_workloads.Motivating.program ()
   | "cloverleaf" -> Kf_workloads.Cloverleaf.program ()
   | "tealeaf" -> Kf_workloads.Tealeaf.program ()
@@ -53,10 +65,10 @@ let load_workload = function
         List.fold_left
           (fun (c : V.spec) kv ->
             match String.split_on_char '=' kv with
-            | [ "frames"; v ] -> { c with V.frames = int_of_string v }
-            | [ "stages"; v ] -> { c with V.stages = int_of_string v }
-            | [ "load"; v ] -> { c with V.thread_load = int_of_string v }
-            | [ "seed"; v ] -> { c with V.seed = int_of_string v }
+            | [ "frames"; v ] -> { c with V.frames = int_attr kv v }
+            | [ "stages"; v ] -> { c with V.stages = int_attr kv v }
+            | [ "load"; v ] -> { c with V.thread_load = int_attr kv v }
+            | [ "seed"; v ] -> { c with V.seed = int_attr kv v }
             | _ -> invalid_arg (Printf.sprintf "unknown video attribute %S" kv))
           V.default
           (String.split_on_char ',' spec)
@@ -72,31 +84,37 @@ let load_workload = function
         List.fold_left
           (fun (c : Suite.config) kv ->
             match String.split_on_char '=' kv with
-            | [ "kernels"; v ] -> { c with Suite.kernels = int_of_string v }
-            | [ "arrays"; v ] -> { c with Suite.arrays = int_of_string v }
-            | [ "copies"; v ] -> { c with Suite.data_copies = int_of_string v }
-            | [ "sharing"; v ] -> { c with Suite.sharing_set = int_of_string v }
-            | [ "load"; v ] -> { c with Suite.thread_load = int_of_string v }
-            | [ "kinship"; v ] -> { c with Suite.kinship = int_of_string v }
-            | [ "seed"; v ] -> { c with Suite.seed = int_of_string v }
+            | [ "kernels"; v ] -> { c with Suite.kernels = int_attr kv v }
+            | [ "arrays"; v ] -> { c with Suite.arrays = int_attr kv v }
+            | [ "copies"; v ] -> { c with Suite.data_copies = int_attr kv v }
+            | [ "sharing"; v ] -> { c with Suite.sharing_set = int_attr kv v }
+            | [ "load"; v ] -> { c with Suite.thread_load = int_attr kv v }
+            | [ "kinship"; v ] -> { c with Suite.kinship = int_attr kv v }
+            | [ "seed"; v ] -> { c with Suite.seed = int_attr kv v }
             | _ -> invalid_arg (Printf.sprintf "unknown suite attribute %S" kv))
           Suite.default
           (String.split_on_char ',' spec)
       in
       Suite.generate config
-  | other ->
+  | _ ->
       invalid_arg
         (Printf.sprintf
-           "unknown workload %S (try: %s, suite:kernels=30,..., video:frames=6,..., or a \
-            .kf program file)" other
+           "unknown workload (try: %s, suite:kernels=30,..., video:frames=6,..., or a .kf \
+            program file)"
            (String.concat ", " workload_names))
+
+let load_workload name =
+  match parse_workload name with
+  | p -> p
+  | exception (Invalid_argument msg | Failure msg) ->
+      invalid_argument (Printf.sprintf "workload %S: %s" name msg)
 
 let device_of_name name =
   let name = if String.lowercase_ascii name = "maxwell" then "gtx750ti" else name in
   match Device.of_name name with
   | Some d -> d
   | None ->
-      invalid_arg
+      invalid_argument
         (Printf.sprintf "unknown device %S (%s)" name
            (String.concat ", " (List.map (fun (d : Device.t) -> d.Device.name) Device.extended)))
 
@@ -105,7 +123,7 @@ let model_of_name = function
   | "roofline" -> Objective.Roofline
   | "simple" -> Objective.Simple
   | "mwp" -> Objective.Mwp
-  | other -> invalid_arg (Printf.sprintf "unknown model %S" other)
+  | other -> invalid_argument (Printf.sprintf "unknown model %S (proposed, roofline, simple, mwp)" other)
 
 (* --- common args --- *)
 
@@ -265,9 +283,7 @@ let robust_term =
             (* Raised during term evaluation, before any stage wrapper can
                classify it — turn it into the standard one-line error. *)
             try Kf_robust.Inject.config ~seed:fault_seed rate
-            with Invalid_argument msg ->
-              Format.eprintf "kfuse: invalid argument: %s@." msg;
-              exit 2)
+            with Invalid_argument msg -> invalid_argument msg)
           inject_rate;
     }
   in

@@ -26,33 +26,18 @@ let rec is_sorted_strict : int list -> bool = function
   | a :: (b :: _ as tl) -> a < b && is_sorted_strict tl
   | _ -> true
 
-let canonicalize groups =
-  let sorted =
-    List.map (fun g -> if is_sorted_strict g then g else List.sort_uniq Int.compare g) groups
-  in
-  List.sort (fun a b -> Int.compare (List.hd a) (List.hd b)) sorted
-
-let canonical_groups = canonicalize
+let canonical_group g = if is_sorted_strict g then g else List.sort_uniq Int.compare g
+let by_head a b = Int.compare (List.hd a) (List.hd b)
+let canonical_groups groups = List.sort by_head (List.map canonical_group groups)
 
 (* Canonical form of a pack list: planes sorted within a pack by head,
-   packs sorted by the head of their first plane.  Mirrors [canonicalize]
-   one level up, so an all-singleton composition canonicalizes to exactly
-   the canonical group order. *)
-let canonicalize_comps comps =
-  let packs =
-    List.map
-      (fun pack ->
-        let planes =
-          List.map
-            (fun g -> if is_sorted_strict g then g else List.sort_uniq Int.compare g)
-            pack
-        in
-        List.sort (fun a b -> Int.compare (List.hd a) (List.hd b)) planes)
-      comps
-  in
-  List.sort (fun a b -> Int.compare (List.hd (List.hd a)) (List.hd (List.hd b))) packs
-
-let canonical_comps = canonicalize_comps
+   packs sorted by the head of their first plane.  Mirrors
+   [canonical_groups] one level up, so an all-singleton composition
+   canonicalizes to exactly the canonical group order. *)
+let canonical_comps comps =
+  List.sort
+    (fun a b -> by_head (List.hd a) (List.hd b))
+    (List.map canonical_groups comps)
 
 let mode pack =
   match pack with
@@ -64,11 +49,10 @@ let mode pack =
    canonical order, [-1] between groups.  Kernel ids are non-negative, so
    the separator is unambiguous and two plans share a signature exactly
    when they are equal as partitions. *)
-let group_signature group =
-  Array.of_list (if is_sorted_strict group then group else List.sort_uniq Int.compare group)
+let group_signature group = Array.of_list (canonical_group group)
 
 let plan_signature groups =
-  let canon = canonicalize groups in
+  let canon = canonical_groups groups in
   let len =
     List.fold_left (fun acc g -> acc + List.length g + 1) 0 canon
   in
@@ -98,25 +82,29 @@ let group_hash group = signature_hash (group_signature group)
 
 (* Arena-backed signature encoding.  The search evaluates tens of
    thousands of offspring per second; building a fresh [plan_signature]
-   array (plus the canonicalized group list feeding it) for every cache
+   array (plus the canonicalized pack list feeding it) for every cache
    probe is pure GC pressure on the hottest path.  A [Sigbuf.t] is a
    per-domain scratch buffer the probe encodes into: the encoded ints
    live in one growable array that is reused across probes, the hash is
    computed over the prefix in place, and an owned copy is extracted
-   only on a cache miss (when the key must outlive the probe).  The
-   encodings are bit-identical to {!group_signature} /
-   {!plan_signature}, so arena-encoded keys interoperate with signature
-   arrays persisted in snapshots. *)
+   only on a cache miss (when the key must outlive the probe).
+
+   Plans are launch packs.  A plan encodes its packs in canonical order
+   separated by [-1], the planes of one pack separated by [-3].  A
+   single-plane pack therefore encodes exactly as its group, and a plan
+   of single-plane packs exactly as {!plan_signature} of its groups, so
+   arena-encoded keys interoperate with signature arrays persisted in
+   snapshots; multi-plane keys live in a disjoint keyspace. *)
 module Sigbuf = struct
   type t = {
     mutable buf : int array;  (* encoded signature prefix, [0, len) *)
     mutable len : int;
-    mutable gs : int list array;  (* canonical groups of the last
-                                     [encode_plan], sorted by head *)
-    mutable n_gs : int;
+    mutable packs : int list list array;  (* canonical packs of the last
+                                             [encode_plan], sorted by head *)
+    mutable n_packs : int;
   }
 
-  let create () = { buf = Array.make 64 0; len = 0; gs = Array.make 16 []; n_gs = 0 }
+  let create () = { buf = Array.make 64 0; len = 0; packs = Array.make 16 []; n_packs = 0 }
 
   let ensure t n =
     let cap = Array.length t.buf in
@@ -135,84 +123,73 @@ module Sigbuf = struct
     t.buf.(t.len) <- x;
     t.len <- t.len + 1
 
-  let canon_group g = if is_sorted_strict g then g else List.sort_uniq Int.compare g
+  (* Recursive loops rather than [List.iter (push t)], whose partial
+     application would allocate a closure per call. *)
+  let rec push_members t = function
+    | [] -> ()
+    | k :: tl ->
+        push t k;
+        push_members t tl
+
+  let rec push_planes t = function
+    | [] -> ()
+    | [ g ] -> push_members t g
+    | g :: tl ->
+        push_members t g;
+        push t (-3);
+        push_planes t tl
+
+  (* Whether a pack is already canonical: every plane strictly sorted and
+     planes strictly increasing by head.  Canonical packs are reused
+     as-is, which is what keeps a re-encoded plan allocation-free. *)
+  let rec canonical_pack_p = function
+    | [] -> true
+    | [ g ] -> is_sorted_strict g
+    | g :: (g' :: _ as tl) -> is_sorted_strict g && List.hd g < List.hd g' && canonical_pack_p tl
+
+  let canonical_pack p = if canonical_pack_p p then p else canonical_groups p
 
   let encode_group t group =
     t.len <- 0;
-    List.iter (push t) (canon_group group)
+    push_members t (canonical_group group)
 
-  let encode_groups_exact t groups =
-    t.len <- 0;
-    List.iteri
-      (fun gi g ->
-        if gi > 0 then push t (-1);
-        List.iter (push t) g)
-      groups
+  let encode_pack t planes =
+    match planes with
+    | [] | [ _ ] -> invalid_arg "Plan.Sigbuf.encode_pack: a pack key needs two planes"
+    | _ ->
+        t.len <- 0;
+        push_planes t (canonical_pack planes)
 
-  let encode_plan t groups =
-    t.len <- 0;
-    t.n_gs <- 0;
-    List.iter
-      (fun g ->
-        let g = canon_group g in
-        if t.n_gs >= Array.length t.gs then begin
-          let gs = Array.make (2 * Array.length t.gs) [] in
-          Array.blit t.gs 0 gs 0 t.n_gs;
-          t.gs <- gs
+  (* Insertion sort by the head of each pack's first plane.  Strict [>]
+     keeps equal heads in input order, matching the stable [List.sort] of
+     [canonical_comps] (heads are unique in disjoint plans anyway). *)
+  let rec insert_packs t = function
+    | [] -> ()
+    | p :: tl ->
+        let p = canonical_pack p in
+        if t.n_packs >= Array.length t.packs then begin
+          let packs = Array.make (2 * Array.length t.packs) [] in
+          Array.blit t.packs 0 packs 0 t.n_packs;
+          t.packs <- packs
         end;
-        (* Insertion sort by head.  Strict [>] keeps equal heads in
-           input order, matching the stable [List.sort] of
-           [canonicalize] (heads are unique in disjoint partitions
-           anyway). *)
-        let h = List.hd g in
-        let i = ref t.n_gs in
-        while !i > 0 && List.hd t.gs.(!i - 1) > h do
-          t.gs.(!i) <- t.gs.(!i - 1);
+        let h = List.hd (List.hd p) in
+        let i = ref t.n_packs in
+        while !i > 0 && List.hd (List.hd t.packs.(!i - 1)) > h do
+          t.packs.(!i) <- t.packs.(!i - 1);
           decr i
         done;
-        t.gs.(!i) <- g;
-        t.n_gs <- t.n_gs + 1)
-      groups;
-    for gi = 0 to t.n_gs - 1 do
-      if gi > 0 then push t (-1);
-      List.iter (push t) t.gs.(gi)
+        t.packs.(!i) <- p;
+        t.n_packs <- t.n_packs + 1;
+        insert_packs t tl
+
+  let encode_plan t packs =
+    t.len <- 0;
+    t.n_packs <- 0;
+    insert_packs t packs;
+    for i = 0 to t.n_packs - 1 do
+      if i > 0 then push t (-1);
+      push_planes t t.packs.(i)
     done
-
-  (* Pack encodings: [-3] separates the planes of one pack, [-1] (as in
-     plans) separates packs.  A single-plane pack encodes byte-identically
-     to [encode_group] of its group, and an all-singleton composition
-     encodes byte-identically to [encode_plan] of the underlying groups —
-     so pack keys share cache entries with the vertical keys they
-     coincide with, and multi-plane keys live in a disjoint keyspace. *)
-  let encode_cgroup t pack =
-    t.len <- 0;
-    match pack with
-    | [ g ] -> List.iter (push t) (canon_group g)
-    | planes ->
-        let planes =
-          List.sort
-            (fun a b -> Int.compare (List.hd a) (List.hd b))
-            (List.map canon_group planes)
-        in
-        List.iteri
-          (fun i g ->
-            if i > 0 then push t (-3);
-            List.iter (push t) g)
-          planes
-
-  let encode_cplan t comps =
-    let comps = canonicalize_comps comps in
-    t.len <- 0;
-    List.iteri
-      (fun ci pack ->
-        if ci > 0 then push t (-1);
-        List.iteri
-          (fun pi g ->
-            if pi > 0 then push t (-3);
-            List.iter (push t) g)
-          pack)
-      comps;
-    comps
 
   let length t = t.len
   let unsafe_buf t = t.buf
@@ -228,13 +205,13 @@ module Sigbuf = struct
   let extract t = Array.sub t.buf 0 t.len
 
   let canonical t =
-    let rec build i acc = if i < 0 then acc else build (i - 1) (t.gs.(i) :: acc) in
-    build (t.n_gs - 1) []
+    let rec build i acc = if i < 0 then acc else build (i - 1) (t.packs.(i) :: acc) in
+    build (t.n_packs - 1) []
 end
 
 let of_groups ~n groups =
   if List.exists (( = ) []) groups then invalid_arg "Plan.of_groups: empty group";
-  let canon = canonicalize groups in
+  let canon = canonical_groups groups in
   let seen = Array.make n false in
   List.iter
     (fun g ->
@@ -261,7 +238,7 @@ let of_composed ~n comps =
   if List.exists (( = ) []) comps then invalid_arg "Plan.of_composed: empty pack";
   if List.exists (List.exists (( = ) [])) comps then
     invalid_arg "Plan.of_composed: empty plane";
-  let ccomps = canonicalize_comps comps in
+  let ccomps = canonical_comps comps in
   let base = of_groups ~n (List.concat ccomps) in
   { base with comps = ccomps }
 

@@ -112,6 +112,10 @@ val is_sorted_strict : int list -> bool
 (** Whether the list is strictly increasing (sorted, duplicate-free) —
     the precondition under which canonicalization can reuse it as-is. *)
 
+val canonical_group : int list -> int list
+(** Members sorted ascending and deduplicated; an already strictly
+    sorted group is returned as-is. *)
+
 val canonical_groups : int list list -> int list list
 (** Canonical form of a raw partition: members sorted ascending within
     each group, groups ordered by smallest member.  Permutations of the
@@ -152,9 +156,15 @@ val group_hash : int list -> int
     it geometrically, so steady state allocates nothing), {!Sigbuf.hash}
     folds the same polynomial as {!signature_hash} over the prefix, and
     {!Sigbuf.extract} copies the prefix out only when the key must
-    outlive the probe (a cache miss).  Encodings are bit-identical to
-    {!group_signature} / {!plan_signature}, so extracted keys
-    interoperate with signature arrays persisted in snapshots.
+    outlive the probe (a cache miss).
+
+    A plan is a list of launch packs.  Its encoding lists the canonical
+    packs ({!canonical_comps}) separated by [-1], the planes of a pack
+    separated by [-3].  A plan of single-plane packs therefore encodes
+    byte-identically to {!plan_signature} of its groups, and a
+    single-plane pack's key is its group's {!group_signature}: vertical
+    keys interoperate with signature arrays persisted in snapshots, and
+    multi-plane keys live in a disjoint keyspace.
 
     Not thread-safe: one [Sigbuf.t] per domain.  The buffer contents are
     invalidated by the next [encode_*] call. *)
@@ -163,29 +173,25 @@ module Sigbuf : sig
 
   val create : unit -> t
 
+  val encode_plan : t -> int list list list -> unit
+  (** Encode a plan's canonical signature and keep its canonical packs
+      for {!canonical}.  Packs that are already canonical are reused,
+      so encoding a canonical plan allocates nothing once the buffers
+      have grown to size. *)
+
+  val canonical : t -> int list list list
+  (** The canonical packs captured by the last {!encode_plan} (rebuilt
+      from scratch space; allocates the spine only). *)
+
   val encode_group : t -> int list -> unit
-  (** Encode one group's canonical signature ({!group_signature}). *)
+  (** Encode one group's key ({!group_signature}) — the verdict-cache
+      key of a group and of a single-plane pack. *)
 
-  val encode_plan : t -> int list list -> unit
-  (** Encode the canonical whole-plan signature ({!plan_signature}),
-      canonicalizing in scratch space without building the intermediate
-      group list. *)
-
-  val encode_groups_exact : t -> int list list -> unit
-  (** Encode groups in the given order without canonicalizing
-      ([-1]-separated). *)
-
-  val encode_cgroup : t -> int list list -> unit
-  (** Encode one pack's canonical signature: plane signatures joined by
-      [-3].  A single-plane pack encodes byte-identically to
-      {!encode_group} of its group, so the two share cache entries;
-      multi-plane keys live in a disjoint keyspace. *)
-
-  val encode_cplan : t -> int list list list -> int list list list
-  (** Encode the canonical whole-composition signature (packs joined by
-      [-1], planes within a pack by [-3]) and return the canonical pack
-      list.  An all-singleton composition encodes byte-identically to
-      {!encode_plan} of the underlying groups. *)
+  val encode_pack : t -> int list list -> unit
+  (** Encode one multi-plane pack's key: its canonical plane signatures
+      joined by [-3].
+      @raise Invalid_argument on a pack of fewer than two planes (those
+      key by their group, {!encode_group}). *)
 
   val length : t -> int
 
@@ -199,10 +205,6 @@ module Sigbuf : sig
 
   val extract : t -> int array
   (** Owned copy of the encoded prefix. *)
-
-  val canonical : t -> int list list
-  (** The canonical group list captured by the last {!encode_plan}
-      (rebuilt from scratch space; allocates the spine only). *)
 end
 
 val equal : t -> t -> bool

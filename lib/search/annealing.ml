@@ -70,7 +70,7 @@ let solve ?(params = default_params) obj =
     end;
     temperature := !temperature *. params.cooling
   done;
-  let final = Grouping.enforce_profitability obj (Grouping.normalize !best) in
+  let final = Grouping.enforce_profitability obj (Kf_fusion.Plan.canonical_groups !best) in
   {
     groups = final;
     plan = Kf_fusion.Plan.of_groups ~n final;

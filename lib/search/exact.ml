@@ -117,7 +117,7 @@ let solve ?(max_group_size = 8) obj =
       | _ -> invalid_arg "Exact.solve: reconstruction failed"
     end
   in
-  let groups = Grouping.normalize (rebuild 0 []) in
+  let groups = Kf_fusion.Plan.canonical_groups (rebuild 0 []) in
   {
     groups;
     plan = Kf_fusion.Plan.of_groups ~n groups;

@@ -41,7 +41,7 @@ let solve obj =
         improved := true
     | None -> ()
   done;
-  let final = Grouping.enforce_profitability obj (Grouping.normalize !groups) in
+  let final = Grouping.enforce_profitability obj (Kf_fusion.Plan.canonical_groups !groups) in
   {
     groups = final;
     plan = Kf_fusion.Plan.of_groups ~n final;

@@ -7,15 +7,6 @@ module Dag = Kf_graph.Dag
 
 type groups = int list list
 
-(* Int-specialized, and already-sorted member lists (the common case by
-   far: bitset extractions, previously normalized plans) are reused
-   rather than re-sorted. *)
-let normalize groups =
-  List.map
-    (fun g -> if Kf_fusion.Plan.is_sorted_strict g then g else List.sort Int.compare g)
-    groups
-  |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
-
 let exec_of obj = (Objective.inputs obj).Inputs.exec
 let meta_of obj = (Objective.inputs obj).Inputs.meta
 
@@ -418,7 +409,7 @@ let random_plan obj rng ?merge_attempts n =
           | None -> ())
     end
   done;
-  normalize (Partition.to_groups st)
+  Kf_fusion.Plan.canonical_groups (Partition.to_groups st)
 
 let dissolve groups g =
   let found = ref false in
@@ -536,10 +527,10 @@ let local_refine ?(max_passes = 3) obj groups =
     (* The quadratic swap neighborhood only pays on small instances. *)
     if n <= 48 then improved := swap_pass obj current || !improved
   done;
-  normalize !current
+  Kf_fusion.Plan.canonical_groups !current
 
 let enforce_profitability obj groups =
-  normalize
+  Kf_fusion.Plan.canonical_groups
     (List.concat_map
        (fun g ->
          if List.length g >= 2 && not (Objective.group_profitable obj g) then

@@ -100,10 +100,6 @@ val eject : Objective.t -> groups -> int -> groups option
     remainder is still feasible; [None] otherwise (or if [k] is already a
     singleton). *)
 
-val normalize : groups -> groups
-(** Canonical form: members sorted within groups, groups sorted by first
-    member. *)
-
 val schedulable : Objective.t -> groups -> bool
 (** Whether the condensed (per-group) dependency graph is acyclic — the
     whole-plan constraint that per-group convexity (paper Eq. 1.3) does

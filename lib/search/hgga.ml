@@ -4,7 +4,8 @@ module Inputs = Kf_model.Inputs
 module Program = Kf_ir.Program
 module Sig_tbl = Struct_memo.Sig_tbl
 module Partition = Grouping.Partition
-module Sigbuf = Kf_fusion.Plan.Sigbuf
+module Plan = Kf_fusion.Plan
+module Sigbuf = Plan.Sigbuf
 
 type params = {
   population_size : int;
@@ -38,7 +39,8 @@ let default_params =
     migration_size = 2;
     (* Off by default: every committed baseline (bench gates, snapshots,
        byte-diff CI jobs) was recorded over the vertical-only space, and
-       [horizontal = false] takes exactly the historical code paths. *)
+       [horizontal = false] reproduces it bit-for-bit: the same
+       evaluator, over single-plane packs. *)
     horizontal = false;
   }
 
@@ -104,49 +106,38 @@ type stats = {
 
 type result = {
   groups : Grouping.groups;
-  plan : Kf_fusion.Plan.t;
+  plan : Plan.t;
   cost : float;
   stats : stats;
 }
 
-(* [eval] carries the individual's whole-plan evaluation; offspring pass
-   it as the delta base so unchanged groups skip the shared cache.
-   [packs] is the launch composition in horizontal mode ([None] in
-   vertical-only mode, where only [groups] exists). *)
+(* An individual is its launch packs, their flattening into the
+   vertical partition, and its whole-plan evaluation; offspring pass
+   [eval] as the delta base so unchanged packs skip the shared cache.  A
+   vertical search carries single-plane packs in the order its operators
+   produced them: [mutate] picks groups by list position, so that order
+   is part of the random stream.  Only the horizontal search hands
+   canonical packs to [make_individual]. *)
 type individual = {
-  groups : Grouping.groups;
+  packs : int list list list;
+  groups : Grouping.groups;  (* [List.concat packs] *)
   cost : float;
   eval : Objective.plan_eval;
-  packs : int list list list option;
 }
 
-let make_individual ?base obj groups =
-  let pe = Objective.eval_plan obj ?base groups in
-  { groups; cost = Objective.plan_eval_total pe; eval = pe; packs = None }
-
-(* Horizontal-mode individual: every group wrapped in its launch pack.
-   Costs flow through the composition evaluator; all-singleton
-   compositions share cache entries (and bit-identical totals) with the
-   vertical path. *)
-let make_individual_c ?base obj packs =
-  let packs = Kf_fusion.Plan.canonical_comps packs in
-  let pe = Objective.eval_cplan obj ?base packs in
-  { groups = List.concat packs; cost = Objective.plan_eval_total pe; eval = pe;
-    packs = Some packs }
+let make_individual ?base obj packs =
+  let pe = Objective.eval_plan obj ?base packs in
+  { packs; groups = List.concat packs; cost = Objective.plan_eval_total pe; eval = pe }
 
 let vpacks groups = List.map (fun g -> [ g ]) groups
 
-let packs_of ind = match ind.packs with Some c -> c | None -> vpacks ind.groups
-
-(* A checkpointed individual takes the evaluator that built it: a
-   vertical search stores single-plane packs and resumes through
-   [make_individual], so both modes resume bit-identically. *)
+(* A checkpointed individual is canonicalized exactly when the search
+   that wrote it canonicalized its individuals, so both modes resume
+   bit-identically. *)
 let resumed_individual obj (snap : Snapshot.t) packs =
-  if snap.Snapshot.horizontal then make_individual_c obj packs
-  else make_individual obj (List.concat packs)
+  make_individual obj (if snap.Snapshot.horizontal then Plan.canonical_comps packs else packs)
 
-let tournament obj rng pop size =
-  ignore obj;
+let tournament rng pop size =
   let best = ref (Rng.choose rng pop) in
   for _ = 2 to size do
     let challenger = Rng.choose rng pop in
@@ -214,7 +205,7 @@ let crossover obj rng (a : individual) (b : individual) =
       (* The injected groups can form condensation cycles with the
          receiver's surviving groups; restore schedulability. *)
       Partition.repair st;
-      Grouping.normalize (Partition.to_groups st)
+      Plan.canonical_groups (Partition.to_groups st)
 
 let mutate obj rng groups =
   let multi = List.filter (fun g -> List.length g >= 2) groups in
@@ -242,16 +233,13 @@ let mutate obj rng groups =
 
 (* ---- horizontal-mode operators ------------------------------------------ *)
 
-let canon_g g =
-  if Kf_fusion.Plan.is_sorted_strict g then g else List.sort_uniq Int.compare g
-
 (* Pack-level schedulability: packs are launches, so the condensation
    over the flattened packs must be acyclic (for all-singleton packs this
    is exactly plan schedulability). *)
-let cplan_schedulable obj packs = Grouping.schedulable obj (List.map List.concat packs)
+let packs_schedulable obj packs = Grouping.schedulable obj (List.map List.concat packs)
 
 let packs_independent obj a b =
-  Kf_fusion.Plan.planes_independent
+  Plan.planes_independent
     ~exec:(Objective.inputs obj).Inputs.exec
     (a @ b)
 
@@ -263,9 +251,9 @@ let packs_independent obj a b =
    refinement is not cycle-safe in general. *)
 let reattach obj packs groups' =
   let present = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace present (canon_g g) true) groups';
+  List.iter (fun g -> Hashtbl.replace present (Plan.canonical_group g) true) groups';
   let claim g =
-    let cg = canon_g g in
+    let cg = Plan.canonical_group g in
     match Hashtbl.find_opt present cg with
     | Some true ->
         Hashtbl.replace present cg false;
@@ -279,20 +267,20 @@ let reattach obj packs groups' =
         if List.length survivors >= 2 then Some survivors
         else begin
           (* Return lone survivors to the singleton pool. *)
-          List.iter (fun g -> Hashtbl.replace present (canon_g g) true) survivors;
+          List.iter (fun g -> Hashtbl.replace present (Plan.canonical_group g) true) survivors;
           None
         end)
       packs
   in
-  let singles = List.filter (fun g -> Hashtbl.find present (canon_g g)) groups' in
+  let singles = List.filter (fun g -> Hashtbl.find present (Plan.canonical_group g)) groups' in
   let out = kept @ vpacks singles in
-  if kept = [] || cplan_schedulable obj out then out else vpacks groups'
+  if kept = [] || packs_schedulable obj out then out else vpacks groups'
 
 (* Crossover children inherit packs from both parents: any pack whose
    member groups all survived the crossover intact is kept, the
    receiving parent's packs claiming first (deterministically). *)
 let inherit_packs obj (a : individual) (b : individual) groups' =
-  reattach obj (packs_of a @ packs_of b) groups'
+  reattach obj (a.packs @ b.packs) groups'
 
 (* Horizontal-mode mutation: the vertical operators lifted through the
    flat partition, plus the pack-level moves that actually explore the
@@ -318,7 +306,7 @@ let mutate_c obj rng packs =
       | _ ->
           let b = Rng.choose rng (Array.of_list candidates) in
           let out = (a @ b) :: List.filter (fun c -> c != a && c != b) packs in
-          if cplan_schedulable obj out then out else packs
+          if packs_schedulable obj out then out else packs
     end
   | `Hflip ->
       let victim = Rng.choose rng (Array.of_list multi) in
@@ -335,7 +323,7 @@ let mutate_c obj rng packs =
           let out =
             rest_pack :: List.map (fun c -> if c == home then plane :: c else c) others
           in
-          if cplan_schedulable obj out then out else packs
+          if packs_schedulable obj out then out else packs
     end
 
 (* Comp-aware profitability cleanup for the final answer: a multi-plane
@@ -349,12 +337,12 @@ let enforce_profitability_c obj packs =
         match c with
         | [ g ] -> (hs, g :: vs)
         | planes ->
-            if Objective.comp_profitable obj planes then (planes :: hs, vs)
+            if Objective.pack_profitable obj planes then (planes :: hs, vs)
             else (hs, List.rev_append planes vs))
       ([], []) packs
   in
   let vgroups = Grouping.enforce_profitability obj (List.rev vgroups) in
-  Kf_fusion.Plan.canonical_comps (List.rev hkeep @ vpacks vgroups)
+  Plan.canonical_comps (List.rev hkeep @ vpacks vgroups)
 
 (* One island: a population shard evolving on its own generator.  A
    generation step reads and writes only island-local state (plus the
@@ -400,39 +388,30 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
      sequential splits. *)
   let child_rngs = Rng.split_n st.irng n_children in
   let snapshot = st.ipop in
+  (* The one fork between the modes: each draws its own random
+     numbers, through its own mutation operator and, after crossover,
+     pack inheritance. *)
+  let mutate_packs rng packs =
+    if params.horizontal then mutate_c obj rng packs
+    else vpacks (mutate obj rng (List.concat packs))
+  in
   (* A child also reports its delta base: the receiving parent's plan
      evaluation.  Crossover and mutation touch one or two groups, so the
      child's evaluation resolves everything else from the base table. *)
   let build_child idx =
     let crng = child_rngs.(idx) in
-    if idx >= n_children - fresh then begin
-      let g = Grouping.random_plan obj crng n in
-      ((g, (if params.horizontal then Some (vpacks g) else None)), None)
-    end
+    if idx >= n_children - fresh then (vpacks (Grouping.random_plan obj crng n), None)
     else begin
-      let p1 = tournament obj crng snapshot params.tournament_size in
-      let p2 = tournament obj crng snapshot params.tournament_size in
-      if params.horizontal then begin
-        (* Same draw schedule as the vertical branch (tournaments,
-           crossover coin, mutation coin), with pack inheritance after
-           crossover and the comp-aware mutation. *)
-        let cp =
-          if Rng.chance crng params.crossover_rate then
-            let g = crossover obj crng p1 p2 in
-            inherit_packs obj p1 p2 g
-          else packs_of p1
-        in
-        let cp = if Rng.chance crng params.mutation_rate then mutate_c obj crng cp else cp in
-        ((List.concat cp, Some cp), Some p1.eval)
-      end
-      else begin
-        let g =
-          if Rng.chance crng params.crossover_rate then crossover obj crng p1 p2
-          else p1.groups
-        in
-        let g = if Rng.chance crng params.mutation_rate then mutate obj crng g else g in
-        ((g, None), Some p1.eval)
-      end
+      let p1 = tournament crng snapshot params.tournament_size in
+      let p2 = tournament crng snapshot params.tournament_size in
+      let cp =
+        if Rng.chance crng params.crossover_rate then
+          let g = crossover obj crng p1 p2 in
+          if params.horizontal then inherit_packs obj p1 p2 g else vpacks g
+        else p1.packs
+      in
+      let cp = if Rng.chance crng params.mutation_rate then mutate_packs crng cp else cp in
+      (cp, Some p1.eval)
     end
   in
   let raw_children =
@@ -441,25 +420,28 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
         (* Work-stealing fan-out: each child index is an independent task
            with its own pre-split RNG, so any task-to-domain assignment
            builds the same children. *)
-        let out = Array.make n_children (([], None), None) in
+        let out = Array.make n_children ([], None) in
         Pool.run pool ~tasks:n_children (fun i -> out.(i) <- build_child i);
         out
     | _ -> Array.init n_children build_child
   in
   (* Duplicate suppression (sequential in both modes, so results match):
      a population of champion clones stops searching — crossover of
-     identical parents is the identity. *)
+     identical parents is the identity.  The key is the whole plan
+     signature, so in a horizontal search two plans equal as partitions
+     but packed differently both survive — they are different points of
+     the enlarged space. *)
   Sig_tbl.clear st.dedup;
-  let seen_mem g =
-    Sigbuf.encode_plan st.dsb g;
+  let seen_mem packs =
+    Sigbuf.encode_plan st.dsb packs;
     Sig_tbl.mem_pre st.dedup ~buf:(Sigbuf.unsafe_buf st.dsb) ~len:(Sigbuf.length st.dsb)
       ~hash:(Sigbuf.hash st.dsb)
   in
   (* [seen_add] encodes again rather than reusing [seen_mem]'s encoding:
      the callers below interleave membership tests of other plans (and
      evaluations, which use the domain's own arena) between the two. *)
-  let seen_add g =
-    Sigbuf.encode_plan st.dsb g;
+  let seen_add packs =
+    Sigbuf.encode_plan st.dsb packs;
     let hash = Sigbuf.hash st.dsb in
     if
       not
@@ -467,51 +449,19 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
            ~len:(Sigbuf.length st.dsb) ~hash)
     then Sig_tbl.add st.dedup (Sigbuf.extract st.dsb) ~hash ()
   in
-  (* Horizontal-mode dedup keys on the whole composition ([-3]-separated
-     plane signatures), so two plans equal as partitions but packed
-     differently both survive — they are different points of the
-     enlarged space. *)
-  let seen_mem_c cp =
-    ignore (Sigbuf.encode_cplan st.dsb cp : int list list list);
-    Sig_tbl.mem_pre st.dedup ~buf:(Sigbuf.unsafe_buf st.dsb) ~len:(Sigbuf.length st.dsb)
-      ~hash:(Sigbuf.hash st.dsb)
-  in
-  let seen_add_c cp =
-    ignore (Sigbuf.encode_cplan st.dsb cp : int list list list);
-    let hash = Sigbuf.hash st.dsb in
-    if
-      not
-        (Sig_tbl.mem_pre st.dedup ~buf:(Sigbuf.unsafe_buf st.dsb)
-           ~len:(Sigbuf.length st.dsb) ~hash)
-    then Sig_tbl.add st.dedup (Sigbuf.extract st.dsb) ~hash ()
-  in
-  List.iter
-    (fun ind ->
-      if params.horizontal then seen_add_c (packs_of ind) else seen_add ind.groups)
-    elites;
+  List.iter (fun ind -> seen_add ind.packs) elites;
   let next = ref elites in
   Array.iteri
-    (fun idx ((child, cpacks), base) ->
+    (fun idx (child, base) ->
       let crng = child_rngs.(idx) in
-      if params.horizontal then begin
-        let cp0 = match cpacks with Some c -> c | None -> vpacks child in
-        let rec unique attempts cp =
-          if (not (seen_mem_c cp)) || attempts = 0 then cp
-          else unique (attempts - 1) (mutate_c obj crng cp)
-        in
-        let cp = unique 3 cp0 in
-        seen_add_c cp;
-        next := make_individual_c ?base obj cp :: !next
-      end
-      else begin
-        let rec unique attempts g =
-          if (not (seen_mem g)) || attempts = 0 then g
-          else unique (attempts - 1) (mutate obj crng g)
-        in
-        let child = unique 3 child in
-        seen_add child;
-        next := make_individual ?base obj child :: !next
-      end)
+      let rec unique attempts cp =
+        if (not (seen_mem cp)) || attempts = 0 then cp
+        else unique (attempts - 1) (mutate_packs crng cp)
+      in
+      let cp = unique 3 child in
+      seen_add cp;
+      let cp = if params.horizontal then Plan.canonical_comps cp else cp in
+      next := make_individual ?base obj cp :: !next)
     raw_children;
   st.ipop <- Array.of_list !next;
   let gen_best =
@@ -523,17 +473,14 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
      by kernel relocation and feed the refinement back into the island.
      On large instances the full neighborhood is too expensive per
      generation; a single final pass runs after the loop instead. *)
-  let champion_has_multi =
-    match gen_best.packs with
-    | Some cp -> List.exists (fun pack -> List.length pack > 1) cp
-    | None -> false
-  in
+  let champion_has_multi = List.exists (fun pack -> List.length pack > 1) gen_best.packs in
   if n <= 64 && gen_best.cost < incumbent_cost -. 1e-15 && not champion_has_multi then begin
     (* Kernel relocation explores the vertical partition only; a champion
        with genuine horizontal packs is left as the operators built it
        (relocation would silently discard its composition). *)
     let refined =
-      make_individual ~base:gen_best.eval obj (Grouping.local_refine obj gen_best.groups)
+      make_individual ~base:gen_best.eval obj
+        (vpacks (Grouping.local_refine obj gen_best.groups))
     in
     if refined.cost < gen_best.cost then begin
       st.ipop.(0) <- refined;
@@ -601,6 +548,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
     (params.population_size / k_islands)
     + if i < params.population_size mod k_islands then 1 else 0
   in
+  let evaluations_before = Objective.evaluations obj in
   let islands, resumed =
     match resume_from with
     | None ->
@@ -645,15 +593,16 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
           let size = island_size i in
           let n_seeds = min (Array.length seeds) (size - 1) in
           let irng = Rng.split master in
-          let ipop = Array.make size (make_individual obj identity) in
+          let ipop = Array.make size (make_individual obj (vpacks identity)) in
           for j = 0 to size - 1 do
             let idx = !g_idx in
             incr g_idx;
-            if j < n_seeds then ipop.(j) <- make_individual obj seeds.(j)
+            if j < n_seeds then ipop.(j) <- make_individual obj (vpacks seeds.(j))
             else if not (i = 0 && j = n_seeds) then begin
               let attempts = n + (idx * n / params.population_size) in
               ipop.(j) <-
-                make_individual obj (Grouping.random_plan obj irng ~merge_attempts:attempts n)
+                make_individual obj
+                  (vpacks (Grouping.random_plan obj irng ~merge_attempts:attempts n))
             end
           done;
           islands.(i) <-
@@ -708,21 +657,11 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
         in
         (islands, Some snap)
   in
-  (* Budgets and reported stats span the whole logical run: seed the
-     objective's counters with the work already spent before the snapshot
-     (the pre-resume evaluations and faults), and carry the accumulated
-     wall time so `--budget-wall 60` means 60 seconds total, not 60
-     seconds per resume. *)
+  (* Carry the accumulated wall time so `--budget-wall 60` means 60
+     seconds total, not 60 seconds per resume. *)
   let base_wall =
     match resumed with Some snap -> snap.Snapshot.wall_time_s | None -> 0.
   in
-  (match resumed with
-  | Some snap ->
-      Objective.add_evaluations obj snap.Snapshot.evaluations;
-      Objective.add_faults obj snap.Snapshot.faults;
-      Objective.add_cache_stats obj ~group:snap.Snapshot.group_cache
-        ~plan:snap.Snapshot.plan_cache
-  | None -> ());
   let wall_now () = base_wall +. (Unix.gettimeofday () -. start) in
   let all_individuals () = Array.concat (Array.to_list (Array.map (fun st -> st.ipop) islands)) in
   let best =
@@ -764,7 +703,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
             group_cache = Objective.cache_stats obj;
             plan_cache = Objective.plan_cache_stats obj;
             horizontal = params.horizontal;
-            best = packs_of !best;
+            best = !best.packs;
             history = List.rev !history;
             islands =
               Array.to_list
@@ -772,7 +711,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
                    (fun st ->
                      {
                        Snapshot.rng_state = Rng.state st.irng;
-                       population = Array.to_list (Array.map packs_of st.ipop);
+                       population = Array.to_list (Array.map (fun ind -> ind.packs) st.ipop);
                      })
                    islands);
           };
@@ -804,6 +743,20 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
      into the shared base so generation 1's workers start from a warm
      read-only table and the evaluation counter is exact. *)
   Objective.merge_locals obj;
+  (* Budgets and reported stats span the whole logical run: seed the
+     objective's counters with the work spent before the snapshot (its
+     evaluations and faults).  Re-costing the checkpointed individuals
+     repeats evaluations the snapshot already counts, so only the
+     remainder is seeded: a resume that runs no generation reports the
+     snapshot's count. *)
+  (match resumed with
+  | Some snap ->
+      let recost = Objective.evaluations obj - evaluations_before in
+      Objective.add_evaluations obj (max 0 (snap.Snapshot.evaluations - recost));
+      Objective.add_faults obj snap.Snapshot.faults;
+      Objective.add_cache_stats obj ~group:snap.Snapshot.group_cache
+        ~plan:snap.Snapshot.plan_cache
+  | None -> ());
   let stop = ref None in
   (* One persistent pool for the whole run: spawning domains per
      generation would dominate small-population generations. *)
@@ -924,7 +877,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
         | cs -> List.fold_left ( +. ) 0. cs /. float_of_int (List.length cs)
       in
       let distinct = Hashtbl.create params.population_size in
-      Array.iter (fun x -> Hashtbl.replace distinct (Grouping.normalize x.groups) ()) all;
+      Array.iter (fun x -> Hashtbl.replace distinct (Plan.canonical_groups x.groups) ()) all;
       let f = Objective.fault_snapshot obj in
       Trace.instant ~cat:"hgga"
         ~args:
@@ -972,47 +925,26 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
   (* Graceful degradation: if no feasible individual ever appeared (every
      candidate quarantined or infeasible), fall back to the greedy
      baseline, and to the identity plan when even that fails. *)
-  let final_groups, final_plan, final_cost =
-    if params.horizontal then begin
-      let best_packs =
-        if Float.is_finite !best.cost then packs_of !best
-        else begin
-          match Greedy.solve obj with
-          | g when Float.is_finite g.Greedy.cost -> vpacks g.Greedy.groups
-          | _ -> vpacks identity
-          | exception _ -> vpacks identity
-        end
-      in
-      (* The large-instance relocation pass is vertical-only; run it only
-         when the winner carries no genuine packs to preserve. *)
-      let best_packs =
-        if n > 64 && List.for_all (fun pack -> List.length pack = 1) best_packs then
-          vpacks (Grouping.local_refine ~max_passes:1 obj (List.concat best_packs))
-        else best_packs
-      in
-      let final_comps = enforce_profitability_c obj best_packs in
-      let final_cost = Objective.cplan_cost obj final_comps in
-      let plan = Kf_fusion.Plan.of_composed ~n final_comps in
-      (Kf_fusion.Plan.groups plan, plan, final_cost)
-    end
+  let best_packs =
+    if Float.is_finite !best.cost then !best.packs
     else begin
-      let best_groups =
-        if Float.is_finite !best.cost then !best.groups
-        else begin
-          match Greedy.solve obj with
-          | g when Float.is_finite g.Greedy.cost -> g.Greedy.groups
-          | _ -> identity
-          | exception _ -> identity
-        end
-      in
-      let final_groups =
-        if n > 64 then Grouping.local_refine ~max_passes:1 obj best_groups else best_groups
-      in
-      let final_groups = Grouping.enforce_profitability obj final_groups in
-      let final_cost = Objective.plan_cost obj final_groups in
-      (final_groups, Kf_fusion.Plan.of_groups ~n final_groups, final_cost)
+      match Greedy.solve obj with
+      | g when Float.is_finite g.Greedy.cost -> vpacks g.Greedy.groups
+      | _ -> vpacks identity
+      | exception _ -> vpacks identity
     end
   in
+  (* The large-instance relocation pass is vertical-only; run it only
+     when the winner carries no genuine packs to preserve. *)
+  let best_packs =
+    if n > 64 && List.for_all (fun pack -> List.length pack = 1) best_packs then
+      vpacks (Grouping.local_refine ~max_passes:1 obj (List.concat best_packs))
+    else best_packs
+  in
+  let final_comps = enforce_profitability_c obj best_packs in
+  let final_cost = Objective.plan_eval_total (Objective.eval_plan obj final_comps) in
+  let final_plan = Plan.of_composed ~n final_comps in
+  let final_groups = Plan.groups final_plan in
   (* Pick up the final refinement's verdicts too, so the reported stats
      and any caller-side warm-cache export see a fully merged base. *)
   Objective.merge_locals obj;

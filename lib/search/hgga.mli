@@ -49,12 +49,13 @@ type params = {
       (** elite copies each island emits per migration (0 disables
           migration; clamped to the island size - 1) *)
   horizontal : bool;
-      (** search the composed-plan space: individuals carry a launch
-          composition (packs of concurrently resident planes) on top of
-          the vertical partition, and mutation gains pack / flip /
-          plane-move operators.  Off by default; [false] takes exactly
-          the historical vertical-only code paths, bit for bit.
-          Mutually exclusive with a device portfolio. *)
+      (** search the composed-plan space: individuals may pack
+          several concurrently resident planes into one launch, and
+          mutation gains pack / flip / plane-move operators.  Off by
+          default; with [false] every individual is single-plane packs
+          through the same evaluator, and results are bit-identical to
+          the historical vertical-only search.  Mutually exclusive with
+          a device portfolio. *)
 }
 
 val default_params : params
@@ -195,7 +196,9 @@ val solve :
     the returned stats are cumulative across resume: the snapshot's
     evaluation count, wall time and fault record are carried forward, so
     [max_evaluations]/[max_wall_s] cap the whole logical run rather than
-    each segment.
+    each segment.  Re-costing the restored individuals repeats
+    evaluations the snapshot already counts and is not counted again: a
+    resume that runs no generation reports the snapshot's count.
 
     With a [Kf_obs.Trace] sink attached, the solver emits one structured
     ["generation"] event per generation (best/mean cost, population

@@ -49,13 +49,13 @@ let add_stats a b =
 
 (* ---- plan-level cache --------------------------------------------------- *)
 
-(* One whole-plan evaluation: the canonical-order total and each
-   multi-member group's cost.  Offspring diff their groups against the
-   parent's [pe_costs] table, so unchanged groups cost one hashtable find
-   instead of a shared-cache probe. *)
+(* One whole-plan evaluation: the canonical-order total and the cost of
+   each pack that is not a single original kernel.  Offspring diff their
+   packs against the parent's [pe_costs] table, so unchanged packs cost
+   one hashtable find instead of a shared-cache probe. *)
 type plan_eval = {
   pe_total : float;
-  pe_costs : (int list, float) Hashtbl.t;  (* canonical group -> cost; multi-member only *)
+  pe_costs : (int list, float) Hashtbl.t;  (* [pack_key] of a canonical pack -> cost *)
 }
 
 let plan_eval_total pe = pe.pe_total
@@ -471,24 +471,29 @@ let row_of_group st t l g =
 
 (* Offer a freshly evaluated plan to the Pareto front: per-device totals
    summed in canonical group order (deterministic), buffered locally and
-   folded into the global front at the next merge. *)
+   folded into the global front at the next merge.  Rows are per group,
+   so only plans of single-plane packs are offered ([Hgga.solve] refuses
+   a horizontal search over a portfolio). *)
 let offer_plan st t l ~psig ~canon =
-  let ndev = Feature_arena.num_devices t.arena in
-  let costs = Array.make ndev 0. in
-  List.iter
-    (fun g ->
-      match g with
-      | [ k ] ->
-          for dev = 0 to ndev - 1 do
-            costs.(dev) <- costs.(dev) +. (Feature_arena.measured_runtime t.arena ~dev).(k)
-          done
-      | _ ->
-          let r = row_of_group st t l g in
-          for dev = 0 to ndev - 1 do
-            costs.(dev) <- costs.(dev) +. r.(dev)
-          done)
-    canon;
-  l.el_offers <- { of_sig = psig; of_plan = canon; of_costs = costs } :: l.el_offers
+  if List.for_all (function [ _ ] -> true | _ -> false) canon then begin
+    let ndev = Feature_arena.num_devices t.arena in
+    let costs = Array.make ndev 0. in
+    let groups = List.concat canon in
+    List.iter
+      (fun g ->
+        match g with
+        | [ k ] ->
+            for dev = 0 to ndev - 1 do
+              costs.(dev) <- costs.(dev) +. (Feature_arena.measured_runtime t.arena ~dev).(k)
+            done
+        | _ ->
+            let r = row_of_group st t l g in
+            for dev = 0 to ndev - 1 do
+              costs.(dev) <- costs.(dev) +. r.(dev)
+            done)
+      groups;
+    l.el_offers <- { of_sig = psig; of_plan = groups; of_costs = costs } :: l.el_offers
+  end
 
 let group_feasible t group = (lookup t group).feasible
 let group_cost t group = (lookup t group).cost
@@ -500,15 +505,15 @@ let group_profitable t group =
       let v = lookup t group in
       v.feasible && v.cost < v.orig_sum
 
-(* ---- horizontal packs ---------------------------------------------------- *)
+(* ---- packs --------------------------------------------------------------- *)
 
 module Horizontal = Kf_fusion.Horizontal
 
-(* [pe_costs] key of a pack: single-plane packs key by their group (the
-   vertical key, so vertical entries are shared), multi-plane packs by
-   the planes flattened with a [-3] separator — the same disjoint
-   keyspace split as the signature encodings. *)
-let comp_key pack =
+(* [pe_costs] key of a canonical pack: single-plane packs key by their
+   group, multi-plane packs by the planes flattened with a [-3]
+   separator — the same disjoint keyspace split as the signature
+   encodings. *)
+let pack_key pack =
   match pack with
   | [ g ] -> g
   | planes -> List.concat (List.mapi (fun i g -> if i = 0 then g else -3 :: g) planes)
@@ -562,34 +567,31 @@ let evaluate_comp t planes =
     end
   end
 
-(* Pack probe: the same two-level tables as the vertical groups (the
-   [-3]-separated keys are disjoint from every group key), so pack
-   verdicts inherit the merge machinery, the exactly-once evaluation
-   accounting, and the domain-count determinism. *)
-let lookup_comp_sig t planes =
-  let l = local_of t in
-  Sigbuf.encode_cgroup l.el_sb planes;
-  match probe_group t l with
-  | Some v -> v
-  | None ->
-      let key = Sigbuf.extract l.el_sb in
-      let v = evaluate_comp t planes in
-      record l.el_groups key v;
-      v
-
-let lookup_comp t pack =
+(* The one pack verdict, for a canonical pack.  A single-plane pack is
+   its group's verdict; a multi-plane pack is the [Horizontal]
+   combination, cached in the group tables under its [-3] key (disjoint
+   from every group key), so pack verdicts inherit the merge machinery,
+   the exactly-once evaluation accounting and the domain-count
+   determinism. *)
+let pack_verdict t pack =
   match pack with
   | [ g ] -> lookup t g
-  | planes -> lookup_comp_sig t (Plan.canonical_groups planes)
+  | planes -> (
+      let l = local_of t in
+      Sigbuf.encode_pack l.el_sb planes;
+      match probe_group t l with
+      | Some v -> v
+      | None ->
+          let key = Sigbuf.extract l.el_sb in
+          let v = evaluate_comp t planes in
+          record l.el_groups key v;
+          v)
 
-let comp_cost t pack = (lookup_comp t pack).cost
-let comp_feasible t pack = (lookup_comp t pack).feasible
-
-let comp_profitable t pack =
+let pack_profitable t pack =
   match pack with
   | [ g ] -> group_profitable t g
-  | _ ->
-      let v = lookup_comp t pack in
+  | planes ->
+      let v = pack_verdict t (Plan.canonical_groups planes) in
       v.feasible && v.cost < v.orig_sum
 
 (* ---- plan-level evaluation ---------------------------------------------- *)
@@ -604,92 +606,64 @@ let probe_plan t l =
       l.el_pmisses <- l.el_pmisses + 1;
       None
 
-(* A plan-cache miss: sum the items of a canonical plan (groups) or
-   composition (packs) in canonical order.  [singleton item] is the
-   kernel of a one-kernel item (its measured runtime, never cached) or
-   [-1]; [key] is the item's [pe_costs] key and [miss] its verdict cost
-   through the shared cache.  The three are closed functions, so the
-   per-item loop allocates no more than the lookups themselves.  [base]
-   is the parent's evaluation: items the genetic operator left untouched
-   are found in [base.pe_costs] and skip the shared cache entirely.
-   With unbounded caches this changes no evaluation counts — every item
-   in [base] was itself resolved through the shared cache when the
-   parent was evaluated, so the set of cache misses is the same with
-   delta evaluation on or off.  (Under a configured [cache_capacity],
-   evicted groups are re-evaluated without a base but not with one, so
-   counts may differ; totals never do.) *)
-let sum_items t base canon ~singleton ~key ~miss =
+(* A plan-cache miss: sum the canonical packs in canonical order.  A
+   one-kernel pack costs its measured runtime (never cached); any other
+   pack resolves by its [pe_costs] key against [base], the parent's
+   evaluation, and only then through the shared cache.  Packs the
+   genetic operator left untouched are therefore found in [base] and
+   skip the shared cache entirely.  With unbounded caches this changes
+   no evaluation counts — every pack in [base] was itself resolved
+   through the shared cache when the parent was evaluated, so the set of
+   cache misses is the same with delta evaluation on or off.  (Under a
+   configured [cache_capacity], evicted groups are re-evaluated without
+   a base but not with one, so counts may differ; totals never do.) *)
+let sum_items t base canon =
   let costs = Hashtbl.create 16 in
-  let total =
-    List.fold_left
-      (fun acc item ->
-        let k = singleton item in
-        if k >= 0 then acc +. t.inputs.Inputs.measured_runtime.(k)
-        else begin
-          let key = key item in
-          let c =
-            match base with
-            | Some b -> (
-                match Hashtbl.find_opt b.pe_costs key with Some c -> c | None -> miss t item)
-            | None -> miss t item
-          in
-          Hashtbl.replace costs key c;
-          acc +. c
-        end)
-      0. canon
+  let rec sum acc = function
+    | [] -> acc
+    | [ [ k ] ] :: tl -> sum (acc +. t.inputs.Inputs.measured_runtime.(k)) tl
+    | pack :: tl ->
+        let key = pack_key pack in
+        let c =
+          match base with
+          | Some b -> (
+              match Hashtbl.find_opt b.pe_costs key with
+              | Some c -> c
+              | None -> (pack_verdict t pack).cost)
+          | None -> (pack_verdict t pack).cost
+        in
+        Hashtbl.replace costs key c;
+        sum (acc +. c) tl
   in
+  let total = sum 0. canon in
   { pe_total = total; pe_costs = costs }
 
-let group_singleton = function [ k ] -> k | _ -> -1
-let group_miss t g = (lookup_sig t g).cost
-let pack_singleton = function [ [ k ] ] -> k | _ -> -1
-
-let pack_miss t pack =
-  match pack with [ g ] -> (lookup_sig t g).cost | planes -> (lookup_comp_sig t planes).cost
-
-(* Evaluate a whole plan through the two-level cache.  The canonical
-   total is summed in canonical group order, so a permuted-but-equal
-   plan hitting the plan cache returns a bit-identical total.  The arena
-   encodes the canonical plan signature without building the canonical
-   group list ([Sigbuf.encode_plan], unlike [encode_cplan], does not
-   re-canonicalize), so a plan-cache hit — the steady state once the
-   population converges — allocates nothing at all. *)
-let eval_plan t ?base groups =
+(* Evaluate a plan's launch packs through the two-level cache.  The
+   total is summed in canonical pack order, so a permuted-but-equal plan
+   hitting the plan cache returns a bit-identical total.  The arena
+   encodes the canonical signature in place and reuses packs that are
+   already canonical, so the cost of a plan-cache hit — the steady state
+   once the population converges — does not grow with the plan: the
+   test suite pins one word count for cloverleaf and scale-les plans,
+   vertical and with horizontal packs. *)
+let eval_plan t ?base packs =
   let l = local_of t in
-  Sigbuf.encode_plan l.el_sb groups;
+  Sigbuf.encode_plan l.el_sb packs;
   match probe_plan t l with
   | Some pe -> pe
   | None ->
-      (* Materialize the key and the canonical group list before the
-         per-group lookups clobber the arena. *)
+      (* Materialize the key and the canonical packs before the per-pack
+         lookups clobber the arena. *)
       let psig = Sigbuf.extract l.el_sb in
       let canon = Sigbuf.canonical l.el_sb in
-      let pe = sum_items t base canon ~singleton:group_singleton ~key:Fun.id ~miss:group_miss in
+      let pe = sum_items t base canon in
       record l.el_plans psig pe;
       (match t.port with
       | Some st -> offer_plan st t l ~psig ~canon
       | None -> ());
       pe
 
-let plan_cost t groups = (eval_plan t groups).pe_total
-
-(* Whole-composition evaluation: [eval_plan] one level up.  An
-   all-singleton composition encodes byte-identically to the underlying
-   plan signature and sums the same floats in the same order, so
-   vertical individuals inside a horizontal search share plan-cache
-   entries (and bit-identical totals) with the vertical search. *)
-let eval_cplan t ?base comps =
-  let l = local_of t in
-  let canon = Sigbuf.encode_cplan l.el_sb comps in
-  match probe_plan t l with
-  | Some pe -> pe
-  | None ->
-      let psig = Sigbuf.extract l.el_sb in
-      let pe = sum_items t base canon ~singleton:pack_singleton ~key:comp_key ~miss:pack_miss in
-      record l.el_plans psig pe;
-      pe
-
-let cplan_cost t comps = (eval_cplan t comps).pe_total
+let plan_cost t groups = (eval_plan t (List.map (fun g -> [ g ]) groups)).pe_total
 
 let original_sum t group = Inputs.original_sum t.inputs group
 

@@ -170,67 +170,51 @@ val group_profitable : t -> int list -> bool
 (** Constraint 1.1: the projected runtime beats the group's original
     sum.  Singletons are vacuously profitable. *)
 
-val plan_cost : t -> int list list -> float
-(** Σ over groups in canonical group order (so permuted-but-equal plans
-    produce bit-identical totals); [infinity] if any group is
-    infeasible.  The total of {!eval_plan}, through the plan-level
-    cache. *)
+(** {2 Plans}
 
-(** {2 Horizontal packs}
-
-    A pack ([int list list]) is one launch: a single plane is an
-    ordinary vertical group, several planes execute side by side as
-    per-plane sub-grids of one horizontal launch.  Pack verdicts live in
-    the same caches as group verdicts under a disjoint keyspace
-    ([-3]-separated signatures), so they
-    inherit the merge machinery, exactly-once accounting and
-    domain-count determinism. *)
-
-val comp_cost : t -> int list list -> float
-(** Combined cost of one pack: the planes' (cached, vertical-path)
-    costs composed through {!Kf_fusion.Horizontal} — the slowest plane
-    in full, the rest attenuated by the residency overlap, scaled by the
-    plane-dispatch divergence penalty; [infinity] when the planes are
-    not pairwise independent, any plane is infeasible, or the combined
-    register/SMEM pressure cannot launch. *)
-
-val comp_feasible : t -> int list list -> bool
-
-val comp_profitable : t -> int list list -> bool
-(** Constraint 1.1 lifted to packs: the combined cost beats the sum of
-    the members' original runtimes. *)
-
-val comp_key : int list list -> int list
-(** The {!plan_eval} cost-table key of a canonical pack: the group
-    itself for single-plane packs, planes flattened with a [-3]
-    separator otherwise. *)
-
-val cplan_cost : t -> int list list list -> float
-(** Σ over packs in canonical pack order.  All-singleton compositions
-    produce bit-identical totals to {!plan_cost} of the underlying
-    groups (they share the very same cache entries). *)
+    A plan is a list of launch packs ([int list list list]); a pack
+    ([int list list]) is one launch.  A single-plane pack is an ordinary
+    vertical group; several planes execute side by side as per-plane
+    sub-grids of one horizontal launch.  A vertical plan is all
+    single-plane packs.  A multi-plane pack's verdict lives in the same
+    caches as group verdicts under a disjoint keyspace
+    ([-3]-separated signatures), so it inherits the merge machinery,
+    exactly-once accounting and domain-count determinism. *)
 
 type plan_eval
-(** One whole-plan evaluation: the canonical-order total plus each
-    multi-member group's cost, reusable as the delta base for offspring
-    evaluations. *)
+(** One whole-plan evaluation: the canonical-order total plus the cost
+    of each pack that is not a single original kernel, reusable as the
+    delta base for offspring evaluations. *)
 
-val eval_plan : t -> ?base:plan_eval -> int list list -> plan_eval
-(** Evaluate a plan through the two-level cache: a canonical plan
-    signature probes the plan-level cache first (permutations of one
-    partition share a signature), and on a miss each multi-member group
-    resolves against [base]'s per-group costs before falling back to
-    the shared group cache — so offspring pay shared-cache traffic only
-    for the groups their genetic operator actually changed.  Totals are
-    bit-identical to {!plan_cost} regardless of [base].  Singletons
-    read the measured-runtime array directly. *)
+val eval_plan : t -> ?base:plan_eval -> int list list list -> plan_eval
+(** The one plan evaluator.  The canonical plan signature
+    ({!Kf_fusion.Plan.Sigbuf.encode_plan}) probes the plan-level cache
+    first (permutations of one plan share a signature); on a miss each
+    pack resolves against [base]'s per-pack costs before falling back
+    to its verdict through the shared cache — so offspring pay
+    shared-cache traffic only for the packs their genetic operator
+    actually changed.  A one-kernel pack costs its measured runtime; a
+    single-plane pack costs its group's projected runtime
+    ({!group_cost}); a multi-plane pack costs its planes' costs composed
+    through {!Kf_fusion.Horizontal} — the slowest plane in full, the
+    rest attenuated by the residency overlap, scaled by the
+    plane-dispatch divergence penalty — and [infinity] when the planes
+    are not pairwise independent, any plane is infeasible, or the
+    combined register/SMEM pressure cannot launch.  The total is summed
+    in canonical pack order, so it is bit-identical regardless of pack,
+    plane or member order and of [base].  A plan-cache hit allocates a
+    number of words independent of the plan's size when its packs are
+    canonical.  With a portfolio, every distinct plan of single-plane
+    packs is offered to the Pareto front. *)
 
-val eval_cplan : t -> ?base:plan_eval -> int list list list -> plan_eval
-(** {!eval_plan} one level up: evaluate a whole composition through the
-    plan-level cache.  All-singleton compositions share plan-cache
-    entries (and bit-identical totals) with {!eval_plan} of the
-    underlying groups; [base] diffing works across modes because
-    single-plane packs key the cost table by their group. *)
+val plan_cost : t -> int list list -> float
+(** The total of {!eval_plan} on a vertical plan (every group its own
+    pack); [infinity] if any group is infeasible. *)
+
+val pack_profitable : t -> int list list -> bool
+(** Constraint 1.1 lifted to packs: the pack's cost beats the sum of
+    its members' original runtimes ({!group_profitable} for a
+    single-plane pack). *)
 
 val plan_eval_total : plan_eval -> float
 (** The plan's canonical-order cost sum. *)

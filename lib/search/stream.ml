@@ -163,7 +163,7 @@ let warm_plan obj (d : delta) ~prev ~n =
     if not seen.(k) then arrivals := [ k ] :: !arrivals
   done;
   let plan = Grouping.repair_schedule obj (mapped @ !arrivals) in
-  (Grouping.normalize plan, !reused)
+  (Kf_fusion.Plan.canonical_groups plan, !reused)
 
 (* ------------------------------------------------------------------ *)
 (* The stream                                                          *)
@@ -277,11 +277,11 @@ let step t program =
   let warm, reused = warm_plan obj d ~prev:t.best ~n in
   (* One deterministic hill-climbing pass over the warm plan: the
      greedy-rung answer, and a second (often better) seed for the GA. *)
-  let refined = Grouping.normalize (Grouping.local_refine ~max_passes:1 obj warm) in
+  let refined = Kf_fusion.Plan.canonical_groups (Grouping.local_refine ~max_passes:1 obj warm) in
   let rung, groups, cost, stop, slo_tripped =
     match slo_budget t.config ~t0 with
     | None ->
-        let g = Grouping.normalize (Grouping.enforce_profitability obj refined) in
+        let g = Kf_fusion.Plan.canonical_groups (Grouping.enforce_profitability obj refined) in
         (Greedy_repair, g, Objective.plan_cost obj g, Hgga.Converged, true)
     | Some budget ->
         let params = { t.config.repair with Hgga.seed = t.config.params.Hgga.seed + version } in

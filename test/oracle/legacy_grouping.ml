@@ -165,7 +165,7 @@ let random_plan obj rng ?merge_attempts n =
           | None -> ())
     end
   done;
-  Grouping.normalize !groups
+  Kf_fusion.Plan.canonical_groups !groups
 
 (* The hill climb of [Grouping.local_refine], move for move, over the
    operators above. *)
@@ -257,4 +257,4 @@ let local_refine ?(max_passes = 3) obj groups =
     improved := relocation_pass obj current;
     if n <= 48 then improved := swap_pass obj current || !improved
   done;
-  Grouping.normalize !current
+  Kf_fusion.Plan.canonical_groups !current

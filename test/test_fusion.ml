@@ -265,8 +265,13 @@ let test_codegen_host () =
    search's dedup tables all key by these arrays, so any drift would
    split caches that must agree.  One Sigbuf is reused
    across all cases, exercising arena reuse and growth. *)
+(* The one plan encoder against the allocating references: for a plan of
+   single-plane packs, [plan_signature] of its groups; for any packing,
+   [canonical_comps] joined with [-3] between planes and [-1] between
+   packs.  Random partitions of up to 24 kernels, shuffled members, and
+   random packings of the groups into packs of up to three planes. *)
 let prop_sigbuf_roundtrip =
-  let partition_gen =
+  let packing_gen =
     QCheck.Gen.(
       int_range 1 24 >>= fun n ->
       int_range 1 1000 >>= fun seed ->
@@ -279,16 +284,33 @@ let prop_sigbuf_roundtrip =
         groups := Array.to_list (Array.sub perm !i len) :: !groups;
         i := !i + len
       done;
-      return !groups)
+      let packs = ref [] in
+      List.iter
+        (fun g ->
+          match !packs with
+          | pack :: rest when List.length pack < 3 && Kf_util.Rng.int rng 2 = 0 ->
+              packs := (g :: pack) :: rest
+          | _ -> packs := [ g ] :: !packs)
+        !groups;
+      return !packs)
+  in
+  let reference comps =
+    let join sep parts = List.concat (List.mapi (fun i p -> if i > 0 then sep :: p else p) parts) in
+    Array.of_list (join (-1) (List.map (join (-3)) (Plan.canonical_comps comps)))
   in
   let sb = Plan.Sigbuf.create () in
-  QCheck.Test.make ~count:200 ~name:"Sigbuf encodings match reference signature encoders"
-    (QCheck.make partition_gen) (fun groups ->
-      Plan.Sigbuf.encode_plan sb groups;
-      let ok_plan =
-        Plan.Sigbuf.extract sb = Plan.plan_signature groups
-        && Plan.Sigbuf.hash sb = Plan.signature_hash (Plan.plan_signature groups)
-        && Plan.Sigbuf.canonical sb = Plan.canonical_groups groups
+  QCheck.Test.make ~count:300 ~name:"Sigbuf encodings match reference signature encoders"
+    (QCheck.make packing_gen) (fun comps ->
+      let groups = List.concat comps in
+      let encodes packs expected =
+        Plan.Sigbuf.encode_plan sb packs;
+        Plan.Sigbuf.extract sb = expected
+        && Plan.Sigbuf.hash sb = Plan.signature_hash expected
+        && Plan.Sigbuf.canonical sb = Plan.canonical_comps packs
+      in
+      let ok_plans =
+        encodes (List.map (fun g -> [ g ]) groups) (Plan.plan_signature groups)
+        && encodes comps (reference comps)
       in
       let ok_groups =
         List.for_all
@@ -298,16 +320,16 @@ let prop_sigbuf_roundtrip =
             && Plan.Sigbuf.hash sb = Plan.group_hash g)
           groups
       in
-      let ok_exact =
-        Plan.Sigbuf.encode_groups_exact sb groups;
-        let flat =
-          Array.of_list
-            (List.concat
-               (List.mapi (fun i g -> if i > 0 then -1 :: g else g) groups))
-        in
-        Plan.Sigbuf.extract sb = flat
+      let ok_packs =
+        List.for_all
+          (function
+            | [ _ ] -> true
+            | planes ->
+                Plan.Sigbuf.encode_pack sb planes;
+                Plan.Sigbuf.extract sb = reference [ planes ])
+          comps
       in
-      ok_plan && ok_groups && ok_exact)
+      ok_plans && ok_groups && ok_packs)
 
 let suite =
   [

@@ -88,8 +88,8 @@ let scramble rng comps =
 
 let sig_of comps =
   let sb = Plan.Sigbuf.create () in
-  let canon = Plan.Sigbuf.encode_cplan sb comps in
-  (canon, Plan.Sigbuf.extract sb)
+  Plan.Sigbuf.encode_plan sb comps;
+  (Plan.Sigbuf.canonical sb, Plan.Sigbuf.extract sb)
 
 let prop_signature_canonical seed =
   let rng = Rng.create seed in
@@ -101,16 +101,14 @@ let prop_signature_canonical seed =
   && Plan.canonical_comps canon = canon
 
 (* An all-singleton composition must encode byte-identically to the
-   whole-plan signature of the underlying vertical partition, so the
-   two plan-cache keyspaces coincide on vertical plans. *)
+   whole-plan signature of the underlying vertical partition, so
+   vertical plans keep their persisted keys. *)
 let prop_singleton_sig_matches_vertical seed =
   let rng = Rng.create seed in
   let comps = random_comps rng in
   let groups = List.concat comps in
   let _, s = sig_of (List.map (fun g -> [ g ]) groups) in
-  let sb = Plan.Sigbuf.create () in
-  Plan.Sigbuf.encode_plan sb groups;
-  s = Plan.Sigbuf.extract sb
+  s = Plan.plan_signature groups
 
 (* of_composed round-trips the canonical composition, and its vertical
    projection is the flattened plane list. *)

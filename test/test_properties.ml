@@ -203,7 +203,7 @@ let prop_incremental_matches_full =
             match Grouping.absorbing_merge obj_inc gs g with
             | Some (g', rest) -> groups := g' :: rest
             | None -> ()));
-        groups := Grouping.normalize !groups
+        groups := Plan.canonical_groups !groups
       done;
       !agree)
 

@@ -687,6 +687,39 @@ let test_final_checkpoint_always_written () =
       check Alcotest.bool "same plan" true
         (Plan.equal killed.Hgga.plan resumed.Hgga.plan))
 
+let test_resume_at_final_generation_counts_no_evaluations () =
+  (* Resuming re-costs every checkpointed individual.  Those evaluations
+     repeat work the snapshot already counts, so a resume at the final
+     generation runs nothing new and must report the checkpoint's
+     count, in both search modes. *)
+  List.iter
+    (fun horizontal ->
+      let params =
+        {
+          Hgga.default_params with
+          Hgga.max_generations = 8;
+          stall_generations = 1000;
+          horizontal;
+        }
+      in
+      let path = Filename.temp_file "kfuse_ck" ".json" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          let first = solve_clover ~checkpoint:{ Hgga.path; every = 3 } params in
+          let snap = Snapshot.load path in
+          let resumed = solve_clover ~resume_from:path params in
+          let label what = Printf.sprintf "%s (horizontal %b)" what horizontal in
+          check Alcotest.int (label "snapshot has the run's count")
+            first.Hgga.stats.Hgga.evaluations snap.Snapshot.evaluations;
+          check Alcotest.int (label "no further generations") first.Hgga.stats.Hgga.generations
+            resumed.Hgga.stats.Hgga.generations;
+          check Alcotest.int (label "resume reports the checkpoint's count")
+            snap.Snapshot.evaluations resumed.Hgga.stats.Hgga.evaluations;
+          check Alcotest.bool (label "same plan") true
+            (Plan.equal first.Hgga.plan resumed.Hgga.plan)))
+    [ false; true ]
+
 let test_resume_honors_evaluation_budget () =
   (* Regression: the resumed solver ignored snap.evaluations, so a
      --budget-evals already spent before the kill bought a whole fresh
@@ -894,6 +927,8 @@ let suite =
     Alcotest.test_case "resume under injection" `Slow test_resume_under_injection;
     Alcotest.test_case "final checkpoint always written" `Slow
       test_final_checkpoint_always_written;
+    Alcotest.test_case "resume at final generation counts no evaluations" `Quick
+      test_resume_at_final_generation_counts_no_evaluations;
     Alcotest.test_case "resume honors evaluation budget" `Slow
       test_resume_honors_evaluation_budget;
     Alcotest.test_case "resume honors wall budget" `Slow test_resume_honors_wall_budget;

@@ -90,7 +90,7 @@ let test_grouping_normalize () =
     Alcotest.(list (list int))
     "canonical"
     [ [ 0; 3 ]; [ 1; 2 ] ]
-    (Grouping.normalize [ [ 2; 1 ]; [ 3; 0 ] ])
+    (Plan.canonical_groups [ [ 2; 1 ]; [ 3; 0 ] ])
 
 let test_grouping_absorbing_merge () =
   let obj = motivating_obj () in
@@ -105,7 +105,7 @@ let test_grouping_absorbing_merge () =
 let test_grouping_dissolve () =
   let groups = [ [ 0; 1 ]; [ 2 ] ] in
   check Alcotest.(list (list int)) "dissolved" [ [ 0 ]; [ 1 ]; [ 2 ] ]
-    (Grouping.normalize (Grouping.dissolve groups [ 0; 1 ]))
+    (Plan.canonical_groups (Grouping.dissolve groups [ 0; 1 ]))
 
 (* Four kernels reading one shared array (so every group is
    kin-connected) with the dependencies 0 -> 1 and 2 -> 3 and no path
@@ -530,8 +530,9 @@ let test_plan_cache_permuted () =
   let obj = motivating_obj () in
   let plan = [ [ 0; 1 ]; [ 3; 4 ]; [ 2 ] ] in
   let permuted = [ [ 2 ]; [ 4; 3 ]; [ 1; 0 ] ] in
-  let e1 = Objective.eval_plan obj plan in
-  let e2 = Objective.eval_plan obj permuted in
+  let vpacks = List.map (fun g -> [ g ]) in
+  let e1 = Objective.eval_plan obj (vpacks plan) in
+  let e2 = Objective.eval_plan obj (vpacks permuted) in
   check Alcotest.bool "bitwise-equal totals" true
     (bits (Objective.plan_eval_total e1) = bits (Objective.plan_eval_total e2));
   let pc = Objective.plan_cache_stats obj in
@@ -539,6 +540,44 @@ let test_plan_cache_permuted () =
   check Alcotest.int "one plan-cache hit" 1 pc.Objective.hits;
   check (Alcotest.float 0.) "matches plan_cost" (Objective.plan_cost obj plan)
     (Objective.plan_eval_total e1)
+
+(* A plan-cache hit re-encodes the plan into the domain's arena and
+   probes; on canonical packs that may not cost more words on a
+   142-kernel plan than on a 14-kernel one, vertical or horizontal. *)
+let test_eval_plan_hit_allocation () =
+  let hit_words program ~horizontal =
+    let obj = objective_of program in
+    let n = Kf_ir.Program.num_kernels program in
+    let groups = Grouping.random_plan obj (Kf_util.Rng.create 5) n in
+    let rec pair = function
+      | a :: b :: rest -> [ a; b ] :: pair rest
+      | rest -> List.map (fun g -> [ g ]) rest
+    in
+    let packs =
+      Plan.canonical_comps (if horizontal then pair groups else List.map (fun g -> [ g ]) groups)
+    in
+    ignore (Objective.eval_plan obj packs);
+    ignore (Objective.eval_plan obj packs);
+    let before = Gc.minor_words () in
+    let pe = Objective.eval_plan obj packs in
+    let after = Gc.minor_words () in
+    ignore (Sys.opaque_identity pe);
+    (List.length packs, after -. before)
+  in
+  let clover = Kf_workloads.Cloverleaf.program () and les = Kf_workloads.Scale_les.program () in
+  let runs =
+    [
+      ("cloverleaf vertical", hit_words clover ~horizontal:false);
+      ("scale-les vertical", hit_words les ~horizontal:false);
+      ("cloverleaf horizontal", hit_words clover ~horizontal:true);
+      ("scale-les horizontal", hit_words les ~horizontal:true);
+    ]
+  in
+  let _, (_, w0) = List.hd runs in
+  List.iter
+    (fun (label, (packs, w)) ->
+      check (Alcotest.float 0.) (Printf.sprintf "%s (%d packs): hit words" label packs) w0 w)
+    runs
 
 let test_incremental_full_equivalence () =
   (* The cached, delta-evaluated search against the uncached oracle
@@ -622,5 +661,7 @@ let suite =
     Alcotest.test_case "exactly-once evaluations vs counting guard" `Slow
       test_exactly_once_vs_counting_guard;
     Alcotest.test_case "plan cache permuted plans" `Quick test_plan_cache_permuted;
+    Alcotest.test_case "eval_plan hit allocation independent of plan size" `Quick
+      test_eval_plan_hit_allocation;
     Alcotest.test_case "incremental vs full equivalence" `Slow test_incremental_full_equivalence;
   ]

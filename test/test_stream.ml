@@ -210,7 +210,7 @@ let test_stream_eval_accounting () =
   let warm, _ =
     Stream.warm_plan obj delta ~prev:d0.Stream.d_groups ~n:(Program.num_kernels edited)
   in
-  let refined = Grouping.normalize (Grouping.local_refine ~max_passes:1 obj warm) in
+  let refined = Kf_fusion.Plan.canonical_groups (Grouping.local_refine ~max_passes:1 obj warm) in
   let seeds = if refined = warm then [ warm ] else [ warm; refined ] in
   let params = { quick_params with Hgga.seed = quick_params.Hgga.seed + 1 } in
   let r = Hgga.solve ~params ~seed_plans:seeds obj in

@@ -270,17 +270,16 @@ let halo_extra_flops (p : Program.t) t =
 let total_flops (p : Program.t) t =
   (flops_per_site p t *. float_of_int (Grid.sites p.grid)) +. halo_extra_flops p t
 
-(* Shared between the record-based path below and the allocation-free
-   arena evaluator ([Kf_model.Feature_arena]): the per-array traffic
-   aggregation folds floats in the member-set hashtable's bucket order,
-   so both paths must run the very same code to stay bit-identical.
-   [iter_members] visits the group's members in aggregation order. *)
-let gmem_bytes_iter (p : Program.t) ~iter_members ~halo_layers =
+(* The fold runs in the table's bucket order, but every term is a whole
+   number of bytes far below 2^53, so the sum is exact in any order —
+   which is what lets [Kf_model.Feature_arena] sum it without a table. *)
+let gmem_bytes (p : Program.t) t =
   let grid = p.grid in
   let arrays = Hashtbl.create 16 in
   (* For each array: whether it needs an external fetch (read before any
      internal write), the widest read radius, and whether it is stored. *)
-  iter_members (fun k ->
+  List.iter
+    (fun k ->
       let kern = Program.kernel p k in
       List.iter
         (fun (a : Access.t) ->
@@ -293,14 +292,15 @@ let gmem_bytes_iter (p : Program.t) ~iter_members ~halo_layers =
           in
           let written = written || Access.writes a in
           Hashtbl.replace arrays a.array (fetch, radius, written))
-        kern.accesses);
+        kern.accesses)
+    t.members;
   Hashtbl.fold
     (fun a (fetch, radius, written) acc ->
       let info = Program.array p a in
       let footprint = float_of_int (Array_info.bytes info grid) in
       let planes = match info.extent with Array_info.Field3d -> grid.nz | Array_info.Plane2d -> 1 in
       let refetch =
-        let r = max radius (if fetch && halo_layers > 0 then halo_layers else 0) in
+        let r = max radius (if fetch && t.halo_layers > 0 then t.halo_layers else 0) in
         if fetch && r > 0 then
           float_of_int (Grid.blocks grid * Grid.halo_sites_per_plane grid r * planes * info.elem_bytes)
         else 0.
@@ -309,9 +309,6 @@ let gmem_bytes_iter (p : Program.t) ~iter_members ~halo_layers =
       +. (if fetch then footprint +. refetch else 0.)
       +. if written then footprint else 0.)
     arrays 0.
-
-let gmem_bytes (p : Program.t) t =
-  gmem_bytes_iter p ~iter_members:(fun f -> List.iter f t.members) ~halo_layers:t.halo_layers
 
 let smem_staged_count t =
   List.length

@@ -85,14 +85,6 @@ val gmem_bytes : Kf_ir.Program.t -> t -> float
     (pivot reuse collapses repeated fetches), plus block-boundary and halo
     refetches, plus one footprint per written array. *)
 
-val gmem_bytes_iter :
-  Kf_ir.Program.t -> iter_members:((int -> unit) -> unit) -> halo_layers:int -> float
-(** {!gmem_bytes} generalized over the member traversal, so evaluators
-    that keep the group in a flat arena ([Kf_model.Feature_arena]) run
-    the {e identical} aggregation code — the per-array float fold is
-    summation-order-sensitive, and sharing the code is what keeps the
-    arena path bit-identical to this one. *)
-
 val smem_staged_count : t -> int
 (** Number of arrays resident in SMEM across the whole kernel (pivot
     staged arrays; used by occupancy and the projection model). *)

@@ -191,6 +191,23 @@ module Sigbuf = struct
       push_planes t t.packs.(i)
     done
 
+  let reset t =
+    t.len <- 0;
+    t.n_packs <- 0
+
+  (* Split a plan key back into its canonical packs: [-1] ends a pack,
+     [-3] a plane. *)
+  let decode key =
+    let rec go i plane planes packs =
+      if i < 0 then (plane :: planes) :: packs
+      else
+        match key.(i) with
+        | -1 -> go (i - 1) [] [] ((plane :: planes) :: packs)
+        | -3 -> go (i - 1) [] (plane :: planes) packs
+        | k -> go (i - 1) (k :: plane) planes packs
+    in
+    if Array.length key = 0 then [] else go (Array.length key - 1) [] [] []
+
   let length t = t.len
   let unsafe_buf t = t.buf
 

@@ -193,6 +193,17 @@ module Sigbuf : sig
       @raise Invalid_argument on a pack of fewer than two planes (those
       key by their group, {!encode_group}). *)
 
+  val reset : t -> unit
+  (** Empty the buffer, for a caller that encodes a key with {!push}. *)
+
+  val push : t -> int -> unit
+  (** Append one int to the encoded prefix.  A caller building a key
+      this way must produce exactly what the [encode_*] function of the
+      same key would. *)
+
+  val decode : int array -> int list list list
+  (** The canonical packs of a plan key ({!encode_plan}'s output). *)
+
   val length : t -> int
 
   val unsafe_buf : t -> int array

@@ -59,7 +59,15 @@ let with_grid t grid = { t with grid }
    their full access records — only the ids are rewritten — so a kept
    kernel is recognizably "the same kernel" across program versions
    (content-identical up to renumbering), which is what the streaming
-   delta relies on. *)
+   delta relies on.  Records whose ids do not move are shared with [t]
+   rather than copied: an edit trace keeps every version it decided,
+   and most kernels keep their ids from one version to the next. *)
+let rec map_shared f = function
+  | [] -> []
+  | x :: tl as l ->
+      let x' = f x and tl' = map_shared f tl in
+      if x' == x && tl' == tl then l else x' :: tl'
+
 let restrict t keep =
   if keep = [] then invalid_arg "Program.restrict: must keep at least one kernel";
   let kept = List.map (kernel t) keep in
@@ -75,19 +83,21 @@ let restrict t keep =
     (fun i u ->
       if u then begin
         remap.(i) <- !next;
-        arrays := { t.arrays.(i) with Array_info.id = !next } :: !arrays;
+        let info = t.arrays.(i) in
+        arrays := (if i = !next then info else { info with Array_info.id = !next }) :: !arrays;
         incr next
       end)
     used;
   let kernels =
     List.mapi
       (fun i (k : Kernel.t) ->
-        {
-          k with
-          Kernel.id = i;
-          accesses =
-            List.map (fun (a : Access.t) -> { a with Access.array = remap.(a.array) }) k.accesses;
-        })
+        let accesses =
+          map_shared
+            (fun (a : Access.t) ->
+              if remap.(a.array) = a.array then a else { a with Access.array = remap.(a.array) })
+            k.accesses
+        in
+        if i = k.Kernel.id && accesses == k.accesses then k else { k with Kernel.id = i; accesses })
       kept
   in
   create ~name:t.name ~grid:t.grid ~arrays:(List.rev !arrays) ~kernels

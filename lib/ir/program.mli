@@ -46,6 +46,8 @@ val restrict : t -> int list -> t
     untouched arrays dropped.  Kept kernels are content-identical to the
     originals up to renumbering — the building block of streaming edit
     traces (kernel arrival = growing prefix, removal = dropped id).
+    Kernel, access and array records whose ids do not change are shared
+    with [t].
     @raise Invalid_argument on an empty list or out-of-range ids. *)
 
 val edit_kernel : t -> int -> (Kernel.t -> Kernel.t) -> t

@@ -23,8 +23,8 @@ module Bitset = Kf_util.Bitset
    (max/sum over the same multiset), the structural predicates are
    boolean-identical reformulations, and the one aggregation whose float
    order is an implementation artifact (the per-array GMEM traffic
-   hashtable fold) calls the {e same} code via
-   {!Fused.gmem_bytes_iter}. *)
+   hashtable fold of {!Fused.gmem_bytes}) sums whole numbers, exactly,
+   in any order. *)
 
 type t = {
   inputs : Inputs.t array;  (* one per device, primary first *)
@@ -40,8 +40,7 @@ type t = {
   rank : int array;  (* position of each kernel in the full group order *)
   sync_le : int array;  (* #sync points <= k, per kernel id *)
   has_syncs : bool;
-  kin_off : int array;  (* CSR kinship adjacency *)
-  kin_adj : int array;
+  kin : Bitset.t array;  (* per-kernel kinship neighbors *)
   desc : Bitset.t array;  (* per-kernel DAG descendants *)
   anc : Bitset.t array;  (* per-kernel DAG ancestors *)
   (* flow edges, program edge-list order *)
@@ -50,6 +49,8 @@ type t = {
   fe_arr : int array;
   fe_radius : int array;  (* consumer read radius (0 when not reading) *)
   fe_vert : bool array;  (* consumer reads with vertical extent > 0 *)
+  fe_out_off : int array;  (* CSR: each kernel's flow edges as producer *)
+  fe_out : int array;
   (* per kernel *)
   k_regs : int array;
   k_fps : float array;
@@ -66,10 +67,14 @@ type t = {
   (* per (kernel, array), dense [k * na + a] *)
   kl_load : int array;  (* thread load *)
   kl_acc : int array;  (* 0 = no access, 1 = reads (incl. RW), 2 = writes only *)
+  kl_radius : int array;  (* read stencil radius (0 when not reading) *)
+  kl_writes : bool array;  (* writes (incl. RW) *)
   (* per array *)
   a_elem : int array;
   a_tile : int array;  (* threads_per_block * elem_bytes *)
   a_ro : bool array;  (* program-wide read-only (read-only-cache eligible) *)
+  a_footprint : float array;  (* [Array_info.bytes] on the grid *)
+  a_planes : int array;  (* z planes: the grid's for 3-D fields, 1 for planes *)
   (* per device *)
   runtime : float array array;  (* measured kernel runtimes, [dev].(k) *)
   bytes : float array array;  (* measured kernel GMEM traffic, [dev].(k) *)
@@ -87,8 +92,11 @@ and scratch = {
   members : int array;  (* sorted at [load]; execution order after [analyze] *)
   k_stamp : int array;  (* membership marker *)
   k_pos : int array;  (* position of a member in [members] *)
-  v_stamp : int array;  (* kinship BFS visited marker *)
-  queue : int array;
+  seen : Bitset.t;  (* kinship BFS: visited, frontier, next frontier *)
+  front : Bitset.t;
+  next_front : Bitset.t;
+  internal : int array;  (* the group's internal flow edges *)
+  mutable internal_n : int;
   u_desc : Bitset.t;
   u_anc : Bitset.t;
   mem_bs : Bitset.t;
@@ -115,6 +123,11 @@ and scratch = {
   mutable base_regs : int;
   mutable tflops : float;
   mutable gmem : float;
+  g_stamp : int array;  (* array touched by the group, for [gmem_bytes] *)
+  g_fetch : bool array;
+  g_radius : int array;
+  g_written : bool array;
+  g_keys : int array;
   mutable gmem_epoch : int;  (* lazy-memo validity marker *)
   (* fuse results (device-dependent, overwritten per [fuse]) *)
   mutable fuse_tick : int;
@@ -153,16 +166,6 @@ let create (primary : Inputs.t) ~extra =
   for i = 1 to nk - 1 do
     sync_le.(i) <- sync_le.(i) + sync_le.(i - 1)
   done;
-  let kin_off = Array.make (nk + 1) 0 in
-  for k = 0 to nk - 1 do
-    kin_off.(k + 1) <- kin_off.(k) + List.length (Metadata.kin_neighbors meta k)
-  done;
-  let kin_adj = Array.make (max kin_off.(nk) 1) 0 in
-  for k = 0 to nk - 1 do
-    List.iteri
-      (fun i nb -> kin_adj.(kin_off.(k) + i) <- nb)
-      (Metadata.kin_neighbors meta k)
-  done;
   let dag = Exec_order.dag exec in
   let dd = Exec_order.datadep exec in
   let flows =
@@ -196,6 +199,18 @@ let create (primary : Inputs.t) ~extra =
     done;
     (off, dat)
   in
+  let fe_out_off = Array.make (nk + 1) 0 in
+  for i = 0 to ne - 1 do
+    fe_out_off.(fe_src.(i) + 1) <- fe_out_off.(fe_src.(i) + 1) + 1
+  done;
+  for k = 0 to nk - 1 do
+    fe_out_off.(k + 1) <- fe_out_off.(k + 1) + fe_out_off.(k)
+  done;
+  let fe_out = Array.make (max ne 1) 0 and fill = Array.sub fe_out_off 0 (max nk 1) in
+  for i = 0 to ne - 1 do
+    fe_out.(fill.(fe_src.(i))) <- i;
+    fill.(fe_src.(i)) <- fill.(fe_src.(i)) + 1
+  done;
   let k_arrays_off, k_arrays = csr (fun k -> Kernel.arrays (Program.kernel program k)) in
   let k_smem_off, k_smem =
     csr (fun k -> Kernel.smem_staged_arrays (Program.kernel program k))
@@ -210,15 +225,19 @@ let create (primary : Inputs.t) ~extra =
   in
   let kl_load = Array.make (max (nk * na) 1) 0 in
   let kl_acc = Array.make (max (nk * na) 1) 0 in
+  let kl_radius = Array.make (max (nk * na) 1) 0 in
+  let kl_writes = Array.make (max (nk * na) 1) false in
   for k = 0 to nk - 1 do
     let kern = Program.kernel program k in
     for a = 0 to na - 1 do
       kl_load.((k * na) + a) <- Kernel.thread_load kern a;
-      kl_acc.((k * na) + a) <-
-        (match Kernel.access_for kern a with
-        | Some acc when Access.reads acc -> 1
-        | Some acc when Access.writes acc -> 2
-        | _ -> 0)
+      match Kernel.access_for kern a with
+      | Some acc ->
+          kl_acc.((k * na) + a) <-
+            (if Access.reads acc then 1 else if Access.writes acc then 2 else 0);
+          if Access.reads acc then kl_radius.((k * na) + a) <- Stencil.radius acc.Access.pattern;
+          kl_writes.((k * na) + a) <- Access.writes acc
+      | None -> ()
     done
   done;
   {
@@ -235,8 +254,7 @@ let create (primary : Inputs.t) ~extra =
     rank;
     sync_le;
     has_syncs = syncs <> [];
-    kin_off;
-    kin_adj;
+    kin = Array.init nk (fun k -> Bitset.of_list nk (Metadata.kin_neighbors meta k));
     desc = Array.init nk (fun u -> Dag.descendants dag u);
     anc = Array.init nk (fun u -> Dag.ancestors dag u);
     fe_src;
@@ -244,6 +262,8 @@ let create (primary : Inputs.t) ~extra =
     fe_arr;
     fe_radius;
     fe_vert;
+    fe_out_off;
+    fe_out;
     k_regs =
       Array.init nk (fun k -> (Program.kernel program k).Kernel.registers_per_thread);
     k_fps = Array.init nk (fun k -> Kernel.flops_per_site (Program.kernel program k));
@@ -266,10 +286,18 @@ let create (primary : Inputs.t) ~extra =
                (Program.kernel program k).Kernel.accesses));
     kl_load;
     kl_acc;
+    kl_radius;
+    kl_writes;
     a_elem = Array.init na (fun a -> (Program.array program a).Array_info.elem_bytes);
     a_tile =
       Array.init na (fun a -> thr * (Program.array program a).Array_info.elem_bytes);
     a_ro = Array.init na (fun a -> Datadep.array_class dd a = Datadep.Read_only);
+    a_footprint = Array.init na (fun a -> float_of_int (Array_info.bytes (Program.array program a) grid));
+    a_planes =
+      Array.init na (fun a ->
+          match (Program.array program a).Array_info.extent with
+          | Array_info.Field3d -> grid.Grid.nz
+          | Array_info.Plane2d -> 1);
     runtime = Array.map (fun (i : Inputs.t) -> i.Inputs.measured_runtime) inputs;
     bytes = Array.map (fun (i : Inputs.t) -> i.Inputs.measured_bytes) inputs;
     reg_lock = Mutex.create ();
@@ -281,6 +309,9 @@ let device t dev = t.devices.(dev)
 let devices t = Array.copy t.devices
 let inputs t dev = t.inputs.(dev)
 let program t = t.program
+let kin_rows t = t.kin
+let descendants t = t.desc
+let ancestors t = t.anc
 let measured_runtime t ~dev = t.runtime.(dev)
 let measured_bytes t ~dev = t.bytes.(dev)
 
@@ -292,8 +323,11 @@ let make_scratch t =
     members = Array.make (max t.nk 1) 0;
     k_stamp = Array.make (max t.nk 1) (-1);
     k_pos = Array.make (max t.nk 1) 0;
-    v_stamp = Array.make (max t.nk 1) (-1);
-    queue = Array.make (max t.nk 1) 0;
+    seen = Bitset.create t.nk;
+    front = Bitset.create t.nk;
+    next_front = Bitset.create t.nk;
+    internal = Array.make (max (Array.length t.fe_src) 1) 0;
+    internal_n = 0;
     u_desc = Bitset.create t.nk;
     u_anc = Bitset.create t.nk;
     mem_bs = Bitset.create t.nk;
@@ -319,6 +353,11 @@ let make_scratch t =
     base_regs = 0;
     tflops = 0.;
     gmem = 0.;
+    g_stamp = Array.make (max t.na 1) (-1);
+    g_fetch = Array.make (max t.na 1) false;
+    g_radius = Array.make (max t.na 1) 0;
+    g_written = Array.make (max t.na 1) false;
+    g_keys = Array.make (max t.na 1) 0;
     gmem_epoch = -1;
     fuse_tick = 0;
     s_stamp = Array.make (max t.na 1) (-1);
@@ -367,28 +406,35 @@ let load t group =
 
 (* --- structural predicates (boolean-identical to the legacy checks) --- *)
 
+(* Breadth-first over kinship rows, a whole frontier at a time: the
+   next frontier is the members not yet seen among the frontier's kin
+   neighbors. *)
+let add_kin scr k = Bitset.union_into scr.next_front scr.ar.kin.(k)
+
 let connected scr =
   let m = scr.m_count in
   if m <= 1 then true
   else begin
-    let t = scr.ar in
-    let e = scr.epoch in
-    let head = ref 0 and tail = ref 0 in
-    let push k =
-      scr.queue.(!tail) <- k;
-      incr tail;
-      scr.v_stamp.(k) <- e
-    in
-    push scr.members.(0);
-    while !head < !tail do
-      let k = scr.queue.(!head) in
-      incr head;
-      for i = t.kin_off.(k) to t.kin_off.(k + 1) - 1 do
-        let nb = t.kin_adj.(i) in
-        if scr.k_stamp.(nb) = e && scr.v_stamp.(nb) <> e then push nb
-      done
+    Bitset.clear scr.mem_bs;
+    for i = 0 to m - 1 do
+      Bitset.add scr.mem_bs scr.members.(i)
     done;
-    !tail = m
+    Bitset.clear scr.seen;
+    Bitset.add scr.seen scr.members.(0);
+    Bitset.clear scr.front;
+    Bitset.add scr.front scr.members.(0);
+    let grew = ref true in
+    while !grew do
+      Bitset.clear scr.next_front;
+      Bitset.iter_with add_kin scr scr.front;
+      Bitset.inter_into scr.next_front scr.mem_bs;
+      Bitset.diff_into scr.next_front scr.seen;
+      grew := not (Bitset.is_empty scr.next_front);
+      Bitset.union_into scr.seen scr.next_front;
+      Bitset.clear scr.front;
+      Bitset.union_into scr.front scr.next_front
+    done;
+    Bitset.cardinal scr.seen = m
   end
 
 let spans_sync scr =
@@ -451,17 +497,26 @@ let analyze scr =
     scr.depth.(i) <- 0
   done;
   scr.vertical_hazard <- false;
-  let ne = Array.length t.fe_src in
-  let internal ei =
-    let s = t.fe_src.(ei) and d = t.fe_dst.(ei) in
-    scr.k_stamp.(s) = e && scr.k_stamp.(d) = e && scr.k_pos.(s) < scr.k_pos.(d)
-  in
-  for ei = 0 to ne - 1 do
-    if internal ei then begin
-      scr.barrier.(scr.k_pos.(t.fe_dst.(ei))) <- true;
-      if t.fe_vert.(ei) then scr.vertical_hazard <- true;
-      scr.prod_stamp.(t.fe_arr.(ei)) <- e
-    end
+  (* The internal flow edges, found from the members' producer lists:
+     the flags and the depth fixpoint below do not depend on the order
+     edges are visited in. *)
+  scr.internal_n <- 0;
+  for i = 0 to m - 1 do
+    let k = scr.members.(i) in
+    for j = t.fe_out_off.(k) to t.fe_out_off.(k + 1) - 1 do
+      let ei = t.fe_out.(j) in
+      let d = t.fe_dst.(ei) in
+      if scr.k_stamp.(d) = e && i < scr.k_pos.(d) then begin
+        scr.internal.(scr.internal_n) <- ei;
+        scr.internal_n <- scr.internal_n + 1
+      end
+    done
+  done;
+  for j = 0 to scr.internal_n - 1 do
+    let ei = scr.internal.(j) in
+    scr.barrier.(scr.k_pos.(t.fe_dst.(ei))) <- true;
+    if t.fe_vert.(ei) then scr.vertical_hazard <- true;
+    scr.prod_stamp.(t.fe_arr.(ei)) <- e
   done;
   let nb = ref 0 in
   for i = 0 to m - 1 do
@@ -469,20 +524,15 @@ let analyze scr =
   done;
   scr.n_barriers <- !nb;
   scr.complex <- !nb > 0;
-  (* Ring-depth fixpoint over internal flow edges (longest path). *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for ei = 0 to ne - 1 do
-      if internal ei then begin
-        let need = scr.depth.(scr.k_pos.(t.fe_dst.(ei))) + t.fe_radius.(ei) in
-        let ps = scr.k_pos.(t.fe_src.(ei)) in
-        if need > scr.depth.(ps) then begin
-          scr.depth.(ps) <- need;
-          changed := true
-        end
-      end
-    done
+  (* Ring depth: the longest path over internal flow edges.  The edges
+     are listed by producer in execution order and each one points
+     forward, so one backward pass sees every consumer's final depth
+     before its producer's. *)
+  for j = scr.internal_n - 1 downto 0 do
+    let ei = scr.internal.(j) in
+    let need = scr.depth.(scr.k_pos.(t.fe_dst.(ei))) + t.fe_radius.(ei) in
+    let ps = scr.k_pos.(t.fe_src.(ei)) in
+    if need > scr.depth.(ps) then scr.depth.(ps) <- need
   done;
   let hl = ref 0 in
   for i = 0 to m - 1 do
@@ -567,21 +617,54 @@ let analyze scr =
   scr.tflops <- (!fps *. float_of_int t.sites) +. !halo_extra;
   scr.gmem_epoch <- -1
 
+(* {!Fused.gmem_bytes} over the arena: per touched array, whether it
+   is fetched (read before any internal write), its widest read radius
+   and whether it is stored, then the footprint and halo-refetch sum.
+   Every term is a whole number of bytes far below 2^53, so the float sum
+   is exact and does not depend on the order arrays are visited in. *)
 let gmem_bytes scr =
   if scr.gmem_epoch = scr.epoch then scr.gmem
   else begin
     let t = scr.ar in
-    let g =
-      Fused.gmem_bytes_iter t.program
-        ~iter_members:(fun f ->
-          for i = 0 to scr.m_count - 1 do
-            f scr.members.(i)
-          done)
-        ~halo_layers:scr.halo_layers
-    in
-    scr.gmem <- g;
+    let e = scr.epoch and n = ref 0 in
+    for i = 0 to scr.m_count - 1 do
+      let k = scr.members.(i) in
+      for j = t.k_arrays_off.(k) to t.k_arrays_off.(k + 1) - 1 do
+        let a = t.k_arrays.(j) in
+        let ka = (k * t.na) + a in
+        if scr.g_stamp.(a) <> e then begin
+          scr.g_stamp.(a) <- e;
+          scr.g_fetch.(a) <- false;
+          scr.g_radius.(a) <- 0;
+          scr.g_written.(a) <- false;
+          scr.g_keys.(!n) <- a;
+          incr n
+        end;
+        if t.kl_acc.(ka) = 1 then begin
+          if not scr.g_written.(a) then scr.g_fetch.(a) <- true;
+          if t.kl_radius.(ka) > scr.g_radius.(a) then scr.g_radius.(a) <- t.kl_radius.(ka)
+        end;
+        if t.kl_writes.(ka) then scr.g_written.(a) <- true
+      done
+    done;
+    let g = ref 0. in
+    for i = 0 to !n - 1 do
+      let a = scr.g_keys.(i) in
+      let fetch = scr.g_fetch.(a) and footprint = t.a_footprint.(a) in
+      let refetch =
+        let r = max scr.g_radius.(a) (if fetch && scr.halo_layers > 0 then scr.halo_layers else 0) in
+        if fetch && r > 0 then
+          float_of_int (t.blocks * Grid.halo_sites_per_plane t.grid r * t.a_planes.(a) * t.a_elem.(a))
+        else 0.
+      in
+      g :=
+        !g
+        +. (if fetch then footprint +. refetch else 0.)
+        +. if scr.g_written.(a) then footprint else 0.
+    done;
+    scr.gmem <- !g;
     scr.gmem_epoch <- scr.epoch;
-    g
+    !g
   end
 
 (* --- per-device fusion features -------------------------------------- *)

@@ -13,7 +13,7 @@
     the same max/sum over the same multisets, float folds replay the legacy
     association in the legacy (execution) order, and the one aggregation
     whose float order is an implementation artifact — per-array GMEM
-    traffic — runs the very same code via {!Kf_fusion.Fused.gmem_bytes_iter}.
+    traffic — sums whole numbers of bytes, so it is exact in any order.
     [test/test_arena.ml] enforces the equivalence differentially.
 
     Because almost all of the per-group work ({!analyze} and everything
@@ -44,6 +44,13 @@ val device : t -> int -> Kf_gpu.Device.t
 val devices : t -> Kf_gpu.Device.t array
 val inputs : t -> int -> Inputs.t
 val program : t -> Kf_ir.Program.t
+
+val kin_rows : t -> Kf_util.Bitset.t array
+val descendants : t -> Kf_util.Bitset.t array
+
+val ancestors : t -> Kf_util.Bitset.t array
+(** Per kernel: its kinship neighbors, and its descendants and
+    ancestors in the execution DAG (shared, read-only). *)
 
 val measured_runtime : t -> dev:int -> float array
 (** Measured per-kernel runtimes on device [dev] (do not mutate). *)

@@ -20,27 +20,7 @@ type result = {
   accepted : int;
 }
 
-let neighbor obj rng groups =
-  let multi = List.filter (fun g -> List.length g >= 2) groups in
-  let ops = if multi = [] then [ `Merge ] else [ `Merge; `Merge; `Dissolve; `Eject ] in
-  match Rng.choose_list rng ops with
-  | `Dissolve -> Grouping.dissolve groups (Rng.choose rng (Array.of_list multi))
-  | `Eject -> begin
-      let victim = Rng.choose rng (Array.of_list multi) in
-      let k = Rng.choose rng (Array.of_list victim) in
-      match Grouping.eject obj groups k with Some g -> g | None -> groups
-    end
-  | `Merge -> begin
-      let g = Rng.choose rng (Array.of_list groups) in
-      match Grouping.kin_adjacent_groups obj groups g with
-      | [] -> groups
-      | candidates -> begin
-          let partner = Rng.choose rng (Array.of_list candidates) in
-          match Grouping.merge_pair obj groups g partner with
-          | Some (merged, rest) -> merged :: rest
-          | None -> groups
-        end
-    end
+let neighbor = Grouping.mutate ~ops:[ `Merge; `Merge; `Dissolve; `Eject ]
 
 let solve ?(params = default_params) obj =
   if params.iterations < 1 then invalid_arg "Annealing.solve: need at least one iteration";

@@ -11,25 +11,36 @@
 type groups = int list list
 
 (** The partition state every structural operator works on: which group
-    each kernel is in, each group's members, and the condensed
-    (group-level) dependency graph of the execution DAG as successor and
-    predecessor sets per group, all updated in place by merges, ejects
-    and dissolves.  Groups are named by integer ids; [to_groups] lists
-    them in the order the list operators below would produce — a merge
-    puts the merged group first and keeps the others in order, an eject
-    puts [[k]] and the remainder first, a dissolve puts the singletons
-    where the group was.  A caller that applies many operators (random
-    plan construction, crossover repair, schedule repair) keeps one state
-    and converts to lists once, for the result. *)
+    each kernel is in, each group's members in member order, and the
+    condensed (group-level) dependency graph of the execution DAG as
+    successor and predecessor sets per group, all updated in place by
+    merges, ejects and dissolves.  Groups are named by integer ids;
+    [to_groups] lists them in the order the list operators below would
+    produce — a merge puts the merged group first and keeps the others
+    in order, an eject puts [[k]] and the remainder first, a dissolve
+    puts the singletons where the group was.  A topological order of
+    the condensed graph is kept across merges, so a merge searches only
+    the window between its seeds.
+
+    {b Ownership.}  Each domain has one state per objective, the
+    {e scratch}, kept in the objective's per-domain slot
+    ({!Objective.scratch}), so it lives exactly as long as the
+    objective.  Every operator of this module — the list entry points,
+    random plan construction, crossover, mutation, refinement — first
+    loads its plan into the calling domain's scratch, in
+    O(kernels + edges) and without allocating, then updates it in
+    place, and converts back to lists once, for its result.  A loaded
+    state is valid until the next operator on the same objective from
+    the same domain. *)
 module Partition : sig
   type t
 
   val of_groups : Objective.t -> groups -> t
-  (** @raise Invalid_argument unless the groups partition all kernels of
+  (** The calling domain's scratch, loaded with [groups].
+      @raise Invalid_argument unless the groups partition all kernels of
       the objective's program. *)
 
   val to_groups : t -> groups
-  val length : t -> int
 
   val nth : t -> int -> int
   (** Id of the [i]-th group in list order. *)
@@ -37,29 +48,27 @@ module Partition : sig
   val group_of : t -> int -> int
   (** Id of the group holding a kernel. *)
 
-  val members : t -> int -> int list
+  val kin_adjacent : t -> int -> int
+  (** The number of groups (other than the given one) that hold a
+      kinship neighbor of one of its members; their ids, in list order,
+      are {!candidate}[ 0 ..]. *)
 
-  val kin_adjacent : t -> int -> int list
-  (** Ids of the groups (other than the given one), in list order, that
-      hold a kinship neighbor of one of its members. *)
+  val candidate : t -> int -> int
 
-  type merge
-  (** A feasible merge, computed but not applied. *)
-
-  val merge : t -> int list -> merge option
+  val merge : t -> int list -> Objective.verdict
   (** [merge st seeds] computes the absorbing merge of the groups
       [seeds]: they absorb every group that is both reachable from and
       reaching them in the condensed graph, which is the least superset
       closed under the path constraint (paper Eq. 1.3) that leaves no
-      condensation cycle through the merged group.  [None] when the
-      merged group is infeasible.  The state is not changed. *)
+      condensation cycle through the merged group.  Returns the merged
+      group's verdict.  The state is not changed; the merge is held, for
+      {!commit}, until the next operation. *)
 
-  val merged_group : merge -> int list
-  (** The merged group's members, sorted. *)
+  val merged_group : t -> int list
+  (** The held merge's members, sorted. *)
 
-  val commit : t -> merge -> unit
-  (** Apply a merge computed on the current state (no update in
-      between). *)
+  val commit : t -> unit
+  (** Apply the held merge. *)
 
   val eject : t -> int -> bool
   (** The list [eject] in place; [false] leaves the state unchanged. *)
@@ -92,6 +101,23 @@ val random_plan : Objective.t -> Kf_util.Rng.t -> ?merge_attempts:int -> int -> 
     [merge_attempts] defaults to [2 * n].  [n] must be the objective's
     kernel count. *)
 
+val crossover :
+  Objective.t -> Kf_util.Rng.t -> receiver:groups -> donor:groups -> groups
+(** Falkenauer grouping crossover with dependency-aware repair: a random
+    half (at most) of the donor's multi-member groups is injected into
+    the receiver, the receiver's groups they disrupt are broken up, and
+    each orphaned kernel is merged back into a kin-adjacent group when
+    that lowers the projected total (the best such merge 70% of the
+    time, a random improving one otherwise).  Condensation cycles are
+    then repaired.  Returns canonical groups. *)
+
+val mutate :
+  ops:[ `Dissolve | `Eject | `Merge ] list -> Objective.t -> Kf_util.Rng.t -> groups -> groups
+(** One random move drawn from [ops] ([[`Merge]] when no group has two
+    members): dissolve a multi-member group, eject a member of one, or
+    merge a random group with a random kin-adjacent one.  The draw
+    order of [ops] is part of the random stream. *)
+
 val dissolve : groups -> int list -> groups
 (** Replace one group (matched by equality) by its singletons. *)
 
@@ -105,6 +131,11 @@ val schedulable : Objective.t -> groups -> bool
     whole-plan constraint that per-group convexity (paper Eq. 1.3) does
     not by itself guarantee.  A plan that fails this cannot be emitted as
     a host invocation sequence. *)
+
+val packs_schedulable : Objective.t -> int list list list -> bool
+(** {!schedulable} with each launch pack as one unit: packs are
+    launches, so the condensation over the flattened packs must be
+    acyclic (for single-plane packs this is exactly [schedulable]). *)
 
 val repair_schedule : Objective.t -> groups -> groups
 (** Restore schedulability: every multi-group condensation cycle is merged

@@ -3,7 +3,6 @@ module Pool = Kf_util.Pool
 module Inputs = Kf_model.Inputs
 module Program = Kf_ir.Program
 module Sig_tbl = Struct_memo.Sig_tbl
-module Partition = Grouping.Partition
 module Plan = Kf_fusion.Plan
 module Sigbuf = Plan.Sigbuf
 
@@ -112,22 +111,30 @@ type result = {
 }
 
 (* An individual is its launch packs, their flattening into the
-   vertical partition, and its whole-plan evaluation; offspring pass
-   [eval] as the delta base so unchanged packs skip the shared cache.  A
+   vertical partition, its canonical plan key and its whole-plan
+   evaluation.  The key is encoded once, when the individual is built:
+   dedup probes it and the evaluation reuses it.  Offspring pass [eval]
+   as the delta base so unchanged packs skip the shared cache.  A
    vertical search carries single-plane packs in the order its operators
-   produced them: [mutate] picks groups by list position, so that order
-   is part of the random stream.  Only the horizontal search hands
-   canonical packs to [make_individual]. *)
+   produced them, members in member order: [mutate] picks groups and
+   [`Eject] members by list position, so both orders are part of the
+   random stream.  Only the horizontal search hands canonical packs to
+   [make_keyed].  The lists are the individual's immutable record of
+   those orders; every operator loads them into the domain's partition
+   scratch and works there. *)
 type individual = {
   packs : int list list list;
   groups : Grouping.groups;  (* [List.concat packs] *)
+  key : int array;  (* [Objective.plan_key] of [packs] *)
   cost : float;
   eval : Objective.plan_eval;
 }
 
-let make_individual ?base obj packs =
-  let pe = Objective.eval_plan obj ?base packs in
-  { packs; groups = List.concat packs; cost = Objective.plan_eval_total pe; eval = pe }
+let make_keyed ?base obj packs key =
+  let pe = Objective.eval_key obj ?base key in
+  { packs; groups = List.concat packs; key; cost = Objective.plan_eval_total pe; eval = pe }
+
+let make_individual ?base obj packs = make_keyed ?base obj packs (Objective.plan_key obj packs)
 
 let vpacks groups = List.map (fun g -> [ g ]) groups
 
@@ -145,98 +152,9 @@ let tournament rng pop size =
   done;
   !best
 
-(* Falkenauer grouping crossover with dependency-aware repair: inject a
-   crossing section of multi-member groups from [b] into [a], eliminate
-   [a]'s groups disrupted by the injection, and reinsert the orphans —
-   first as singletons, then greedily back into adjacent groups when the
-   model approves. *)
-let crossover obj rng (a : individual) (b : individual) =
-  let b_multi = List.filter (fun g -> List.length g >= 2) b.groups in
-  match b_multi with
-  | [] -> a.groups
-  | _ ->
-      let count = 1 + Rng.int rng (max 1 (List.length b_multi / 2)) in
-      let injected = Array.to_list (Rng.sample rng count (Array.of_list b_multi)) in
-      let injected_members = List.concat injected |> List.sort_uniq compare in
-      let untouched, disrupted =
-        List.partition
-          (fun g -> not (List.exists (fun k -> List.mem k injected_members) g))
-          a.groups
-      in
-      let orphans =
-        List.concat_map (List.filter (fun k -> not (List.mem k injected_members))) disrupted
-      in
-      let base = injected @ untouched @ List.map (fun k -> [ k ]) orphans in
-      (* Repair: pull each orphan back into a neighboring group when that
-         lowers the projected total.  Usually the best improving merge is
-         taken, but sometimes a random improving one — a deterministic
-         repair drives every child into the same pairing basin. *)
-      let st = Partition.of_groups obj base in
-      List.iter
-        (fun k ->
-          let own = Partition.group_of st k in
-          if Partition.members st own = [ k ] then begin
-            let improving =
-              List.filter_map
-                (fun g ->
-                  match Partition.merge st [ own; g ] with
-                  | None -> None
-                  | Some m ->
-                      let before =
-                        Objective.group_cost obj [ k ] +. Objective.group_cost obj (Partition.members st g)
-                      in
-                      let delta = Objective.group_cost obj (Partition.merged_group m) -. before in
-                      if delta < 0. then Some (delta, m) else None)
-                (Partition.kin_adjacent st own)
-            in
-            match improving with
-            | [] -> ()
-            | options ->
-                let _, m =
-                  if Rng.chance rng 0.7 then
-                    List.fold_left
-                      (fun acc o -> match (acc, o) with (d1, _), (d2, _) when d1 <= d2 -> acc | _ -> o)
-                      (List.hd options) (List.tl options)
-                  else Rng.choose rng (Array.of_list options)
-                in
-                Partition.commit st m
-          end)
-        orphans;
-      (* The injected groups can form condensation cycles with the
-         receiver's surviving groups; restore schedulability. *)
-      Partition.repair st;
-      Plan.canonical_groups (Partition.to_groups st)
-
-let mutate obj rng groups =
-  let multi = List.filter (fun g -> List.length g >= 2) groups in
-  let ops = if multi = [] then [ `Merge ] else [ `Dissolve; `Eject; `Merge; `Merge ] in
-  match Rng.choose_list rng ops with
-  | `Dissolve ->
-      let victim = Rng.choose rng (Array.of_list multi) in
-      Grouping.dissolve groups victim
-  | `Eject -> begin
-      let victim = Rng.choose rng (Array.of_list multi) in
-      let k = Rng.choose rng (Array.of_list victim) in
-      match Grouping.eject obj groups k with Some g -> g | None -> groups
-    end
-  | `Merge -> begin
-      let g = Rng.choose rng (Array.of_list groups) in
-      match Grouping.kin_adjacent_groups obj groups g with
-      | [] -> groups
-      | candidates -> begin
-          let partner = Rng.choose rng (Array.of_list candidates) in
-          match Grouping.merge_pair obj groups g partner with
-          | Some (merged, rest) -> merged :: rest
-          | None -> groups
-        end
-    end
+let mutate = Grouping.mutate ~ops:[ `Dissolve; `Eject; `Merge; `Merge ]
 
 (* ---- horizontal-mode operators ------------------------------------------ *)
-
-(* Pack-level schedulability: packs are launches, so the condensation
-   over the flattened packs must be acyclic (for all-singleton packs this
-   is exactly plan schedulability). *)
-let packs_schedulable obj packs = Grouping.schedulable obj (List.map List.concat packs)
 
 let packs_independent obj a b =
   Plan.planes_independent
@@ -250,15 +168,23 @@ let packs_independent obj a b =
    when the surviving packs no longer admit a launch order — unit
    refinement is not cycle-safe in general. *)
 let reattach obj packs groups' =
-  let present = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace present (Plan.canonical_group g) true) groups';
+  let groups = Array.of_list groups' in
+  let owner = Array.make (Array.fold_left (fun acc g -> acc + List.length g) 0 groups) 0 in
+  Array.iteri (fun i g -> List.iter (fun k -> owner.(k) <- i) g) groups;
+  (* The group of [groups'] with exactly [g]'s members, or -1. *)
+  let index g =
+    let i = owner.(List.hd g) in
+    if List.length groups.(i) = List.length g && List.for_all (fun k -> owner.(k) = i) g then i
+    else -1
+  in
+  let available = Array.make (Array.length groups) true in
   let claim g =
-    let cg = Plan.canonical_group g in
-    match Hashtbl.find_opt present cg with
-    | Some true ->
-        Hashtbl.replace present cg false;
-        true
-    | _ -> false
+    let i = index g in
+    i >= 0 && available.(i)
+    && begin
+         available.(i) <- false;
+         true
+       end
   in
   let kept =
     List.filter_map
@@ -267,14 +193,14 @@ let reattach obj packs groups' =
         if List.length survivors >= 2 then Some survivors
         else begin
           (* Return lone survivors to the singleton pool. *)
-          List.iter (fun g -> Hashtbl.replace present (Plan.canonical_group g) true) survivors;
+          List.iter (fun g -> available.(index g) <- true) survivors;
           None
         end)
       packs
   in
-  let singles = List.filter (fun g -> Hashtbl.find present (Plan.canonical_group g)) groups' in
+  let singles = List.filteri (fun i _ -> available.(i)) groups' in
   let out = kept @ vpacks singles in
-  if kept = [] || packs_schedulable obj out then out else vpacks groups'
+  if kept = [] || Grouping.packs_schedulable obj out then out else vpacks groups'
 
 (* Crossover children inherit packs from both parents: any pack whose
    member groups all survived the crossover intact is kept, the
@@ -306,7 +232,7 @@ let mutate_c obj rng packs =
       | _ ->
           let b = Rng.choose rng (Array.of_list candidates) in
           let out = (a @ b) :: List.filter (fun c -> c != a && c != b) packs in
-          if packs_schedulable obj out then out else packs
+          if Grouping.packs_schedulable obj out then out else packs
     end
   | `Hflip ->
       let victim = Rng.choose rng (Array.of_list multi) in
@@ -323,7 +249,7 @@ let mutate_c obj rng packs =
           let out =
             rest_pack :: List.map (fun c -> if c == home then plane :: c else c) others
           in
-          if packs_schedulable obj out then out else packs
+          if Grouping.packs_schedulable obj out then out else packs
     end
 
 (* Comp-aware profitability cleanup for the final answer: a multi-plane
@@ -352,18 +278,15 @@ type island_state = {
   mutable ipop : individual array;
   irng : Rng.t;
   isize : int;
-  (* Plan-identity set for duplicate suppression, keyed by the canonical
-     plan signature encoded into the island's arena — probing hashes a
-     flat int prefix in place with the fixed polynomial instead of
-     allocating a signature array per check.  Two plans share a
-     signature exactly when they are equal as partitions, so dedup
-     decisions match the historical signature-keyed hashtable.  Owned by
-     the island (cleared each generation, touched only by the domain
-     currently stepping the island), NOT shared across domains: a
+  (* Plan-identity set for duplicate suppression, keyed by the
+     individuals' canonical plan signatures.  Two plans share a
+     signature exactly when they are equal as partitions (and packs), so
+     dedup decisions match the historical signature-keyed hashtable.
+     Owned by the island (cleared each generation, touched only by the
+     domain currently stepping the island), NOT shared across domains: a
      cross-domain memo here would make dedup decisions depend on what
      other islands happened to generate first. *)
   dedup : unit Sig_tbl.t;
-  dsb : Sigbuf.t;
 }
 
 (* Advance one island by one generation and return its generation
@@ -400,18 +323,25 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
      child's evaluation resolves everything else from the base table. *)
   let build_child idx =
     let crng = child_rngs.(idx) in
-    if idx >= n_children - fresh then (vpacks (Grouping.random_plan obj crng n), None)
+    if idx >= n_children - fresh then begin
+      let cp = vpacks (Grouping.random_plan obj crng n) in
+      (cp, Objective.plan_key obj cp, None)
+    end
     else begin
       let p1 = tournament crng snapshot params.tournament_size in
       let p2 = tournament crng snapshot params.tournament_size in
+      let crossed = Rng.chance crng params.crossover_rate in
       let cp =
-        if Rng.chance crng params.crossover_rate then
-          let g = crossover obj crng p1 p2 in
+        if crossed then
+          let g = Grouping.crossover obj crng ~receiver:p1.groups ~donor:p2.groups in
           if params.horizontal then inherit_packs obj p1 p2 g else vpacks g
         else p1.packs
       in
-      let cp = if Rng.chance crng params.mutation_rate then mutate_packs crng cp else cp in
-      (cp, Some p1.eval)
+      if Rng.chance crng params.mutation_rate then begin
+        let cp = mutate_packs crng cp in
+        (cp, Objective.plan_key obj cp, Some p1.eval)
+      end
+      else (cp, (if crossed then Objective.plan_key obj cp else p1.key), Some p1.eval)
     end
   in
   let raw_children =
@@ -420,7 +350,7 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
         (* Work-stealing fan-out: each child index is an independent task
            with its own pre-split RNG, so any task-to-domain assignment
            builds the same children. *)
-        let out = Array.make n_children ([], None) in
+        let out = Array.make n_children ([], [||], None) in
         Pool.run pool ~tasks:n_children (fun i -> out.(i) <- build_child i);
         out
     | _ -> Array.init n_children build_child
@@ -430,38 +360,31 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
      identical parents is the identity.  The key is the whole plan
      signature, so in a horizontal search two plans equal as partitions
      but packed differently both survive — they are different points of
-     the enlarged space. *)
+     the enlarged space.  The set holds the individuals' own keys. *)
   Sig_tbl.clear st.dedup;
-  let seen_mem packs =
-    Sigbuf.encode_plan st.dsb packs;
-    Sig_tbl.mem_pre st.dedup ~buf:(Sigbuf.unsafe_buf st.dsb) ~len:(Sigbuf.length st.dsb)
-      ~hash:(Sigbuf.hash st.dsb)
+  let seen key =
+    Sig_tbl.mem_pre st.dedup ~buf:key ~len:(Array.length key) ~hash:(Plan.signature_hash key)
   in
-  (* [seen_add] encodes again rather than reusing [seen_mem]'s encoding:
-     the callers below interleave membership tests of other plans (and
-     evaluations, which use the domain's own arena) between the two. *)
-  let seen_add packs =
-    Sigbuf.encode_plan st.dsb packs;
-    let hash = Sigbuf.hash st.dsb in
-    if
-      not
-        (Sig_tbl.mem_pre st.dedup ~buf:(Sigbuf.unsafe_buf st.dsb)
-           ~len:(Sigbuf.length st.dsb) ~hash)
-    then Sig_tbl.add st.dedup (Sigbuf.extract st.dsb) ~hash ()
+  let seen_add key =
+    if not (seen key) then Sig_tbl.add st.dedup key ~hash:(Plan.signature_hash key) ()
   in
-  List.iter (fun ind -> seen_add ind.packs) elites;
+  List.iter (fun ind -> seen_add ind.key) elites;
   let next = ref elites in
   Array.iteri
-    (fun idx (child, base) ->
+    (fun idx (child, key, base) ->
       let crng = child_rngs.(idx) in
-      let rec unique attempts cp =
-        if (not (seen_mem cp)) || attempts = 0 then cp
-        else unique (attempts - 1) (mutate_packs crng cp)
+      let rec unique attempts cp key =
+        if (not (seen key)) || attempts = 0 then (cp, key)
+        else begin
+          let cp = mutate_packs crng cp in
+          unique (attempts - 1) cp (Objective.plan_key obj cp)
+        end
       in
-      let cp = unique 3 child in
-      seen_add cp;
-      let cp = if params.horizontal then Plan.canonical_comps cp else cp in
-      next := make_individual ?base obj cp :: !next)
+      let cp, key = unique 3 child key in
+      seen_add key;
+      (* the key's packs are the canonical ones *)
+      let cp = if params.horizontal then Sigbuf.decode key else cp in
+      next := make_keyed ?base obj cp key :: !next)
     raw_children;
   st.ipop <- Array.of_list !next;
   let gen_best =
@@ -549,6 +472,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
     + if i < params.population_size mod k_islands then 1 else 0
   in
   let evaluations_before = Objective.evaluations obj in
+  let group_before = Objective.cache_stats obj and plan_before = Objective.plan_cache_stats obj in
   let islands, resumed =
     match resume_from with
     | None ->
@@ -566,7 +490,6 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
             irng = master;
             isize = 0;
             dedup = Sig_tbl.create ~capacity:16 ();
-            dsb = Sigbuf.create ();
           }
         in
         let islands = Array.make k_islands (dummy_island ()) in
@@ -611,7 +534,6 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
               irng;
               isize = size;
               dedup = Sig_tbl.create ~capacity:(2 * size) ();
-              dsb = Sigbuf.create ();
             }
         done;
         (islands, None)
@@ -651,7 +573,6 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
                    irng = Rng.of_state isl.Snapshot.rng_state;
                    isize = Array.length ipop;
                    dedup = Sig_tbl.create ~capacity:(2 * Array.length ipop) ();
-                   dsb = Sigbuf.create ();
                  })
                snap.Snapshot.islands)
         in
@@ -745,17 +666,25 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
   Objective.merge_locals obj;
   (* Budgets and reported stats span the whole logical run: seed the
      objective's counters with the work spent before the snapshot (its
-     evaluations and faults).  Re-costing the checkpointed individuals
-     repeats evaluations the snapshot already counts, so only the
-     remainder is seeded: a resume that runs no generation reports the
-     snapshot's count. *)
+     evaluations, faults and cache traffic).  Re-costing the
+     checkpointed individuals repeats evaluations and probes the
+     snapshot already counts, so only the remainder is seeded: a resume
+     that runs no generation reports the snapshot's counts. *)
   (match resumed with
   | Some snap ->
       let recost = Objective.evaluations obj - evaluations_before in
       Objective.add_evaluations obj (max 0 (snap.Snapshot.evaluations - recost));
       Objective.add_faults obj snap.Snapshot.faults;
-      Objective.add_cache_stats obj ~group:snap.Snapshot.group_cache
-        ~plan:snap.Snapshot.plan_cache
+      let remainder (saved : Objective.cache_stats) (before : Objective.cache_stats) now =
+        {
+          saved with
+          Objective.hits = max 0 (saved.Objective.hits - (now.Objective.hits - before.Objective.hits));
+          misses = max 0 (saved.misses - (now.Objective.misses - before.Objective.misses));
+        }
+      in
+      Objective.add_cache_stats obj
+        ~group:(remainder snap.Snapshot.group_cache group_before (Objective.cache_stats obj))
+        ~plan:(remainder snap.Snapshot.plan_cache plan_before (Objective.plan_cache_stats obj))
   | None -> ());
   let stop = ref None in
   (* One persistent pool for the whole run: spawning domains per

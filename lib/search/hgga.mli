@@ -10,6 +10,16 @@
     adaptation the paper introduces so that "multivariate dependencies of
     original kernels in different sharing sets are not violated".
 
+    An individual is its launch packs, kept in the order its operators
+    produced them (the order is part of the random stream: mutation picks
+    groups and members by position), its canonical plan key, encoded
+    once when the individual is built and shared by dedup and
+    evaluation, and its evaluation.  Operators never rebuild a partition
+    from lists per step: each loads its parent into the domain's
+    {!Grouping.Partition} scratch, works there in place, and returns
+    lists for the child.  Lists appear in {!result}, in {!Snapshot} and
+    at the CLI.
+
     The search can run as an {e island model}: the population is sharded
     into [islands] sub-populations that evolve in lockstep on their own
     pre-split generators and periodically exchange elite copies over a
@@ -197,8 +207,9 @@ val solve :
     evaluation count, wall time and fault record are carried forward, so
     [max_evaluations]/[max_wall_s] cap the whole logical run rather than
     each segment.  Re-costing the restored individuals repeats
-    evaluations the snapshot already counts and is not counted again: a
-    resume that runs no generation reports the snapshot's count.
+    evaluations and cache probes the snapshot already counts, and they
+    are not counted again: a resume that runs no generation reports the
+    snapshot's evaluation count and cache counters.
 
     With a [Kf_obs.Trace] sink attached, the solver emits one structured
     ["generation"] event per generation (best/mean cost, population

@@ -122,18 +122,21 @@ let bounded_enforce b m_evictions =
         Kf_obs.Metrics.incr ~by:drop m_evictions
       end
 
-(* The two-level skeleton every cache shares.  [probe] looks the key
-   currently encoded in [sb] up in the shared base (read-only between
-   merges, so lock-free), then in the domain's private table; it
-   allocates nothing beyond the option.  On a miss the caller copies the
-   key out of [sb] {e before} computing — the computation may re-encode
-   through the same arena — and [record]s the value privately;
-   {!merge_table} folds it into the base at the next barrier. *)
-let probe base local sb =
-  let buf = Sigbuf.unsafe_buf sb and len = Sigbuf.length sb and hash = Sigbuf.hash sb in
+(* The two-level skeleton every cache shares.  [probe_key] looks a
+   borrowed key up in the shared base (read-only between merges, so
+   lock-free), then in the domain's private table; a hit returns the
+   stored option and allocates nothing.  On a miss the caller copies the
+   key out of its buffer {e before} computing — the computation may
+   re-encode through the same arena — and [record]s the value
+   privately; {!merge_table} folds it into the base at the next
+   barrier. *)
+let probe_key base local buf len hash =
   match Sig_tbl.find_pre base.btbl ~buf ~len ~hash with
   | None -> Sig_tbl.find_pre local ~buf ~len ~hash
   | found -> found
+
+let probe base local sb =
+  probe_key base local (Sigbuf.unsafe_buf sb) (Sigbuf.length sb) (Sigbuf.hash sb)
 
 let record local key v = Sig_tbl.add local key ~hash:(Plan.signature_hash key) v
 
@@ -170,9 +173,17 @@ type portfolio_state = {
   mutable rows_merged : int;  (* distinct group rows, exactly-once *)
 }
 
+(* A per-domain slot for a search layer's reusable scratch state (the
+   grouping operators' partition state), extended by the layer that
+   owns it.  It lives in the domain's evaluation context, so it dies
+   with the objective. *)
+type scratch = ..
+type scratch += No_scratch
+
 (* Per-domain evaluation context: private group-verdict and plan tables,
-   the signature-encoding arena, and probe counters.  Touched only by
-   its owning domain, so none of this needs a lock. *)
+   the signature-encoding arena, probe counters and the search layer's
+   scratch.  Touched only by its owning domain, so none of this needs a
+   lock. *)
 type eval_local = {
   el_groups : verdict Sig_tbl.t;
   el_plans : plan_eval Sig_tbl.t;
@@ -188,18 +199,20 @@ type eval_local = {
   mutable el_pub_gmisses : int;
   mutable el_pub_phits : int;
   mutable el_pub_pmisses : int;
+  mutable el_scratch : scratch;
 }
 
 type t = {
   inputs : Inputs.t;
   model : model;
   arena : Feature_arena.t;  (* allocation-free evaluation leaf, every device *)
+  singles : verdict array;  (* the verdict of each original kernel *)
   port : portfolio_state option;  (* multi-device portfolio *)
   gcache : verdict bounded;  (* shared group-verdict base *)
   plans : plan_eval bounded;  (* shared plan-level base *)
   mutable locals : (int * eval_local) list;  (* keyed by domain id *)
   reg_lock : Mutex.t;  (* guards [locals] registration *)
-  memos : Struct_memo.memos;  (* structural-operator memos *)
+  memos : Struct_memo.memos;  (* fixed per-kernel structure *)
   stats_lock : Mutex.t;  (* guards the cross-domain mutable counters below *)
   mutable evaluations : int;  (* merged + seeded exactly-once count *)
   mutable eval_time_s : float;
@@ -243,10 +256,15 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
   let dag = Exec_order.dag inputs.Inputs.exec in
   let nk = Kf_graph.Dag.num_nodes dag in
   let adjacency f = Array.init nk (fun u -> Array.of_list (f dag u)) in
+  let arena = Feature_arena.create inputs ~extra:portfolio in
   {
     inputs;
     model;
-    arena = Feature_arena.create inputs ~extra:portfolio;
+    arena;
+    singles =
+      Array.map
+        (fun cost -> { feasible = true; cost; orig_sum = cost })
+        inputs.Inputs.measured_runtime;
     port =
       (if portfolio = [] then None
        else Some { rows = bounded_create None; front = []; rows_merged = 0 });
@@ -255,8 +273,13 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
     locals = [];
     reg_lock = Mutex.create ();
     memos =
-      Struct_memo.create_memos ~succs:(adjacency Kf_graph.Dag.succs)
-        ~preds:(adjacency Kf_graph.Dag.preds) ();
+      {
+        Struct_memo.succs = adjacency Kf_graph.Dag.succs;
+        preds = adjacency Kf_graph.Dag.preds;
+        kin = Feature_arena.kin_rows arena;
+        desc = Feature_arena.descendants arena;
+        anc = Feature_arena.ancestors arena;
+      };
     stats_lock = Mutex.create ();
     evaluations = 0;
     eval_time_s = 0.;
@@ -280,15 +303,15 @@ let struct_memos t = Some t.memos
    because the domain appended it.  Entries registered concurrently by
    other domains may be missing from a stale snapshot, which only means
    this walk doesn't find them — never a torn read. *)
+let rec local_of_list did = function
+  | (d, l) :: tl -> if d = did then l else local_of_list did tl
+  | [] -> raise_notrace Not_found
+
 let local_of t =
   let did = (Domain.self () :> int) in
-  let rec find = function
-    | [] -> None
-    | (d, l) :: tl -> if d = did then Some l else find tl
-  in
-  match find t.locals with
-  | Some l -> l
-  | None ->
+  match local_of_list did t.locals with
+  | l -> l
+  | exception Not_found ->
       let l =
         {
           el_groups = Sig_tbl.create ();
@@ -305,12 +328,16 @@ let local_of t =
           el_pub_gmisses = 0;
           el_pub_phits = 0;
           el_pub_pmisses = 0;
+          el_scratch = No_scratch;
         }
       in
       Mutex.lock t.reg_lock;
       t.locals <- (did, l) :: t.locals;
       Mutex.unlock t.reg_lock;
       l
+
+let scratch t = (local_of t).el_scratch
+let set_scratch t s = (local_of t).el_scratch <- s
 
 let arena_cost t scr ~dev =
   match t.model with
@@ -420,15 +447,11 @@ let probe_group t l =
       l.el_evals <- l.el_evals + 1;
       None
 
-(* Verdict of a multi-member group already in canonical member order.
-   Evaluating the canonically sorted group means a verdict never
-   depends on which member ordering reached the cache first. *)
-let lookup_sig t sorted_group =
-  let l = local_of t in
-  Sigbuf.encode_group l.el_sb sorted_group;
-  match probe_group t l with
-  | Some v -> v
-  | None ->
+(* A group-cache miss on the key encoded in [l.el_sb]: evaluate the
+   group, given in canonical member order.  Evaluating the canonically
+   sorted group means a verdict never depends on which member ordering
+   reached the cache first. *)
+let miss_group t l sorted_group =
       let key = Sigbuf.extract l.el_sb in
       let v = run_evaluation t sorted_group in
       record l.el_groups key v;
@@ -447,15 +470,39 @@ let lookup_sig t sorted_group =
       | None -> ());
       v
 
+(* Verdict of a multi-member group already in canonical member order. *)
+let lookup_sig t sorted_group =
+  let l = local_of t in
+  Sigbuf.encode_group l.el_sb sorted_group;
+  match probe_group t l with Some v -> v | None -> miss_group t l sorted_group
+
 let lookup t group =
   match group with
   | [ k ] ->
       (* Singletons carry their measured runtime and are feasible by
-         definition: answered from the inputs array without touching
-         the cache, and never counted as evaluations. *)
-      let cost = t.inputs.Inputs.measured_runtime.(k) in
-      { feasible = true; cost; orig_sum = cost }
+         definition: answered from the inputs without touching the
+         cache, and never counted as evaluations. *)
+      t.singles.(k)
   | _ -> lookup_sig t (if Plan.is_sorted_strict group then group else List.sort Int.compare group)
+
+let rec push_prefix sb buf i len =
+  if i < len then begin
+    Sigbuf.push sb (Array.unsafe_get buf i);
+    push_prefix sb buf (i + 1) len
+  end
+
+let rec list_of_prefix buf i acc = if i < 0 then acc else list_of_prefix buf (i - 1) (buf.(i) :: acc)
+
+let verdict_of_sorted t buf len =
+  if len = 1 then t.singles.(buf.(0))
+  else begin
+    let l = local_of t in
+    Sigbuf.reset l.el_sb;
+    push_prefix l.el_sb buf 0 len;
+    match probe_group t l with
+    | Some v -> v
+    | None -> miss_group t l (list_of_prefix buf (len - 1) [])
+  end
 
 (* Per-device cost row of a canonical multi-member group, through the
    two-level row cache. *)
@@ -596,9 +643,9 @@ let pack_profitable t pack =
 
 (* ---- plan-level evaluation ---------------------------------------------- *)
 
-(* Plan-cache probe of the key encoded in [l.el_sb]. *)
-let probe_plan t l =
-  match probe t.plans l.el_plans l.el_sb with
+(* Plan-cache probe of a borrowed key. *)
+let probe_plan t l buf len hash =
+  match probe_key t.plans l.el_plans buf len hash with
   | Some _ as pe ->
       l.el_phits <- l.el_phits + 1;
       pe
@@ -638,30 +685,45 @@ let sum_items t base canon =
   let total = sum 0. canon in
   { pe_total = total; pe_costs = costs }
 
-(* Evaluate a plan's launch packs through the two-level cache.  The
-   total is summed in canonical pack order, so a permuted-but-equal plan
-   hitting the plan cache returns a bit-identical total.  The arena
-   encodes the canonical signature in place and reuses packs that are
-   already canonical, so the cost of a plan-cache hit — the steady state
-   once the population converges — does not grow with the plan: the
-   test suite pins one word count for cloverleaf and scale-les plans,
-   vertical and with horizontal packs. *)
+(* A plan-cache miss on the owned key [psig]: sum its canonical packs,
+   decoded from the key itself. *)
+let miss_plan t l base psig =
+  let canon = Sigbuf.decode psig in
+  let pe = sum_items t base canon in
+  record l.el_plans psig pe;
+  (match t.port with
+  | Some st -> offer_plan st t l ~psig ~canon
+  | None -> ());
+  pe
+
+(* Evaluate the plan key encoded in [sb] through the two-level cache.
+   The total is summed in canonical pack order, so a permuted-but-equal
+   plan hitting the plan cache returns a bit-identical total.  A hit
+   allocates nothing: the test suite pins zero words for cloverleaf and
+   scale-les plans, vertical and with horizontal packs. *)
+let eval_encoded t ?base sb =
+  let l = local_of t in
+  match probe_plan t l (Sigbuf.unsafe_buf sb) (Sigbuf.length sb) (Sigbuf.hash sb) with
+  | Some pe -> pe
+  | None -> miss_plan t l base (Sigbuf.extract sb)
+
+let eval_key t ?base key =
+  let l = local_of t in
+  match probe_plan t l key (Array.length key) (Plan.signature_hash key) with
+  | Some pe -> pe
+  | None -> miss_plan t l base key
+
+(* The arena encodes the canonical signature in place and reuses packs
+   that are already canonical. *)
 let eval_plan t ?base packs =
   let l = local_of t in
   Sigbuf.encode_plan l.el_sb packs;
-  match probe_plan t l with
-  | Some pe -> pe
-  | None ->
-      (* Materialize the key and the canonical packs before the per-pack
-         lookups clobber the arena. *)
-      let psig = Sigbuf.extract l.el_sb in
-      let canon = Sigbuf.canonical l.el_sb in
-      let pe = sum_items t base canon in
-      record l.el_plans psig pe;
-      (match t.port with
-      | Some st -> offer_plan st t l ~psig ~canon
-      | None -> ());
-      pe
+  eval_encoded t ?base l.el_sb
+
+let plan_key t packs =
+  let l = local_of t in
+  Sigbuf.encode_plan l.el_sb packs;
+  Sigbuf.extract l.el_sb
 
 let plan_cost t groups = (eval_plan t (List.map (fun g -> [ g ]) groups)).pe_total
 
@@ -740,8 +802,7 @@ let merge_locals t =
     t.evaluations <- t.evaluations + !fresh;
     Mutex.unlock t.stats_lock;
     Kf_obs.Metrics.incr ~by:!fresh m_evals
-  end;
-  Struct_memo.merge_memos t.memos
+  end
 
 (* ---- portfolio accessors (call at quiescent points, like merges) ------- *)
 

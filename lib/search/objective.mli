@@ -147,8 +147,21 @@ val alloc_per_eval : t -> float
     Sampled only while [Kf_obs.Metrics] is enabled; 0 with no samples. *)
 
 val memos : t -> Struct_memo.memos
-(** The structural memo bundle (kinship neighbor sets) and the
-    execution DAG's adjacency arrays, for [Grouping]. *)
+(** The execution DAG's adjacency arrays and the per-kernel kinship
+    rows, precomputed once, for [Grouping]. *)
+
+type scratch = ..
+(** A per-domain slot for a search layer's reusable state, extended by
+    the layer that owns it ({!Grouping.Partition} keeps its partition
+    scratch here).  The slot lives in the objective's per-domain
+    evaluation context, so the state dies with the objective. *)
+
+type scratch += No_scratch
+
+val scratch : t -> scratch
+(** The calling domain's slot ([No_scratch] until set). *)
+
+val set_scratch : t -> scratch -> unit
 
 val struct_memos : t -> Struct_memo.memos option
 (** [Some (memos t)], always.  The option is kept for callers written
@@ -169,6 +182,12 @@ val group_cost : t -> int list -> float
 val group_profitable : t -> int list -> bool
 (** Constraint 1.1: the projected runtime beats the group's original
     sum.  Singletons are vacuously profitable. *)
+
+val verdict_of_sorted : t -> int array -> int -> verdict
+(** [verdict_of_sorted t buf len] is the verdict of the group
+    [buf.(0 .. len-1)], given strictly increasing: {!group_feasible},
+    {!group_cost} and {!group_profitable} read off one cache probe,
+    which allocates nothing on a hit. *)
 
 (** {2 Plans}
 
@@ -202,10 +221,23 @@ val eval_plan : t -> ?base:plan_eval -> int list list list -> plan_eval
     are not pairwise independent, any plane is infeasible, or the
     combined register/SMEM pressure cannot launch.  The total is summed
     in canonical pack order, so it is bit-identical regardless of pack,
-    plane or member order and of [base].  A plan-cache hit allocates a
-    number of words independent of the plan's size when its packs are
-    canonical.  With a portfolio, every distinct plan of single-plane
-    packs is offered to the Pareto front. *)
+    plane or member order and of [base].  A plan-cache hit allocates
+    nothing when its packs are canonical.  With a portfolio, every
+    distinct plan of single-plane packs is offered to the Pareto
+    front. *)
+
+val plan_key : t -> int list list list -> int array
+(** The plan's canonical signature ({!Kf_fusion.Plan.Sigbuf.encode_plan}),
+    as an owned key: a caller that probes its own tables with the key
+    and then evaluates the plan encodes it once. *)
+
+val eval_key : t -> ?base:plan_eval -> int array -> plan_eval
+(** {!eval_plan} of the plan whose {!plan_key} is given.  On a miss the
+    key itself is stored, so it must not be mutated afterwards. *)
+
+val eval_encoded : t -> ?base:plan_eval -> Kf_fusion.Plan.Sigbuf.t -> plan_eval
+(** {!eval_plan} of the plan key currently encoded in a caller's
+    buffer, probed in place. *)
 
 val plan_cost : t -> int list list -> float
 (** The total of {!eval_plan} on a vertical plan (every group its own

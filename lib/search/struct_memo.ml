@@ -10,13 +10,10 @@ module Sigbuf = Plan.Sigbuf
    removed individually, so no tombstones.
 
    The table itself is single-writer and unsynchronized: concurrency is
-   the caller's problem.  The memo [table] below layers the sharing
-   discipline on top — a read-only [base] table shared by all domains
-   plus one private table per domain, merged into the base at
-   generation barriers.  Probes take no lock at all, which is the point:
-   memo probes are the dominant per-call cost of the incremental
-   objective's structural operators, and the striped-mutex version of
-   this module was a scaling bottleneck at domains > 1.
+   the caller's problem.  {!Objective} layers its sharing discipline on
+   top — a read-only base table shared by all domains plus one private
+   table per domain, merged into the base at generation barriers — so
+   probes take no lock at all.
 
    Probes use a *borrowed* key: the caller encodes the signature into a
    reusable {!Plan.Sigbuf} arena and the probe compares against the
@@ -55,25 +52,24 @@ module Sig_tbl = struct
     Array.fill t.vals 0 (Array.length t.vals) None;
     t.count <- 0
 
-  (* Does the stored key equal the first [len] ints of [buf]? *)
-  let key_equal_pre (key : int array) (buf : int array) len =
-    Array.length key = len
-    &&
-    let rec go i =
-      i >= len || (Array.unsafe_get key i = Array.unsafe_get buf i && go (i + 1))
-    in
-    go 0
+  (* Does the stored key equal the first [len] ints of [buf]?  Probe
+     loops are top-level recursive functions with explicit arguments:
+     local closures over the key and table would allocate on every
+     probe. *)
+  let rec equal_from (key : int array) (buf : int array) len i =
+    i >= len || (Array.unsafe_get key i = Array.unsafe_get buf i && equal_from key buf len (i + 1))
+
+  let key_equal_pre key buf len = Array.length key = len && equal_from key buf len 0
 
   (* Slot holding the borrowed key, or the empty slot where it belongs. *)
-  let slot_pre t buf len h =
-    let rec go i =
-      let idx = (h + i) land t.mask in
-      let k = Array.unsafe_get t.keys idx in
-      if k == no_key then idx
-      else if Array.unsafe_get t.hashes idx = h && key_equal_pre k buf len then idx
-      else go (i + 1)
-    in
-    go 0
+  let rec slot_from t buf len h i =
+    let idx = (h + i) land t.mask in
+    let k = Array.unsafe_get t.keys idx in
+    if k == no_key then idx
+    else if Array.unsafe_get t.hashes idx = h && key_equal_pre k buf len then idx
+    else slot_from t buf len h (i + 1)
+
+  let slot_pre t buf len h = slot_from t buf len h 0
 
   let find_pre t ~buf ~len ~hash =
     let idx = slot_pre t buf len hash in
@@ -125,128 +121,15 @@ module Sig_tbl = struct
       t.keys
 end
 
-(* A memo table: one read-only [base] shared across domains plus one
-   private single-writer table per domain that has ever probed it.
-   Probes are lock-free — the base is written only at quiescent merge
-   points (all workers parked at the pool barrier, whose mutex handshake
-   publishes the writes), and each local is touched only by its owning
-   domain.  The registry of locals is a cons-list keyed by domain id:
-   readers walk an immutable snapshot (their own entry is always visible
-   because they appended it), writers cons under [reg_lock] — a
-   once-per-domain cost.
-
-   Merging a local into the base inserts only keys the base does not
-   already have, so a key computed concurrently by several domains lands
-   once.  Values are pure functions of their keys, so which domain's
-   copy survives is unobservable. *)
-
-type 'a local = {
-  l_tbl : 'a Sig_tbl.t;
-  l_sb : Sigbuf.t;
-  mutable l_hits : int;
-  mutable l_misses : int;
-  mutable l_pub_hits : int;  (* already flushed to the metrics registry *)
-  mutable l_pub_misses : int;
-}
-
-type 'a table = {
-  base : 'a Sig_tbl.t;
-  mutable locals : (int * 'a local) list;
-  reg_lock : Mutex.t;
-  m_hits : Kf_obs.Metrics.counter;
-  m_misses : Kf_obs.Metrics.counter;
-}
-
-let table ?shards:_ name =
-  {
-    base = Sig_tbl.create ();
-    locals = [];
-    reg_lock = Mutex.create ();
-    m_hits = Kf_obs.Metrics.counter (Printf.sprintf "struct_memo.%s.hits" name);
-    m_misses = Kf_obs.Metrics.counter (Printf.sprintf "struct_memo.%s.misses" name);
-  }
-
-let local_of t =
-  let did = (Domain.self () :> int) in
-  let rec find = function
-    | [] -> None
-    | (d, (l : _ local)) :: tl -> if d = did then Some l else find tl
-  in
-  match find t.locals with
-  | Some l -> l
-  | None ->
-      let l =
-        {
-          l_tbl = Sig_tbl.create ();
-          l_sb = Sigbuf.create ();
-          l_hits = 0;
-          l_misses = 0;
-          l_pub_hits = 0;
-          l_pub_misses = 0;
-        }
-      in
-      Mutex.lock t.reg_lock;
-      t.locals <- (did, l) :: t.locals;
-      Mutex.unlock t.reg_lock;
-      l
-
-(* The caller has encoded the key into [l.l_sb].  Probe base then local;
-   on a miss, extract the owned key *before* running [compute] — the
-   computation may probe other memos through the same domain's sigbufs,
-   and for self-recursive operators even this one. *)
-let probe t (l : _ local) compute =
-  let buf = Sigbuf.unsafe_buf l.l_sb
-  and len = Sigbuf.length l.l_sb
-  and hash = Sigbuf.hash l.l_sb in
-  match Sig_tbl.find_pre t.base ~buf ~len ~hash with
-  | Some v ->
-      l.l_hits <- l.l_hits + 1;
-      v
-  | None -> (
-      match Sig_tbl.find_pre l.l_tbl ~buf ~len ~hash with
-      | Some v ->
-          l.l_hits <- l.l_hits + 1;
-          v
-      | None ->
-          l.l_misses <- l.l_misses + 1;
-          let key = Sigbuf.extract l.l_sb in
-          let v = compute () in
-          Sig_tbl.add l.l_tbl key ~hash v;
-          v)
-
-let find_group t group compute =
-  let l = local_of t in
-  Sigbuf.encode_group l.l_sb group;
-  probe t l compute
-
-let merge_table t =
-  List.iter
-    (fun (_, (l : _ local)) ->
-      Sig_tbl.iter
-        (fun key ~hash v ->
-          if not (Sig_tbl.mem_pre t.base ~buf:key ~len:(Array.length key) ~hash)
-          then Sig_tbl.add t.base key ~hash v)
-        l.l_tbl;
-      Sig_tbl.clear l.l_tbl;
-      (* Flush probe counters to the (atomic) metrics registry here, at
-         the barrier, instead of contending on it per probe. *)
-      Kf_obs.Metrics.incr ~by:(l.l_hits - l.l_pub_hits) t.m_hits;
-      Kf_obs.Metrics.incr ~by:(l.l_misses - l.l_pub_misses) t.m_misses;
-      l.l_pub_hits <- l.l_hits;
-      l.l_pub_misses <- l.l_misses)
-    t.locals
-
-let table_stats t =
-  List.fold_left
-    (fun (h, m) (_, (l : _ local)) -> (h + l.l_hits, m + l.l_misses))
-    (0, 0) t.locals
-
+(* The fixed per-kernel structure the partition state reads. *)
 type memos = {
-  kin : Bitset.t table;
   succs : int array array;
   preds : int array array;
+  kin : Bitset.t array;
+  desc : Bitset.t array;
+  anc : Bitset.t array;
 }
 
-let create_memos ~succs ~preds () = { kin = table "kin"; succs; preds }
-let merge_memos m = merge_table m.kin
-let memo_stats m = [ ("kin", table_stats m.kin) ]
+(* Kept for readers of the per-table hit-ratio counters, which read
+   zero: no structural query is memoized. *)
+let memo_stats (_ : memos) : (string * (int * int)) list = []

@@ -46,8 +46,15 @@ let popcount w =
   let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
   go w 0
 
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+let cardinal t =
+  let c = ref 0 in
+  for w = 0 to Array.length t.words - 1 do
+    c := !c + popcount t.words.(w)
+  done;
+  !c
+
+let rec zero_from words w = w >= Array.length words || (words.(w) = 0 && zero_from words (w + 1))
+let is_empty t = zero_from t.words 0
 
 let same_universe a b =
   if a.n <> b.n then invalid_arg "Bitset: universe size mismatch"
@@ -76,6 +83,18 @@ let union_into dst src =
   same_universe dst src;
   for w = 0 to Array.length dst.words - 1 do
     dst.words.(w) <- dst.words.(w) lor src.words.(w)
+  done
+
+let inter_into dst src =
+  same_universe dst src;
+  for w = 0 to Array.length dst.words - 1 do
+    dst.words.(w) <- dst.words.(w) land src.words.(w)
+  done
+
+let diff_into dst src =
+  same_universe dst src;
+  for w = 0 to Array.length dst.words - 1 do
+    dst.words.(w) <- dst.words.(w) land lnot src.words.(w)
   done
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
@@ -107,6 +126,38 @@ let iter f t =
       let b = !x land - !x in
       f ((w * bits) + bit_index b);
       x := !x lxor b
+    done
+  done
+
+let iter_with f env t =
+  for w = 0 to Array.length t.words - 1 do
+    let x = ref t.words.(w) in
+    while !x <> 0 do
+      let b = !x land - !x in
+      f env ((w * bits) + bit_index b);
+      x := !x lxor b
+    done
+  done
+
+let iter_inter_with f env a b =
+  same_universe a b;
+  for w = 0 to Array.length a.words - 1 do
+    let x = ref (a.words.(w) land b.words.(w)) in
+    while !x <> 0 do
+      let bit = !x land - !x in
+      f env ((w * bits) + bit_index bit);
+      x := !x lxor bit
+    done
+  done
+
+let iter_diff_with f env a b =
+  same_universe a b;
+  for w = 0 to Array.length a.words - 1 do
+    let x = ref (a.words.(w) land lnot b.words.(w)) in
+    while !x <> 0 do
+      let bit = !x land - !x in
+      f env ((w * bits) + bit_index bit);
+      x := !x lxor bit
     done
   done
 

@@ -36,6 +36,13 @@ val disjoint : t -> t -> bool
 val union_into : t -> t -> unit
 (** [union_into dst src] adds all members of [src] to [dst]. *)
 
+val inter_into : t -> t -> unit
+(** [inter_into dst src] keeps only the members of [dst] that are in
+    [src]. *)
+
+val diff_into : t -> t -> unit
+(** [diff_into dst src] removes the members of [src] from [dst]. *)
+
 val clear : t -> unit
 (** Remove every member in place (for scratch reuse on hot paths). *)
 
@@ -45,6 +52,19 @@ val intersects_outside : t -> t -> outside:t -> bool
     path-convexity test of the allocation-free evaluator. *)
 
 val iter : (int -> unit) -> t -> unit
+val iter_with : ('a -> int -> unit) -> 'a -> t -> unit
+(** [iter_with f env t] is [iter (f env) t] without building the
+    closure: with a top-level [f], a walk allocates nothing. *)
+
+val iter_inter_with : ('a -> int -> unit) -> 'a -> t -> t -> unit
+(** [iter_inter_with f env a b] visits the members of [a ∩ b], lowest
+    first.  Each word is read when the walk reaches it, so [f] may
+    remove visited members from [b] or add members to it. *)
+
+val iter_diff_with : ('a -> int -> unit) -> 'a -> t -> t -> unit
+(** [iter_diff_with f env a b] visits the members of [a] not in [b],
+    lowest first, under the same rule. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val choose : t -> int
 (** Smallest member.  @raise Not_found when empty. *)

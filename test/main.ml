@@ -8,6 +8,7 @@ let () =
       ("sim", Test_sim.suite);
       ("model", Test_model.suite);
       ("search", Test_search.suite);
+      ("golden", Test_golden.suite);
       ("stream", Test_stream.suite);
       ("workloads", Test_workloads.suite);
       ("pipeline", Test_pipeline.suite);

@@ -324,11 +324,11 @@ let prop_partition_walk_matches_list_oracle =
               | c -> List.nth c (Rng.int rng (List.length c))
             in
             let ids = [ P.group_of st (List.hd a); P.group_of st (List.hd b) ] in
-            match (Legacy_grouping.merge_pair obj gs a b, P.merge st ids) with
-            | None, None -> ()
-            | Some (merged, rest), Some m ->
-                ok := merged = P.merged_group m;
-                P.commit st m;
+            match (Legacy_grouping.merge_pair obj gs a b, (P.merge st ids).Objective.feasible) with
+            | None, false -> ()
+            | Some (merged, rest), true ->
+                ok := merged = P.merged_group st;
+                P.commit st;
                 lists := merged :: rest
             | _ -> ok := false)
         | 1 -> (

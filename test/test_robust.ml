@@ -610,6 +610,43 @@ let test_resume_carries_cache_stats () =
       check Alcotest.bool "resumed plan ledger cumulative" true
         (p.Objective.hits >= sp.Objective.hits && p.Objective.misses >= sp.Objective.misses))
 
+(* A resume of a checkpoint written at its final generation runs no
+   generation: re-costing the saved population repeats probes the
+   snapshot already counts, so checkpointing again must record the same
+   cache counters, in both modes. *)
+let test_resume_at_end_keeps_cache_stats () =
+  let case label params program =
+    let solve ?resume_from path =
+      let ctx = Pipeline.prepare ~device (program ()) in
+      Hgga.solve ~params ?resume_from ~checkpoint:{ Hgga.path; every = 7 }
+        (Pipeline.objective ctx)
+    in
+    let first = Filename.temp_file "kfuse_ck" ".json" in
+    let second = Filename.temp_file "kfuse_ck" ".json" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ first; second ])
+      (fun () ->
+        ignore (solve first);
+        ignore (solve ~resume_from:first second);
+        let a = Snapshot.load first and b = Snapshot.load second in
+        let flow (c : Objective.cache_stats) = (c.Objective.hits, c.Objective.misses) in
+        let pair = Alcotest.(pair int int) in
+        check Alcotest.int (label ^ ": same generation") a.Snapshot.generation
+          b.Snapshot.generation;
+        check Alcotest.int (label ^ ": same evaluations") a.Snapshot.evaluations
+          b.Snapshot.evaluations;
+        check pair (label ^ ": group cache") (flow a.Snapshot.group_cache)
+          (flow b.Snapshot.group_cache);
+        check pair (label ^ ": plan cache") (flow a.Snapshot.plan_cache)
+          (flow b.Snapshot.plan_cache))
+  in
+  let params = { Hgga.default_params with Hgga.max_generations = 30; stall_generations = 1000 } in
+  case "vertical" params Cloverleaf.program;
+  case "horizontal"
+    { params with Hgga.horizontal = true }
+    (fun () -> Kf_workloads.Video.generate Kf_workloads.Video.default)
+
 let test_resume_rejects_mismatch () =
   let params =
     { Hgga.default_params with Hgga.max_generations = 7; stall_generations = 1000 }
@@ -934,4 +971,6 @@ let suite =
     Alcotest.test_case "resume honors wall budget" `Slow test_resume_honors_wall_budget;
     Alcotest.test_case "resume carries faults" `Slow test_resume_carries_faults;
     Alcotest.test_case "resume carries cache stats" `Slow test_resume_carries_cache_stats;
+    Alcotest.test_case "resume at the final generation keeps cache stats" `Quick
+      test_resume_at_end_keeps_cache_stats;
   ]

@@ -144,38 +144,42 @@ let test_grouping_merge_absorbs_cycle () =
   check Alcotest.bool "{0,3} is path-closed" true (Kf_graph.Exec_order.group_is_convex exec [ 0; 3 ]);
   let st = Grouping.Partition.of_groups obj cycle_groups in
   check Alcotest.bool "schedulable before" true (Grouping.Partition.acyclic st);
-  match Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 3 ] with
-  | None -> Alcotest.fail "merge should be feasible"
-  | Some m ->
-      check Alcotest.(list int) "third group absorbed" [ 0; 1; 2; 3 ] (Grouping.Partition.merged_group m);
-      Grouping.Partition.commit st m;
-      check Alcotest.(list (list int)) "one group" [ [ 0; 1; 2; 3 ] ] (Grouping.Partition.to_groups st);
-      check
-        Alcotest.(option (pair (list int) (list (list int))))
-        "list oracle agrees"
-        (Legacy_grouping.merge_pair obj cycle_groups [ 0 ] [ 3 ])
-        (Some ([ 0; 1; 2; 3 ], []))
+  let v = Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 3 ] in
+  if not v.Objective.feasible then Alcotest.fail "merge should be feasible";
+  check Alcotest.(list int) "third group absorbed" [ 0; 1; 2; 3 ] (Grouping.Partition.merged_group st);
+  Grouping.Partition.commit st;
+  check Alcotest.(list (list int)) "one group" [ [ 0; 1; 2; 3 ] ] (Grouping.Partition.to_groups st);
+  check
+    Alcotest.(option (pair (list int) (list (list int))))
+    "list oracle agrees"
+    (Legacy_grouping.merge_pair obj cycle_groups [ 0 ] [ 3 ])
+    (Some ([ 0; 1; 2; 3 ], []))
 
 let test_grouping_infeasible_merge_keeps_state () =
   let obj = objective_of (cycle_program ~heavy:true) in
   check Alcotest.bool "the pair alone is feasible" true (Objective.group_feasible obj [ 0; 3 ]);
   let st = Grouping.Partition.of_groups obj cycle_groups in
-  let kin st = List.map (Grouping.Partition.kin_adjacent st) [ 0; 1; 2 ] in
+  let kin st =
+    List.map
+      (fun g ->
+        let c = Grouping.Partition.kin_adjacent st g in
+        List.init c (Grouping.Partition.candidate st))
+      [ 0; 1; 2 ]
+  in
   let kin_before = kin st in
-  check Alcotest.bool "absorbed merge infeasible" true
-    (Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 3 ]
-    = None);
+  check Alcotest.bool "absorbed merge infeasible" false
+    (Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 3 ])
+      .Objective.feasible;
   check Alcotest.(list (list int)) "groups unchanged" cycle_groups (Grouping.Partition.to_groups st);
   check Alcotest.(list (list int)) "kinship unchanged" kin_before (kin st);
   check Alcotest.bool "still schedulable" true (Grouping.Partition.acyclic st);
   (* The state still works: split off the heavy kernel and merge. *)
   Grouping.Partition.dissolve st (Grouping.Partition.group_of st 1);
-  match Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 1 ] with
-  | None -> Alcotest.fail "{0,1} should be feasible"
-  | Some m ->
-      Grouping.Partition.commit st m;
-      check Alcotest.(list (list int)) "merged after the failure" [ [ 0; 1 ]; [ 3 ]; [ 2 ] ]
-        (Grouping.Partition.to_groups st)
+  let v = Grouping.Partition.merge st [ Grouping.Partition.group_of st 0; Grouping.Partition.group_of st 1 ] in
+  if not v.Objective.feasible then Alcotest.fail "{0,1} should be feasible";
+  Grouping.Partition.commit st;
+  check Alcotest.(list (list int)) "merged after the failure" [ [ 0; 1 ]; [ 3 ]; [ 2 ] ]
+    (Grouping.Partition.to_groups st)
 
 let test_grouping_random_plan_valid () =
   let obj = objective_of (small_suite 5) in
@@ -542,9 +546,18 @@ let test_plan_cache_permuted () =
     (Objective.plan_eval_total e1)
 
 (* A plan-cache hit re-encodes the plan into the domain's arena and
-   probes; on canonical packs that may not cost more words on a
-   142-kernel plan than on a 14-kernel one, vertical or horizontal. *)
+   probes in place; on canonical packs it allocates nothing, on a
+   14-kernel or a 142-kernel plan, vertical or horizontal.  A
+   group-verdict hit (a multi-member group, already sorted) allocates
+   nothing either. *)
 let test_eval_plan_hit_allocation () =
+  let words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    let after = Gc.minor_words () in
+    ignore (Sys.opaque_identity r);
+    after -. before
+  in
   let hit_words program ~horizontal =
     let obj = objective_of program in
     let n = Kf_ir.Program.num_kernels program in
@@ -558,26 +571,24 @@ let test_eval_plan_hit_allocation () =
     in
     ignore (Objective.eval_plan obj packs);
     ignore (Objective.eval_plan obj packs);
-    let before = Gc.minor_words () in
-    let pe = Objective.eval_plan obj packs in
-    let after = Gc.minor_words () in
-    ignore (Sys.opaque_identity pe);
-    (List.length packs, after -. before)
+    let plan_words = words (fun () -> Objective.eval_plan obj packs) in
+    let group = List.find (fun g -> List.length g >= 2) (Plan.canonical_groups groups) in
+    ignore (Objective.group_cost obj group);
+    let group_words = words (fun () -> Objective.group_feasible obj group) in
+    (List.length packs, plan_words, group_words)
   in
   let clover = Kf_workloads.Cloverleaf.program () and les = Kf_workloads.Scale_les.program () in
-  let runs =
+  List.iter
+    (fun (label, (packs, plan_words, group_words)) ->
+      check (Alcotest.float 0.) (Printf.sprintf "%s (%d packs): plan hit words" label packs) 0.
+        plan_words;
+      check (Alcotest.float 0.) (Printf.sprintf "%s: group hit words" label) 0. group_words)
     [
       ("cloverleaf vertical", hit_words clover ~horizontal:false);
       ("scale-les vertical", hit_words les ~horizontal:false);
       ("cloverleaf horizontal", hit_words clover ~horizontal:true);
       ("scale-les horizontal", hit_words les ~horizontal:true);
     ]
-  in
-  let _, (_, w0) = List.hd runs in
-  List.iter
-    (fun (label, (packs, w)) ->
-      check (Alcotest.float 0.) (Printf.sprintf "%s (%d packs): hit words" label packs) w0 w)
-    runs
 
 let test_incremental_full_equivalence () =
   (* The cached, delta-evaluated search against the uncached oracle

@@ -1,19 +1,20 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation section (Wahib & Maruyama, SC'14).
 
-     dune exec bench/main.exe              # run everything (~10-15 min)
+     dune exec bench/main.exe              # run everything (~70 s, release build)
      dune exec bench/main.exe -- table1 fig6 ...   # selected experiments
      dune exec bench/main.exe -- --list    # list experiment ids
 
    Absolute numbers come from the simulator substrate, not the authors'
    Tsubame2.5 nodes; the quantities to compare are the shapes (who wins,
    by what factor, where fusion stops paying).  EXPERIMENTS.md records the
-   paper-vs-measured comparison for each experiment id. *)
+   paper-vs-measured comparison for each experiment id.  Only the paper's
+   tables and figures and their extensions live here; the benchmark of
+   whole fusion decisions is perfbench/, and deterministic search results
+   are pinned by the tests. *)
 
 module Device = Kf_gpu.Device
 module Program = Kf_ir.Program
-module Kernel = Kf_ir.Kernel
-module Metadata = Kf_ir.Metadata
 module Datadep = Kf_graph.Datadep
 module Exec_order = Kf_graph.Exec_order
 module Traffic = Kf_graph.Traffic
@@ -851,830 +852,6 @@ let exp_verify () =
     "(every plan the search emits executes bitwise-identically to the original program,      including relaxed plans run through the materialized generation renaming)@."
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable benchmark summary (BENCH_pr2.json)                  *)
-(* ------------------------------------------------------------------ *)
-
-let bench_json_path = "BENCH_pr2.json"
-
-let exp_bench_json () =
-  header "bench_json" ("Machine-readable per-workload summary -> " ^ bench_json_path);
-  let module J = Kf_obs.Json in
-  let workloads =
-    [
-      ("motivating", Motivating.program ());
-      ("cloverleaf", Kf_workloads.Cloverleaf.program ());
-      ("tealeaf", Kf_workloads.Tealeaf.program ());
-      ("scale-les-rk", Kf_workloads.Scale_les.rk_core ());
-      ("homme", Kf_workloads.Homme.program ());
-      ("suite-30", Suite.generate { Suite.default with Suite.kernels = 30; arrays = 60; seed = 42 });
-    ]
-  in
-  let t =
-    Table.create
-      [
-        ("workload", Table.Left); ("search (s)", Table.Right); ("evals", Table.Right);
-        ("evals/s", Table.Right); ("cache hit", Table.Right); ("projected", Table.Right);
-        ("measured", Table.Right);
-      ]
-  in
-  let rows =
-    List.map
-      (fun (name, p) ->
-        (* Hold on to the objective so its cache telemetry survives the
-           search (Pipeline.run would hide it). *)
-        let ctx = prepare p in
-        let obj = objective ctx in
-        let r = Hgga.solve ~params:search_params obj in
-        let o = Pipeline.apply ctx r in
-        let stats = r.Hgga.stats in
-        let cs = Objective.cache_stats obj in
-        let hit_rate = Objective.cache_hit_rate obj in
-        let evals_per_s =
-          if stats.Hgga.wall_time_s > 0. then
-            float_of_int stats.Hgga.evaluations /. stats.Hgga.wall_time_s
-          else 0.
-        in
-        let projected_speedup =
-          if Float.is_finite r.Hgga.cost && r.Hgga.cost > 0. then
-            ctx.Pipeline.original_runtime /. r.Hgga.cost
-          else 0.
-        in
-        Table.add_row t
-          [
-            name;
-            Table.cell_f stats.Hgga.wall_time_s;
-            string_of_int stats.Hgga.evaluations;
-            Table.cell_f ~decimals:0 evals_per_s;
-            Table.cell_pct hit_rate;
-            Table.cell_speedup projected_speedup;
-            Table.cell_speedup o.Pipeline.speedup;
-          ];
-        ( o.Pipeline.speedup,
-          J.Obj
-            [
-              ("name", J.Str name);
-              ("kernels", J.Int (Program.num_kernels p));
-              ("generations", J.Int stats.Hgga.generations);
-              ("evaluations", J.Int stats.Hgga.evaluations);
-              ("search_wall_s", J.Float stats.Hgga.wall_time_s);
-              ("evaluations_per_s", J.Float evals_per_s);
-              ("cache_hits", J.Int cs.Objective.hits);
-              ("cache_misses", J.Int cs.Objective.misses);
-              ("cache_hit_rate", J.Float hit_rate);
-              ("stop_reason", J.Str (Hgga.stop_reason_name stats.Hgga.stop));
-              ("best_cost_s", J.Float r.Hgga.cost);
-              ("original_runtime_s", J.Float ctx.Pipeline.original_runtime);
-              ("fused_runtime_s", J.Float o.Pipeline.fused_runtime);
-              ("projected_speedup", J.Float projected_speedup);
-              ("measured_speedup", J.Float o.Pipeline.speedup);
-              ("fused_kernels", J.Int (Plan.fused_kernel_count r.Hgga.plan));
-            ] ))
-      workloads
-  in
-  Table.print t;
-  let speedups = Array.of_list (List.map fst rows) in
-  let geomean = Stats.geomean_opt speedups in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "kfuse-bench/1");
-        ("params",
-         J.Obj
-           [
-             ("population_size", J.Int search_params.Hgga.population_size);
-             ("max_generations", J.Int search_params.Hgga.max_generations);
-             ("stall_generations", J.Int search_params.Hgga.stall_generations);
-             ("seed", J.Int search_params.Hgga.seed);
-           ]);
-        ("device", J.Str k20x.Device.name);
-        ("workloads", J.Arr (List.map snd rows));
-        ("geomean_measured_speedup",
-         match geomean with Some g -> J.Float g | None -> J.Null);
-      ]
-  in
-  let oc = open_out (bench_json_path ^ ".tmp") in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string doc);
-      output_char oc '\n');
-  Sys.rename (bench_json_path ^ ".tmp") bench_json_path;
-  (match geomean with
-  | Some g -> Format.printf "geomean measured speedup: %.2fx@." g
-  | None -> Format.printf "geomean measured speedup: n/a (degenerate measurement)@.");
-  Format.printf "wrote %s@." bench_json_path
-
-(* ------------------------------------------------------------------ *)
-(* Parallel-scaling sweep (BENCH_pr8.json)                              *)
-(* ------------------------------------------------------------------ *)
-
-let bench_scaling_path = "BENCH_pr8.json"
-
-let exp_bench_scaling () =
-  header "bench_scaling"
-    ("Parallel-scaling sweep (islands x domains) -> " ^ bench_scaling_path);
-  let module J = Kf_obs.Json in
-  let host_cores = Domain.recommended_domain_count () in
-  let workloads =
-    [
-      ("motivating", Motivating.program ());
-      ("cloverleaf", Kf_workloads.Cloverleaf.program ());
-      ("tealeaf", Kf_workloads.Tealeaf.program ());
-      ("scale-les-rk", Kf_workloads.Scale_les.rk_core ());
-      ("homme", Kf_workloads.Homme.program ());
-      ("suite-30", Suite.generate { Suite.default with Suite.kernels = 30; arrays = 60; seed = 42 });
-    ]
-  in
-  (* Two orthogonal axes.  The island axis runs every workload at
-     domains = 1: it isolates the overhead of the island machinery
-     itself (pool dispatch, migration, merge barriers) with zero
-     parallelism, so its wall speedups should sit near 1.0 on any host.
-     The domain axis fixes islands = 4 and scales worker domains on two
-     mid-size workloads: it measures real parallel throughput AND
-     asserts the determinism contract (fixed islands => bit-identical
-     plan, cost, history and evaluation count for every domain count). *)
-  let island_counts = [ 1; 2; 4; 8 ] in
-  let domain_counts = [ 1; 2; 4 ] in
-  let domain_axis_islands = 4 in
-  let domain_axis_workloads = [ "cloverleaf"; "suite-30" ] in
-  let t =
-    Table.create
-      [
-        ("workload", Table.Left); ("islands", Table.Right); ("domains", Table.Right);
-        ("gens", Table.Right); ("wall (s)", Table.Right); ("evals", Table.Right);
-        ("evals/s", Table.Right); ("wall speedup", Table.Right); ("valid", Table.Left);
-        ("stop", Table.Left);
-      ]
-  in
-  (* Each config runs [repeats] times; the search is deterministic so
-     every repeat returns the same result and only the wall differs.
-     Keep the best wall (min is the standard noise-robust estimator) —
-     at the ~0.1 s scale of these configs a single sample is too noisy
-     to gate on. *)
-  let repeats = 3 in
-  let run_one p ~islands ~domains ~budget ~params =
-    let params = { params with Hgga.islands; domains } in
-    let solve () =
-      let ctx = prepare p in
-      let obj = Pipeline.objective ~domains ctx in
-      Hgga.solve ~params ?budget obj
-    in
-    let r = solve () in
-    let best_wall = ref r.Hgga.stats.Hgga.wall_time_s in
-    for _ = 2 to repeats do
-      let r' = solve () in
-      best_wall := min !best_wall r'.Hgga.stats.Hgga.wall_time_s
-    done;
-    { r with Hgga.stats = { r.Hgga.stats with Hgga.wall_time_s = !best_wall } }
-  in
-  let evals_per_s (stats : Hgga.stats) =
-    if stats.Hgga.wall_time_s > 0. then
-      float_of_int stats.Hgga.evaluations /. stats.Hgga.wall_time_s
-    else 0.
-  in
-  let config_row name ~islands ~domains ~ref_wall (r : Hgga.result) =
-    let stats = r.Hgga.stats in
-    (* A config that ran fewer than two generations measured budget
-       exhaustion or instant convergence, not search throughput: its
-       wall is dominated by setup and the final refinement pass, so
-       speedups computed from it are bogus (the PR 3 sweep reported a
-       8.6x "speedup" on exactly such a row).  Keep the row for the
-       record, flag it invalid, exclude it from gated aggregates. *)
-    let valid = stats.Hgga.generations >= 2 in
-    let wall_speedup =
-      if stats.Hgga.wall_time_s > 0. then ref_wall /. stats.Hgga.wall_time_s else 0.
-    in
-    Table.add_row t
-      [
-        name;
-        string_of_int islands;
-        string_of_int domains;
-        string_of_int stats.Hgga.generations;
-        Table.cell_f ~decimals:3 stats.Hgga.wall_time_s;
-        string_of_int stats.Hgga.evaluations;
-        Table.cell_f ~decimals:0 (evals_per_s stats);
-        Table.cell_speedup wall_speedup;
-        (if valid then "yes" else "NO");
-        Hgga.stop_reason_name stats.Hgga.stop;
-      ];
-    let json =
-      J.Obj
-        [
-          ("islands", J.Int islands);
-          ("domains", J.Int domains);
-          ("generations", J.Int stats.Hgga.generations);
-          ("evaluations", J.Int stats.Hgga.evaluations);
-          ("wall_s", J.Float stats.Hgga.wall_time_s);
-          ("evaluations_per_s", J.Float (evals_per_s stats));
-          ("wall_speedup", J.Float wall_speedup);
-          ("cost_s", J.Float r.Hgga.cost);
-          ("valid", J.Bool valid);
-          ("stop_reason", J.Str (Hgga.stop_reason_name stats.Hgga.stop));
-        ]
-    in
-    (json, valid, wall_speedup)
-  in
-  let bit_identity_failures = ref [] in
-  let island_speedups = ref [] in
-  let domain_axis_rows = ref [] in
-  let axis_throughput = Hashtbl.create 8 (* domains -> evals/s list *) in
-  let rows =
-    List.map
-      (fun (name, p) ->
-        (* Baseline: one island, one domain, the raw search. *)
-        let base_r =
-          run_one p ~islands:1 ~domains:1 ~budget:None ~params:search_params
-        in
-        let base_stats = base_r.Hgga.stats in
-        let base_evals = base_stats.Hgga.evaluations in
-        let base_wall = base_stats.Hgga.wall_time_s in
-        (* Budget normalization (the PR 3 sweep's accounting bug): a
-           baseline that converges after a handful of evaluations hands
-           every other config an evaluation budget it exhausts inside
-           generation 1, so their walls measure budget exhaustion, not
-           search throughput.  A budget that cannot cover two full
-           generations falls back to equal-generations normalization
-           instead. *)
-        let degenerate = base_evals < 2 * search_params.Hgga.population_size in
-        let budget, cparams =
-          if degenerate then
-            ( None,
-              {
-                search_params with
-                Hgga.max_generations = max 2 base_stats.Hgga.generations;
-                stall_generations = max 2 base_stats.Hgga.generations;
-              } )
-          else
-            ( Some { Hgga.unlimited with Hgga.max_evaluations = Some base_evals },
-              search_params )
-        in
-        (* Island axis at domains = 1. *)
-        let island_runs =
-          List.map
-            (fun islands ->
-              let r =
-                if islands = 1 then base_r
-                else run_one p ~islands ~domains:1 ~budget ~params:cparams
-              in
-              (islands, r))
-            island_counts
-        in
-        let configs =
-          List.map
-            (fun (islands, r) ->
-              let json, valid, speedup =
-                config_row name ~islands ~domains:1 ~ref_wall:base_wall r
-              in
-              if valid && islands > 1 then
-                island_speedups := speedup :: !island_speedups;
-              json)
-            island_runs
-        in
-        (* Domain axis at islands = 4, same normalized budget: scale
-           worker domains and assert bit-identical results. *)
-        if List.mem name domain_axis_workloads then begin
-          let anchor = List.assoc domain_axis_islands island_runs in
-          let anchor_wall = anchor.Hgga.stats.Hgga.wall_time_s in
-          let axis_configs =
-            List.map
-              (fun domains ->
-                let r =
-                  if domains = 1 then anchor
-                  else
-                    run_one p ~islands:domain_axis_islands ~domains ~budget
-                      ~params:cparams
-                in
-                let identical =
-                  Int64.bits_of_float r.Hgga.cost = Int64.bits_of_float anchor.Hgga.cost
-                  && r.Hgga.groups = anchor.Hgga.groups
-                  && r.Hgga.stats.Hgga.evaluations = anchor.Hgga.stats.Hgga.evaluations
-                  && r.Hgga.stats.Hgga.improvement_history
-                     = anchor.Hgga.stats.Hgga.improvement_history
-                in
-                if not identical then
-                  bit_identity_failures := (name, domains) :: !bit_identity_failures;
-                let json, _, _ =
-                  config_row name ~islands:domain_axis_islands ~domains
-                    ~ref_wall:anchor_wall r
-                in
-                let eps = evals_per_s r.Hgga.stats in
-                Hashtbl.replace axis_throughput domains
-                  (eps :: (Option.value (Hashtbl.find_opt axis_throughput domains) ~default:[]));
-                (match json with
-                | J.Obj fields -> J.Obj (fields @ [ ("bit_identical", J.Bool identical) ])
-                | other -> other))
-              domain_counts
-          in
-          domain_axis_rows :=
-            J.Obj
-              [
-                ("name", J.Str name);
-                ("islands", J.Int domain_axis_islands);
-                ("configs", J.Arr axis_configs);
-              ]
-            :: !domain_axis_rows
-        end;
-        J.Obj
-          [
-            ("name", J.Str name);
-            ("kernels", J.Int (Program.num_kernels p));
-            ("baseline_evaluations", J.Int base_evals);
-            ("budget_mode", J.Str (if degenerate then "equal-generations" else "evaluations"));
-            ("configs", J.Arr configs);
-          ])
-      workloads
-  in
-  Table.print t;
-  let bit_identical = !bit_identity_failures = [] in
-  let min_island_speedup =
-    match !island_speedups with
-    | [] -> failwith "bench_scaling: no valid island-axis rows"
-    | s :: rest -> List.fold_left min s rest
-  in
-  let throughput_by_domains =
-    List.map
-      (fun d ->
-        let eps = Option.value (Hashtbl.find_opt axis_throughput d) ~default:[] in
-        (d, Stats.geomean (Array.of_list eps)))
-      domain_counts
-  in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "kfuse-bench-scaling/2");
-        ("params",
-         J.Obj
-           [
-             ("population_size", J.Int search_params.Hgga.population_size);
-             ("max_generations", J.Int search_params.Hgga.max_generations);
-             ("stall_generations", J.Int search_params.Hgga.stall_generations);
-             ("migration_interval", J.Int search_params.Hgga.migration_interval);
-             ("migration_size", J.Int search_params.Hgga.migration_size);
-             ("seed", J.Int search_params.Hgga.seed);
-           ]);
-        ("device", J.Str k20x.Device.name);
-        ("host_cores", J.Int host_cores);
-        ("repeats", J.Int repeats);
-        ("island_counts", J.Arr (List.map (fun k -> J.Int k) island_counts));
-        ("domain_counts", J.Arr (List.map (fun k -> J.Int k) domain_counts));
-        ("workloads", J.Arr rows);
-        ("domain_axis", J.Arr (List.rev !domain_axis_rows));
-        ("aggregates",
-         J.Obj
-           [
-             ("min_wall_speedup_domains1", J.Float min_island_speedup);
-             ("bit_identical_domains", J.Bool bit_identical);
-             ("evals_per_s_by_domains",
-              J.Arr
-                (List.map
-                   (fun (d, eps) -> J.Obj [ ("domains", J.Int d); ("evals_per_s", J.Float eps) ])
-                   throughput_by_domains));
-           ]);
-      ]
-  in
-  let oc = open_out (bench_scaling_path ^ ".tmp") in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string doc);
-      output_char oc '\n');
-  Sys.rename (bench_scaling_path ^ ".tmp") bench_scaling_path;
-  Format.printf "wrote %s@." bench_scaling_path;
-  Format.printf "min island-axis wall speedup (domains=1): %.2fx@." min_island_speedup;
-  (* The determinism contract is asserted here, in the bench itself:
-     a scheduling-dependent result is a correctness bug, not a slow
-     run, and must fail loudly even outside the CI gate. *)
-  if not bit_identical then begin
-    List.iter
-      (fun (name, domains) ->
-        Format.printf "BIT-IDENTITY VIOLATION: %s islands=%d domains=%d differs from domains=1@."
-          name domain_axis_islands domains)
-      !bit_identity_failures;
-    exit 1
-  end;
-  Format.printf "bit-identical across domain counts: yes@."
-
-(* ------------------------------------------------------------------ *)
-(* Search-results benchmark (the CI perf-gate input)                    *)
-(* ------------------------------------------------------------------ *)
-
-let bench_incremental_path = "BENCH_pr5.json"
-
-let exp_bench_incremental () =
-  header "bench_incremental"
-    ("Search results per workload -> " ^ bench_incremental_path);
-  let module J = Kf_obs.Json in
-  (* gens=300 / pop=100 with stall disabled: long enough for the memo
-     tables to amortize their warm-up, as in real searches. *)
-  let params =
-    { search_params with Hgga.max_generations = 300; stall_generations = 300;
-      population_size = 100 }
-  in
-  let workloads =
-    [
-      ("motivating", Motivating.program ());
-      ("tealeaf", Kf_workloads.Tealeaf.program ());
-      ("cloverleaf", Kf_workloads.Cloverleaf.program ());
-    ]
-  in
-  let t =
-    Table.create
-      [
-        ("workload", Table.Left); ("evals", Table.Right); ("cost (s)", Table.Right);
-        ("measured", Table.Right);
-      ]
-  in
-  let rows =
-    List.map
-      (fun (name, p) ->
-        let ctx = prepare p in
-        let r = Hgga.solve ~params (Pipeline.objective ctx) in
-        let evals = r.Hgga.stats.Hgga.evaluations in
-        let o = Pipeline.apply ctx r in
-        Table.add_row t
-          [
-            name; string_of_int evals; Printf.sprintf "%.6g" r.Hgga.cost;
-            Table.cell_speedup o.Pipeline.speedup;
-          ];
-        J.Obj
-          [
-            ("name", J.Str name);
-            ("kernels", J.Int (Program.num_kernels p));
-            ("evaluations", J.Int evals);
-            ("generations", J.Int r.Hgga.stats.Hgga.generations);
-            ("cost_s", J.Float r.Hgga.cost);
-            ("measured_speedup", J.Float o.Pipeline.speedup);
-          ])
-      workloads
-  in
-  Table.print t;
-  let geomean =
-    let speedups =
-      List.filter_map
-        (fun row -> Option.bind (J.member "measured_speedup" row) J.to_float_opt)
-        rows
-    in
-    exp (List.fold_left (fun acc s -> acc +. log s) 0. speedups
-         /. float_of_int (List.length speedups))
-  in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "kfuse-bench-incremental/1");
-        ("geomean_measured_speedup", J.Float geomean);
-        ("params",
-         J.Obj
-           [
-             ("population_size", J.Int params.Hgga.population_size);
-             ("max_generations", J.Int params.Hgga.max_generations);
-             ("stall_generations", J.Int params.Hgga.stall_generations);
-             ("seed", J.Int params.Hgga.seed);
-           ]);
-        ("device", J.Str k20x.Device.name);
-        ("workloads", J.Arr rows);
-      ]
-  in
-  let oc = open_out (bench_incremental_path ^ ".tmp") in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string doc);
-      output_char oc '\n');
-  Sys.rename (bench_incremental_path ^ ".tmp") bench_incremental_path;
-  Format.printf "wrote %s@." bench_incremental_path
-
-(* ------------------------------------------------------------------ *)
-(* Arena + device-portfolio benchmark (BENCH_pr9.json)                  *)
-(* ------------------------------------------------------------------ *)
-
-let bench_pareto_path = "BENCH_pr9.json"
-
-let exp_bench_pareto () =
-  header "bench_pareto"
-    ("Allocation-free arena leaf + 5-device portfolio -> " ^ bench_pareto_path);
-  let module J = Kf_obs.Json in
-  let p = Kf_workloads.Cloverleaf.program () in
-  let name = "cloverleaf" in
-  let ctx = prepare p in
-  let extra_devices = [ k40; maxwell; Device.p100; Device.v100 ] in
-  let all_devices = k20x :: extra_devices in
-  let ndev = List.length all_devices in
-  let params =
-    { search_params with Hgga.max_generations = 300; stall_generations = 300;
-      population_size = 100 }
-  in
-  let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  (* Correctness first: the arena search must reproduce the legacy search
-     bit for bit, and adding a portfolio must not perturb the primary
-     search.  Both are hard invariants, asserted here like the scaling
-     bench asserts domain determinism — a violation is a bug, not a slow
-     run. *)
-  (* The legacy side is the per-candidate Fused.build leaf, kept as a
-     test oracle and installed through the objective's guard. *)
-  let legacy = Legacy_leaf.guard ~model:Objective.Proposed in
-  let legacy_objective () = Pipeline.objective ~guard:(legacy ctx.Pipeline.inputs) ctx in
-  let rl = Hgga.solve ~params (legacy_objective ()) in
-  let ra = Hgga.solve ~params (Pipeline.objective ctx) in
-  let identical =
-    Plan.equal rl.Hgga.plan ra.Hgga.plan
-    && float_bits_equal rl.Hgga.cost ra.Hgga.cost
-    && rl.Hgga.stats.Hgga.improvement_history = ra.Hgga.stats.Hgga.improvement_history
-    && rl.Hgga.stats.Hgga.evaluations = ra.Hgga.stats.Hgga.evaluations
-  in
-  if not identical then begin
-    Format.eprintf "bench_pareto: arena search diverged from the legacy search@.";
-    exit 1
-  end;
-  let extras =
-    List.map
-      (fun d ->
-        let measured = Measure.program_results ~device:d p in
-        Inputs.make ~device:d ~meta:ctx.Pipeline.meta ~exec:ctx.Pipeline.exec
-          ~measured_runtime:(Array.map (fun r -> r.Measure.runtime_s) measured))
-      extra_devices
-  in
-  let obj_port = Pipeline.objective ~portfolio:extras ctx in
-  let rp = Hgga.solve_portfolio ~params obj_port in
-  let unaffected =
-    Plan.equal rp.Hgga.primary.Hgga.plan ra.Hgga.plan
-    && float_bits_equal rp.Hgga.primary.Hgga.cost ra.Hgga.cost
-    && rp.Hgga.primary.Hgga.stats.Hgga.evaluations = ra.Hgga.stats.Hgga.evaluations
-  in
-  if not unaffected then begin
-    Format.eprintf "bench_pareto: the portfolio perturbed the primary search@.";
-    exit 1
-  end;
-  (* The throughput quantity: leaf evaluations per second over the
-     search's own candidate corpus.  A guard records every cache-miss
-     candidate of a real search; the timed passes then replay exactly
-     that corpus against a fresh objective per pass (fresh = every probe
-     is a miss, so a pass costs create + one leaf evaluation per
-     candidate — the same shape as a production search, minus the GA
-     machinery that is identical in both modes). *)
-  let corpus = ref [] in
-  let collect eval g =
-    corpus := g :: !corpus;
-    eval g
-  in
-  ignore (Hgga.solve ~params (Pipeline.objective ~guard:collect ctx));
-  let corpus = List.sort_uniq compare !corpus in
-  let ncorpus = List.length corpus in
-  if ncorpus = 0 then failwith "bench_pareto: empty candidate corpus";
-  let time_it run_pass =
-    run_pass ();
-    (* warm-up *)
-    let t1 = Unix.gettimeofday () in
-    run_pass ();
-    let per = Unix.gettimeofday () -. t1 in
-    let reps = min 50 (max 3 (int_of_float (0.5 /. Float.max 1e-6 per))) in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      run_pass ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let eval_corpus obj = List.iter (fun g -> ignore (Objective.group_cost obj g)) corpus in
-  let wall_legacy = time_it (fun () -> eval_corpus (legacy_objective ())) in
-  let wall_arena = time_it (fun () -> eval_corpus (Pipeline.objective ctx)) in
-  let single_speedup = wall_legacy /. wall_arena in
-  (* Portfolio: per-device rows for all five devices through the shared
-     arena (structural analysis once per candidate) vs. the pre-PR
-     alternative — the legacy leaf once per device over per-device
-     inputs. *)
-  let wall_port =
-    time_it (fun () ->
-        let obj = Pipeline.objective ~portfolio:extras ctx in
-        List.iter (fun g -> ignore (Objective.group_row obj g)) corpus)
-  in
-  let per_device_inputs = ctx.Pipeline.inputs :: extras in
-  let wall_legacy5 =
-    time_it (fun () ->
-        List.iter
-          (fun i ->
-            let obj = Objective.create ~guard:(legacy i) i in
-            List.iter (fun g -> ignore (Objective.group_cost obj g)) corpus)
-          per_device_inputs)
-  in
-  let portfolio_speedup = wall_legacy5 /. wall_port in
-  (* Allocation gauge, outside the timed passes (metrics wrap every
-     evaluation in clock reads). *)
-  Kf_obs.Metrics.set_enabled true;
-  let alloc_of obj =
-    eval_corpus obj;
-    Objective.alloc_per_eval obj
-  in
-  let alloc_legacy = alloc_of (legacy_objective ()) in
-  let alloc_arena = alloc_of (Pipeline.objective ctx) in
-  Kf_obs.Metrics.set_enabled false;
-  let t =
-    Table.create
-      [
-        ("configuration", Table.Left); ("wall/pass (ms)", Table.Right);
-        ("evals/s", Table.Right); ("speedup", Table.Right); ("alloc w/eval", Table.Right);
-      ]
-  in
-  let eps n wall = float_of_int n /. wall in
-  Table.add_row t
-    [ "legacy leaf"; Table.cell_f ~decimals:3 (wall_legacy *. 1e3);
-      Table.cell_f ~decimals:0 (eps ncorpus wall_legacy); "";
-      Table.cell_f ~decimals:0 alloc_legacy ];
-  Table.add_row t
-    [ "arena leaf"; Table.cell_f ~decimals:3 (wall_arena *. 1e3);
-      Table.cell_f ~decimals:0 (eps ncorpus wall_arena);
-      Table.cell_speedup single_speedup; Table.cell_f ~decimals:0 alloc_arena ];
-  Table.add_row t
-    [ Printf.sprintf "legacy x %d devices" ndev;
-      Table.cell_f ~decimals:3 (wall_legacy5 *. 1e3);
-      Table.cell_f ~decimals:0 (eps (ncorpus * ndev) wall_legacy5); ""; "" ];
-  Table.add_row t
-    [ Printf.sprintf "portfolio rows (%d devices)" ndev;
-      Table.cell_f ~decimals:3 (wall_port *. 1e3);
-      Table.cell_f ~decimals:0 (eps (ncorpus * ndev) wall_port);
-      Table.cell_speedup portfolio_speedup; "" ];
-  Table.print t;
-  Format.printf
-    "corpus: %d distinct candidates | search: %d evaluations | front: %d plans | rows: %d@."
-    ncorpus ra.Hgga.stats.Hgga.evaluations (List.length rp.Hgga.front)
-    (Objective.rows_evaluated obj_port);
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "kfuse-bench-pareto/1");
-        ("workload", J.Str name);
-        ("kernels", J.Int (Program.num_kernels p));
-        ("device", J.Str k20x.Device.name);
-        ("devices", J.Arr (List.map (fun (d : Device.t) -> J.Str d.Device.name) all_devices));
-        ("params",
-         J.Obj
-           [
-             ("population_size", J.Int params.Hgga.population_size);
-             ("max_generations", J.Int params.Hgga.max_generations);
-             ("stall_generations", J.Int params.Hgga.stall_generations);
-             ("seed", J.Int params.Hgga.seed);
-           ]);
-        ("corpus_size", J.Int ncorpus);
-        ("search_evaluations", J.Int ra.Hgga.stats.Hgga.evaluations);
-        ("bit_identical", J.Bool identical);
-        ("portfolio_unaffected", J.Bool unaffected);
-        ("front_size", J.Int (List.length rp.Hgga.front));
-        ("rows_evaluated", J.Int (Objective.rows_evaluated obj_port));
-        ("single",
-         J.Obj
-           [
-             ("legacy",
-              J.Obj
-                [ ("wall_s", J.Float wall_legacy);
-                  ("evals_per_s", J.Float (eps ncorpus wall_legacy)) ]);
-             ("arena",
-              J.Obj
-                [ ("wall_s", J.Float wall_arena);
-                  ("evals_per_s", J.Float (eps ncorpus wall_arena)) ]);
-             ("speedup", J.Float single_speedup);
-           ]);
-        ("portfolio",
-         J.Obj
-           [
-             ("legacy_per_device",
-              J.Obj
-                [ ("wall_s", J.Float wall_legacy5);
-                  ("device_evals_per_s", J.Float (eps (ncorpus * ndev) wall_legacy5)) ]);
-             ("arena_rows",
-              J.Obj
-                [ ("wall_s", J.Float wall_port);
-                  ("device_evals_per_s", J.Float (eps (ncorpus * ndev) wall_port)) ]);
-             ("speedup", J.Float portfolio_speedup);
-           ]);
-        ("alloc_per_eval",
-         J.Obj [ ("legacy", J.Float alloc_legacy); ("arena", J.Float alloc_arena) ]);
-      ]
-  in
-  let oc = open_out (bench_pareto_path ^ ".tmp") in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string doc);
-      output_char oc '\n');
-  Sys.rename (bench_pareto_path ^ ".tmp") bench_pareto_path;
-  Format.printf "wrote %s@." bench_pareto_path;
-  Format.printf "single-device arena speedup: %.2fx | %d-device portfolio speedup: %.2fx@."
-    single_speedup ndev portfolio_speedup
-
-(* ------------------------------------------------------------------ *)
-(* Horizontal composition benchmark (BENCH_pr10.json)                   *)
-(* ------------------------------------------------------------------ *)
-
-let bench_horizontal_path = "BENCH_pr10.json"
-
-let exp_bench_horizontal () =
-  header "bench_horizontal"
-    ("Horizontal composition on the video workload -> " ^ bench_horizontal_path);
-  let module J = Kf_obs.Json in
-  let spec = Kf_workloads.Video.default in
-  let p = Kf_workloads.Video.generate spec in
-  let ctx = prepare p in
-  let params =
-    { search_params with Hgga.max_generations = 200; stall_generations = 40 }
-  in
-  let hparams = { params with Hgga.horizontal = true } in
-  let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  (* Correctness first: with horizontal off the search must still be the
-     historical vertical-only search, bit for bit, run to run. *)
-  let rv = Hgga.solve ~params (Pipeline.objective ctx) in
-  let rv2 = Hgga.solve ~params (Pipeline.objective ctx) in
-  let vertical_deterministic =
-    Plan.equal rv.Hgga.plan rv2.Hgga.plan
-    && float_bits_equal rv.Hgga.cost rv2.Hgga.cost
-    && rv.Hgga.stats.Hgga.improvement_history = rv2.Hgga.stats.Hgga.improvement_history
-    && rv.Hgga.stats.Hgga.evaluations = rv2.Hgga.stats.Hgga.evaluations
-  in
-  if not vertical_deterministic then begin
-    Format.eprintf "bench_horizontal: vertical-only search is not deterministic@.";
-    exit 1
-  end;
-  let rh = Hgga.solve ~params:hparams (Pipeline.objective ctx) in
-  let packs = Plan.horizontal_pack_count rh.Hgga.plan in
-  let planes = Plan.horizontal_plane_count rh.Hgga.plan in
-  if packs = 0 then begin
-    Format.eprintf "bench_horizontal: no horizontal group in the winning plan@.";
-    exit 1
-  end;
-  if not (rh.Hgga.cost < rv.Hgga.cost) then begin
-    Format.eprintf
-      "bench_horizontal: horizontal best (%.6e) does not beat vertical-only (%.6e)@."
-      rh.Hgga.cost rv.Hgga.cost;
-    exit 1
-  end;
-  let cost_improvement = rv.Hgga.cost /. rh.Hgga.cost in
-  (* The simulator prices plane packs with the same combined-pressure
-     model, so the measured ordering must agree with the projected one. *)
-  let ov = Pipeline.apply ctx rv in
-  let oh = Pipeline.apply ctx rh in
-  let measured_improvement = ov.Pipeline.fused_runtime /. oh.Pipeline.fused_runtime in
-  let t =
-    Table.create
-      [
-        ("plan", Table.Left); ("projected cost", Table.Right);
-        ("measured (ms)", Table.Right); ("launches", Table.Right);
-        ("horizontal", Table.Right);
-      ]
-  in
-  let row name (r : Hgga.result) (o : Pipeline.outcome) =
-    Table.add_row t
-      [
-        name; Printf.sprintf "%.4e" r.Hgga.cost;
-        Table.cell_f ~decimals:3 (o.Pipeline.fused_runtime *. 1e3);
-        string_of_int (Plan.num_units r.Hgga.plan);
-        Printf.sprintf "%d packs / %d planes"
-          (Plan.horizontal_pack_count r.Hgga.plan)
-          (Plan.horizontal_plane_count r.Hgga.plan);
-      ]
-  in
-  row "vertical-only" rv ov;
-  row "horizontal" rh oh;
-  Table.print t;
-  Format.printf
-    "projected improvement %.3fx | measured improvement %.3fx | %d packs over %d planes@."
-    cost_improvement measured_improvement packs planes;
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "kfuse-bench-horizontal/1");
-        ("workload", J.Str spec.Kf_workloads.Video.name);
-        ("frames", J.Int spec.Kf_workloads.Video.frames);
-        ("stages", J.Int spec.Kf_workloads.Video.stages);
-        ("kernels", J.Int (Program.num_kernels p));
-        ("device", J.Str k20x.Device.name);
-        ("params",
-         J.Obj
-           [
-             ("population_size", J.Int params.Hgga.population_size);
-             ("max_generations", J.Int params.Hgga.max_generations);
-             ("stall_generations", J.Int params.Hgga.stall_generations);
-             ("seed", J.Int params.Hgga.seed);
-           ]);
-        ("vertical_deterministic", J.Bool vertical_deterministic);
-        ("vertical_cost", J.Float rv.Hgga.cost);
-        ("horizontal_cost", J.Float rh.Hgga.cost);
-        ("cost_improvement", J.Float cost_improvement);
-        ("measured_improvement", J.Float measured_improvement);
-        ("horizontal_packs", J.Int packs);
-        ("horizontal_planes", J.Int planes);
-        ("launches_vertical", J.Int (Plan.num_units rv.Hgga.plan));
-        ("launches_horizontal", J.Int (Plan.num_units rh.Hgga.plan));
-      ]
-  in
-  let oc = open_out (bench_horizontal_path ^ ".tmp") in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string doc);
-      output_char oc '\n');
-  Sys.rename (bench_horizontal_path ^ ".tmp") bench_horizontal_path;
-  Format.printf "wrote %s@." bench_horizontal_path
-
-(* ------------------------------------------------------------------ *)
 (* registry                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1702,11 +879,6 @@ let experiments =
     ("block_tuning", exp_block_tuning);
     ("sync_points", exp_sync_points);
     ("verify", exp_verify);
-    ("bench_json", exp_bench_json);
-    ("bench_scaling", exp_bench_scaling);
-    ("bench_incremental", exp_bench_incremental);
-    ("bench_pareto", exp_bench_pareto);
-    ("bench_horizontal", exp_bench_horizontal);
   ]
 
 let () =

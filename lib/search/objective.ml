@@ -62,66 +62,6 @@ let plan_eval_total pe = pe.pe_total
 
 (* ---- caches: shared base + per-domain locals ---------------------------- *)
 
-(* A shared base table (read-only between merges) with optional FIFO
-   capacity enforcement at merge time.  [blog] mirrors the base's keys
-   in insertion order whenever a capacity is configured, so the oldest
-   entries can be dropped by rebuilding — entries are never removed from
-   a [Sig_tbl] in place. *)
-type 'v bounded = {
-  mutable btbl : 'v Sig_tbl.t;
-  mutable blog : int array array;
-  mutable blog_len : int;
-  bcap : int option;
-  mutable bevictions : int;
-}
-
-let bounded_create capacity = {
-  btbl = Sig_tbl.create ();
-  blog = [||];
-  blog_len = 0;
-  bcap = capacity;
-  bevictions = 0;
-}
-
-(* Insert a key known to be absent from the base. *)
-let bounded_add b key hash v =
-  Sig_tbl.add b.btbl key ~hash v;
-  match b.bcap with
-  | None -> ()
-  | Some _ ->
-      if b.blog_len = Array.length b.blog then begin
-        let blog = Array.make (max 16 (2 * b.blog_len)) [||] in
-        Array.blit b.blog 0 blog 0 b.blog_len;
-        b.blog <- blog
-      end;
-      b.blog.(b.blog_len) <- key;
-      b.blog_len <- b.blog_len + 1
-
-(* FIFO eviction down to the configured capacity: rebuild keeping the
-   newest [cap] insertions.  Re-evaluating an evicted group is pure, so
-   eviction costs recomputation, never correctness. *)
-let bounded_enforce b m_evictions =
-  match b.bcap with
-  | None -> ()
-  | Some cap ->
-      let n = Sig_tbl.count b.btbl in
-      if n > cap then begin
-        let drop = n - cap in
-        let tbl = Sig_tbl.create ~capacity:(2 * cap) () in
-        for i = drop to b.blog_len - 1 do
-          let key = b.blog.(i) in
-          let hash = Plan.signature_hash key in
-          match Sig_tbl.find_pre b.btbl ~buf:key ~len:(Array.length key) ~hash with
-          | Some v -> Sig_tbl.add tbl key ~hash v
-          | None -> assert false
-        done;
-        b.btbl <- tbl;
-        b.blog <- Array.sub b.blog drop (b.blog_len - drop);
-        b.blog_len <- b.blog_len - drop;
-        b.bevictions <- b.bevictions + drop;
-        Kf_obs.Metrics.incr ~by:drop m_evictions
-      end
-
 (* The two-level skeleton every cache shares.  [probe_key] looks a
    borrowed key up in the shared base (read-only between merges, so
    lock-free), then in the domain's private table; a hit returns the
@@ -131,7 +71,7 @@ let bounded_enforce b m_evictions =
    privately; {!merge_table} folds it into the base at the next
    barrier. *)
 let probe_key base local buf len hash =
-  match Sig_tbl.find_pre base.btbl ~buf ~len ~hash with
+  match Sig_tbl.find_pre base ~buf ~len ~hash with
   | None -> Sig_tbl.find_pre local ~buf ~len ~hash
   | found -> found
 
@@ -147,8 +87,8 @@ let merge_table base local =
   let fresh = ref 0 in
   Sig_tbl.iter
     (fun key ~hash v ->
-      if not (Sig_tbl.mem_pre base.btbl ~buf:key ~len:(Array.length key) ~hash) then begin
-        bounded_add base key hash v;
+      if not (Sig_tbl.mem_pre base ~buf:key ~len:(Array.length key) ~hash) then begin
+        Sig_tbl.add base key ~hash v;
         incr fresh
       end)
     local;
@@ -164,11 +104,10 @@ type pareto_entry = { pf_plan : int list list; pf_costs : float array }
 
 (* Multi-device portfolio state.  [rows] memoizes full per-device cost
    rows keyed by group signature (shared base merged like the verdict
-   cache; kept unbounded so the exactly-once [rows_merged] accounting
-   stays exact); [front] is the global non-dominated set, updated only
+   cache, so [rows_merged] counts each distinct row once); [front] is the global non-dominated set, updated only
    at merge points. *)
 type portfolio_state = {
-  rows : float array bounded;
+  rows : float array Sig_tbl.t;
   mutable front : offer list;
   mutable rows_merged : int;  (* distinct group rows, exactly-once *)
 }
@@ -208,8 +147,8 @@ type t = {
   arena : Feature_arena.t;  (* allocation-free evaluation leaf, every device *)
   singles : verdict array;  (* the verdict of each original kernel *)
   port : portfolio_state option;  (* multi-device portfolio *)
-  gcache : verdict bounded;  (* shared group-verdict base *)
-  plans : plan_eval bounded;  (* shared plan-level base *)
+  gcache : verdict Sig_tbl.t;  (* shared group-verdict base *)
+  plans : plan_eval Sig_tbl.t;  (* shared plan-level base *)
   mutable locals : (int * eval_local) list;  (* keyed by domain id *)
   reg_lock : Mutex.t;  (* guards [locals] registration *)
   memos : Struct_memo.memos;  (* fixed per-kernel structure *)
@@ -231,10 +170,8 @@ type t = {
 let m_evals = Kf_obs.Metrics.counter "objective.evaluations"
 let m_group_hits = Kf_obs.Metrics.counter "objective.group_cache_hits"
 let m_group_misses = Kf_obs.Metrics.counter "objective.group_cache_misses"
-let m_group_evictions = Kf_obs.Metrics.counter "objective.group_cache_evictions"
 let m_plan_hits = Kf_obs.Metrics.counter "objective.plan_cache_hits"
 let m_plan_misses = Kf_obs.Metrics.counter "objective.plan_cache_misses"
-let m_plan_evictions = Kf_obs.Metrics.counter "objective.plan_cache_evictions"
 let g_alloc_per_eval = Kf_obs.Metrics.gauge "objective.alloc_per_eval"
 
 let model_name = function
@@ -244,15 +181,7 @@ let model_name = function
   | Mwp -> "mwp"
 
 let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
-    ?(faults = zero_faults ()) ?cache_capacity ?plan_cache_capacity ?(portfolio = [])
-    inputs =
-  (match cache_capacity with
-  | Some c when c < 1 -> invalid_arg "Objective.create: cache_capacity must be positive"
-  | _ -> ());
-  (match plan_cache_capacity with
-  | Some c when c < 1 ->
-      invalid_arg "Objective.create: plan_cache_capacity must be positive"
-  | _ -> ());
+    ?(faults = zero_faults ()) ?(portfolio = []) inputs =
   let dag = Exec_order.dag inputs.Inputs.exec in
   let nk = Kf_graph.Dag.num_nodes dag in
   let adjacency f = Array.init nk (fun u -> Array.of_list (f dag u)) in
@@ -267,9 +196,9 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
         inputs.Inputs.measured_runtime;
     port =
       (if portfolio = [] then None
-       else Some { rows = bounded_create None; front = []; rows_merged = 0 });
-    gcache = bounded_create cache_capacity;
-    plans = bounded_create plan_cache_capacity;
+       else Some { rows = Sig_tbl.create (); front = []; rows_merged = 0 });
+    gcache = Sig_tbl.create ();
+    plans = Sig_tbl.create ();
     locals = [];
     reg_lock = Mutex.create ();
     memos =
@@ -457,17 +386,8 @@ let miss_group t l sorted_group =
       record l.el_groups key v;
       (* Portfolio: fill the per-device cost row alongside the primary
          verdict.  Rows bypass the guard (they are pure model outputs),
-         and their exactly-once accounting mirrors the verdict merge.  A
-         verdict can re-miss after gcache eviction while its unbounded
-         row survives — hence the membership check. *)
-      (match t.port with
-      | Some st ->
-          let len = Array.length key and hash = Plan.signature_hash key in
-          if
-            (not (Sig_tbl.mem_pre st.rows.btbl ~buf:key ~len ~hash))
-            && not (Sig_tbl.mem_pre l.el_rows ~buf:key ~len ~hash)
-          then Sig_tbl.add l.el_rows key ~hash (compute_row t sorted_group)
-      | None -> ());
+         and their exactly-once accounting mirrors the verdict merge. *)
+      if t.port <> None then record l.el_rows key (compute_row t sorted_group);
       v
 
 (* Verdict of a multi-member group already in canonical member order. *)
@@ -658,12 +578,10 @@ let probe_plan t l buf len hash =
    pack resolves by its [pe_costs] key against [base], the parent's
    evaluation, and only then through the shared cache.  Packs the
    genetic operator left untouched are therefore found in [base] and
-   skip the shared cache entirely.  With unbounded caches this changes
-   no evaluation counts — every pack in [base] was itself resolved
-   through the shared cache when the parent was evaluated, so the set of
-   cache misses is the same with delta evaluation on or off.  (Under a
-   configured [cache_capacity], evicted groups are re-evaluated without
-   a base but not with one, so counts may differ; totals never do.) *)
+   skip the shared cache entirely.  This changes no evaluation counts:
+   every pack in [base] was itself resolved through the shared cache
+   when the parent was evaluated, so the set of cache misses is the same
+   with delta evaluation on or off. *)
 let sum_items t base canon =
   let costs = Hashtbl.create 16 in
   let rec sum acc = function
@@ -795,8 +713,6 @@ let merge_locals t =
       l.el_pub_phits <- l.el_phits;
       l.el_pub_pmisses <- l.el_pmisses)
     t.locals;
-  bounded_enforce t.gcache m_group_evictions;
-  bounded_enforce t.plans m_plan_evictions;
   if !fresh > 0 then begin
     Mutex.lock t.stats_lock;
     t.evaluations <- t.evaluations + !fresh;
@@ -917,26 +833,25 @@ let base_plan_stats t =
 let export_group_verdicts t =
   merge_locals t;
   let acc = ref [] in
-  Sig_tbl.iter (fun k ~hash:_ v -> acc := (k, v) :: !acc) t.gcache.btbl;
+  Sig_tbl.iter (fun k ~hash:_ v -> acc := (k, v) :: !acc) t.gcache;
   !acc
 
 let seed_group_verdicts t entries =
   List.iter
     (fun (k, v) ->
       let hash = Plan.signature_hash k in
-      if not (Sig_tbl.mem_pre t.gcache.btbl ~buf:k ~len:(Array.length k) ~hash) then
-        bounded_add t.gcache k hash v)
-    entries;
-  bounded_enforce t.gcache m_group_evictions
+      if not (Sig_tbl.mem_pre t.gcache ~buf:k ~len:(Array.length k) ~hash) then
+        Sig_tbl.add t.gcache k ~hash v)
+    entries
 
 (* The "shards" are the shared base (index 0 — it holds the merged
-   entries and the eviction counter but sees no probes of its own)
+   entries but sees no probes of its own)
    followed by one entry per domain-local context (its private probe
    counters and any entries not yet merged).  Sizes and hit/miss flows
    both sum to the aggregate {!cache_stats}. *)
 let shard_stats t =
   let base =
-    { hits = 0; misses = 0; evictions = t.gcache.bevictions; size = Sig_tbl.count t.gcache.btbl }
+    { hits = 0; misses = 0; evictions = 0; size = Sig_tbl.count t.gcache }
   in
   let locs =
     List.rev_map
@@ -965,8 +880,8 @@ let plan_cache_stats t =
       {
         hits = 0;
         misses = 0;
-        evictions = t.plans.bevictions;
-        size = Sig_tbl.count t.plans.btbl;
+        evictions = 0;
+        size = Sig_tbl.count t.plans;
       }
       t.locals
   in

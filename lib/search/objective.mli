@@ -44,8 +44,9 @@ type t
 
 type cache_stats = { hits : int; misses : int; evictions : int; size : int }
 (** Memo-table telemetry: lookup hits and misses over every call
-    (singletons included), entries evicted under a configured capacity,
-    and the current table size.  Every lookup resolves as exactly one hit
+    (singletons included), evictions (always 0: the tables are
+    unbounded; the field is kept because checkpoints and the serve cache
+    store it), and the current table size.  Every lookup resolves as exactly one hit
     or one miss — so summed over {!shard_stats}, [hits + misses] always
     equals the total number of probes.  Hit and miss counts are
     scheduling-dependent telemetry when several domains run
@@ -61,8 +62,6 @@ val create :
   ?model:model ->
   ?guard:guard ->
   ?faults:fault_stats ->
-  ?cache_capacity:int ->
-  ?plan_cache_capacity:int ->
   ?portfolio:Kf_model.Inputs.t list ->
   Kf_model.Inputs.t ->
   t
@@ -99,16 +98,7 @@ val create :
     device), and every distinct plan evaluated by the search is offered
     to a cross-device Pareto front ({!pareto_front}).  The primary
     search is unaffected: costs, verdicts and evaluation counts are
-    bit-identical with or without a portfolio.
-
-    [cache_capacity] bounds the group memo table with FIFO eviction
-    (default: unbounded).  The bound is enforced on the shared base at
-    each {!merge_locals} (between merges the per-domain tables may
-    transiently hold more).  Evaluation is pure, so eviction only costs
-    recomputation.  [plan_cache_capacity] bounds the plan-level cache
-    the same way.
-    @raise Invalid_argument if [cache_capacity < 1] or
-    [plan_cache_capacity < 1]. *)
+    bit-identical with or without a portfolio. *)
 
 val portfolio_active : t -> bool
 (** Whether a multi-device portfolio was configured. *)
@@ -311,16 +301,15 @@ val export_group_verdicts : t -> (int array * verdict) list
 val seed_group_verdicts : t -> (int array * verdict) list -> unit
 (** Pre-populate the group cache with previously exported entries.
     Seeded entries count as neither hits nor misses (hit-rate telemetry
-    measures only real probes), respect any configured capacity, and —
-    evaluation being pure — can only skip work, never change a result.
+    measures only real probes) and — evaluation being pure — can only
+    skip work, never change a result.
     Seeding entries exported from
     a {e different} (program, device, model) is undefined behavior; the
     daemon keys its store by a content digest to prevent it. *)
 
 val shard_stats : t -> cache_stats array
 (** Per-compartment group-cache counters: index 0 is the shared base
-    (merged entries and the eviction counter; it records no probes of
-    its own), followed by one entry per domain-local table (its private
+    (merged entries; it records no probes of its own), followed by one entry per domain-local table (its private
     probe counters and any entries not yet merged).  Both sizes and
     hit/miss flows sum to {!cache_stats} (minus any seeded counts). *)
 

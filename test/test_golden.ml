@@ -64,6 +64,51 @@ let test_video () =
          "30:3f05ad93e9503939"; "33:3f034c5c357bf132" ])
     (solve pr10 (video ()))
 
+(* population 100, 300 generations, no stall stop *)
+let long_search =
+  { Hgga.default_params with Hgga.population_size = 100; max_generations = 300;
+    stall_generations = 300 }
+
+let test_long_search () =
+  List.iter
+    (fun (name, program, want, speedup) ->
+      let ctx = Pipeline.prepare ~device program in
+      let r = Hgga.solve ~params:long_search (Pipeline.objective ctx) in
+      pin name want r;
+      Alcotest.check Alcotest.string (name ^ " measured speedup bits") speedup
+        (bits (Pipeline.apply ctx r).Pipeline.speedup))
+    [
+      ("motivating", Kf_workloads.Motivating.program (),
+       golden ~plan:"{0,1 | 2 | 3,4}" ~cost:"3f73cce85288def0" ~evals:5
+         ~hist:[ "0:3f73cce85288def0" ],
+       (* 1.0240489601070637 *) "3ff0628129929a34");
+      ("tealeaf", Kf_workloads.Tealeaf.program (),
+       golden ~plan:"{0,1 | 2,4 | 3 | 5,6,7 | 8 | 9,10,11 | 12 | 13,14,15 | 16,17}"
+         ~cost:"3f56bf411b60e6a6" ~evals:369
+         ~hist:[ "0:3f5b22c281d52ee3"; "1:3f56bf411b60e6a6" ],
+       (* 1.448071648178705 *) "3ff72b4d2d3313e4");
+      ("cloverleaf", clover (),
+       golden ~plan:"{0,1 | 2,3 | 4,5 | 6 | 7,8,9 | 10,11 | 12 | 13}" ~cost:"3f6ad9c122278988"
+         ~evals:193 ~hist:[ "0:3f6b945b661479b4"; "1:3f6ad9c122278988" ],
+       (* 1.0846881589711865 *) "3ff15ae1f8923c31");
+    ]
+
+(* Horizontal composition beats the vertical-only search on video, in
+   projection and in the simulator, with fewer launches. *)
+let test_video_vertical () =
+  let ctx = Pipeline.prepare ~device (video ()) in
+  let run params = Hgga.solve ~params (Pipeline.objective ctx) in
+  let rv = run { pr10 with Hgga.horizontal = false } and rh = run pr10 in
+  pin "video vertical" (golden ~plan:"{0 | 1,2 | 3 | 4,5 | 6 | 7,8 | 9,10 | 11 | 12,13 | 14 | 15,16 | 17}"
+       ~cost:"3f15b69df5174cf8" ~evals:83 ~hist:[ "0:3f165569bfb12d1a"; "2:3f15b69df5174cf8" ])
+    rv;
+  let fused r = (Pipeline.apply ctx r).Pipeline.fused_runtime in
+  let six = Printf.sprintf "%.6f" in
+  Alcotest.check Alcotest.string "projected improvement" "2.250288" (six (rv.Hgga.cost /. rh.Hgga.cost));
+  Alcotest.check Alcotest.string "measured improvement" "2.656890" (six (fused rv /. fused rh));
+  Alcotest.check Alcotest.bool "fewer launches" true
+    (Plan.num_units rh.Hgga.plan < Plan.num_units rv.Hgga.plan)
+
 let test_homme () =
   pin "homme horizontal" (golden ~plan:"{0,1 + 6,9 | 2,3 | 4,5,8,12 | 7,10 + 11 | 13,38 + 28,36 | 14,25,37 + 42 | 15,17 + 33 | 16,18,20 + 31,40 | 19,39 + 21,22,27,30 | 23,24,32 + 35 | 26,34 + 29,41}"
        ~cost:"3f7185da1fe61ccb" ~evals:8415
@@ -145,4 +190,6 @@ let suite =
     Alcotest.test_case "cloverleaf, seeded with the greedy plan" `Quick test_seed_plans;
     Alcotest.test_case "resume, vertical" `Quick test_resume_vertical;
     Alcotest.test_case "resume, horizontal" `Quick test_resume_horizontal;
+    Alcotest.test_case "motivating, tealeaf, cloverleaf, 300 generations" `Quick test_long_search;
+    Alcotest.test_case "video, vertical against horizontal" `Quick test_video_vertical;
   ]

@@ -1,7 +1,6 @@
 (* Horizontal composition tests: pack legality, mode-aware canonical
    signatures, the video workload's horizontal-beats-vertical win, the
-   determinism contract with horizontal search on, snapshots, and the
-   perf_gate schema dispatch for the horizontal bench. *)
+   determinism contract with horizontal search on, and snapshots. *)
 
 module Device = Kf_gpu.Device
 module Plan = Kf_fusion.Plan
@@ -452,52 +451,6 @@ let prop_packs_plane_order seed =
     && Plan.validate ~device ~meta ~exec plan = []);
   plane_orders_agree rng plan
 
-(* ------------------------------------------------------------------ *)
-(* perf_gate schema dispatch                                           *)
-
-let test_perf_gate_unknown_schema () =
-  (* Regression for the schema dispatch table: an unknown schema must
-     exit 2 and list the known schemas, which include the horizontal
-     bench.  "kfuse-bench/1" is unknown too: no bench writes it. *)
-  match Sys.getenv_opt "PERF_GATE" with
-  | None -> Alcotest.skip ()
-  | Some exe ->
-      List.iter
-        (fun schema ->
-          let json = Filename.temp_file "kfuse_gate" ".json" in
-          let err = Filename.temp_file "kfuse_gate" ".err" in
-          Fun.protect
-            ~finally:(fun () ->
-              Sys.remove json;
-              Sys.remove err)
-            (fun () ->
-              let out = open_out json in
-              Printf.fprintf out "{\"schema\": %S}\n" schema;
-              close_out out;
-              let cmd =
-                Printf.sprintf "%s %s %s 2>%s" (Filename.quote exe)
-                  (Filename.quote json) (Filename.quote json) (Filename.quote err)
-              in
-              let code =
-                match Unix.system cmd with
-                | Unix.WEXITED c -> c
-                | _ -> -1
-              in
-              check Alcotest.int (schema ^ " exits 2") 2 code;
-              let ic = open_in err in
-              let len = in_channel_length ic in
-              let msg = really_input_string ic len in
-              close_in ic;
-              let contains sub =
-                let ls = String.length sub and l = String.length msg in
-                let rec go i = i + ls <= l && (String.sub msg i ls = sub || go (i + 1)) in
-                go 0
-              in
-              check Alcotest.bool "names the failure" true (contains "unknown schema");
-              check Alcotest.bool "lists the horizontal schema" true
-                (contains "kfuse-bench-horizontal/1")))
-        [ "kfuse-bench-bogus/9"; "kfuse-bench/1" ]
-
 let suite =
   [
     qcheck "cplan signature canonical under scrambling" prop_signature_canonical;
@@ -526,6 +479,4 @@ let suite =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:40 ~name:"random packs: plane order irrelevant" QCheck.small_int
          prop_packs_plane_order);
-    Alcotest.test_case "perf_gate rejects unknown schema" `Quick
-      test_perf_gate_unknown_schema;
   ]

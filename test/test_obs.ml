@@ -284,26 +284,16 @@ let test_generation_events () =
 let test_cache_stats_and_eviction () =
   with_clean_obs @@ fun () ->
   let ctx = Pipeline.prepare ~device (Motivating.program ()) in
-  let obj = Objective.create ~cache_capacity:4 ctx.Pipeline.inputs in
+  let obj = Objective.create ctx.Pipeline.inputs in
   ignore (Hgga.solve ~params:{ Hgga.default_params with Hgga.max_generations = 5 } obj);
   let cs = Objective.cache_stats obj in
   check bool "hits counted" true (cs.Objective.hits > 0);
   check bool "misses counted" true (cs.Objective.misses > 0);
-  check bool "capacity enforced" true (cs.Objective.size <= 4);
-  check bool "evictions counted" true (cs.Objective.evictions > 0);
+  check bool "entries cached" true (cs.Objective.size > 0);
+  (* the tables are unbounded: the stored eviction count stays 0 *)
+  check int "no evictions" 0 cs.Objective.evictions;
   let rate = Objective.cache_hit_rate obj in
-  check bool "hit rate in [0,1]" true (rate >= 0. && rate <= 1.);
-  (match Objective.create ~cache_capacity:0 ctx.Pipeline.inputs with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "expected Invalid_argument for capacity 0");
-  (* A bounded cache changes memoization, never results: same plan as the
-     unbounded objective. *)
-  let unbounded = Objective.create ctx.Pipeline.inputs in
-  let r1 = Hgga.solve ~params:{ Hgga.default_params with Hgga.max_generations = 5 } unbounded in
-  let obj2 = Objective.create ~cache_capacity:4 ctx.Pipeline.inputs in
-  let r2 = Hgga.solve ~params:{ Hgga.default_params with Hgga.max_generations = 5 } obj2 in
-  check bool "eviction does not change the search" true
-    (Kf_fusion.Plan.equal r1.Hgga.plan r2.Hgga.plan)
+  check bool "hit rate in [0,1]" true (rate >= 0. && rate <= 1.)
 
 let suite =
   [

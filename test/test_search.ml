@@ -306,7 +306,10 @@ let test_random_search () =
 
 let clover_obj () = objective_of (Kf_workloads.Cloverleaf.program ())
 
-let solve_clover ?(islands = 1) ~domains () =
+let suite30_obj () =
+  objective_of (Suite.generate { Suite.default with Suite.kernels = 30; arrays = 60; seed = 42 })
+
+let solve_clover ?(islands = 1) ?(objective = clover_obj) ~domains () =
   Hgga.solve
     ~params:
       {
@@ -316,7 +319,7 @@ let solve_clover ?(islands = 1) ~domains () =
         domains;
         islands;
       }
-    (clover_obj ())
+    (objective ())
 
 let test_hgga_domain_invariance () =
   (* The determinism contract: worker-domain count is a throughput knob,
@@ -334,15 +337,22 @@ let test_hgga_island_domain_invariance () =
   (* Fixed island count, varying worker count: islands advance in
      lockstep on their own generators, so the fan-out must be invisible
      in the plan, the history, and the evaluation count. *)
-  let r1 = solve_clover ~islands:4 ~domains:1 () in
-  let r4 = solve_clover ~islands:4 ~domains:4 () in
-  check Alcotest.bool "same plan (islands=4, 1 vs 4 domains)" true
-    (Plan.equal r1.Hgga.plan r4.Hgga.plan);
-  check (Alcotest.float 0.) "same cost" r1.Hgga.cost r4.Hgga.cost;
-  check Alcotest.int "same evaluation count" r1.Hgga.stats.Hgga.evaluations
-    r4.Hgga.stats.Hgga.evaluations;
-  check Alcotest.bool "same improvement history" true
-    (r1.Hgga.stats.Hgga.improvement_history = r4.Hgga.stats.Hgga.improvement_history)
+  List.iter
+    (fun (name, objective, domain_counts) ->
+      let r1 = solve_clover ~islands:4 ~objective ~domains:1 () in
+      List.iter
+        (fun domains ->
+          let rd = solve_clover ~islands:4 ~objective ~domains () in
+          let what = Printf.sprintf "%s, islands=4, 1 vs %d domains" name domains in
+          check Alcotest.bool ("same plan: " ^ what) true (Plan.equal r1.Hgga.plan rd.Hgga.plan);
+          check Alcotest.bool ("same cost bits: " ^ what) true
+            (Int64.bits_of_float r1.Hgga.cost = Int64.bits_of_float rd.Hgga.cost);
+          check Alcotest.int ("same evaluation count: " ^ what) r1.Hgga.stats.Hgga.evaluations
+            rd.Hgga.stats.Hgga.evaluations;
+          check Alcotest.bool ("same improvement history: " ^ what) true
+            (r1.Hgga.stats.Hgga.improvement_history = rd.Hgga.stats.Hgga.improvement_history))
+        domain_counts)
+    [ ("cloverleaf", clover_obj, [ 4 ]); ("suite-30", suite30_obj, [ 2; 4 ]) ]
 
 let test_hgga_islands_search () =
   (* The island model still searches: improves on identity and yields a

@@ -280,6 +280,13 @@ let terminal client ~id =
 
 let quick_options = [ ("generations", Json.Int 40); ("population", Json.Int 20) ]
 
+(* Skip events until one of [kind] arrives. *)
+let rec await_kind c kind =
+  match Client.next_event c with
+  | Some e when Client.event_kind e = Some kind -> ()
+  | Some _ -> await_kind c kind
+  | None -> Alcotest.failf "eof before a %s event" kind
+
 let test_concurrent_isolation () =
   (* Two clients, different workloads and seeds, answered concurrently:
      each gets its own result, correlated by id, identical to a direct
@@ -383,13 +390,7 @@ let test_overload_rejection () =
       slow 1;
       (* wait until s1 is actually started (popped from the queue) so the
          queue slot is free for s2 and s3 overflows deterministically *)
-      let rec await_started () =
-        match Client.next_event c with
-        | Some e when Client.event_kind e = Some "started" -> ()
-        | Some _ -> await_started ()
-        | None -> Alcotest.fail "eof before start"
-      in
-      await_started ();
+      await_kind c "started";
       slow 2;
       (* s2 admitted (fills the queue) *)
       (match Client.next_event c with
@@ -442,13 +443,7 @@ let test_drain () =
          ]
        ());
   (* wait until the search demonstrably runs, then drain mid-flight *)
-  let rec await_progress () =
-    match Client.next_event c with
-    | Some e when Client.event_kind e = Some "progress" -> ()
-    | Some _ -> await_progress ()
-    | None -> Alcotest.fail "eof before progress"
-  in
-  await_progress ();
+  await_kind c "progress";
   Client.send c (Client.request ~id:"queued" ~workload:"motivating" ~options:quick_options ());
   (* drain discards unread input (EOF via SHUTDOWN_RECEIVE), so make sure
      the queued request is admitted before flipping the flag *)
@@ -490,6 +485,38 @@ let test_drain () =
   | None -> Alcotest.fail "no terminal event for the queued request");
   check Alcotest.bool "socket removed" false (Sys.file_exists socket_path);
   Client.close c
+
+let test_sigterm_drain () =
+  (* The real signal path of [kfuse serve]: SIGTERM, delivered to this
+     process mid-search, drains through the installed handlers.  The
+     in-flight result arrives, the socket goes and the cache is saved. *)
+  let socket_path = sock_path () in
+  let cache_path = Filename.temp_file "kfuse_sigterm" ".json" in
+  Sys.remove cache_path;
+  let config =
+    { (Server.default ~socket_path) with Server.workers = 1; progress_every = 1;
+      cache_path = Some cache_path }
+  in
+  let srv = Server.start config in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun s -> Sys.set_signal s Sys.Signal_default) [ Sys.sigterm; Sys.sigint ];
+      if Sys.file_exists cache_path then Sys.remove cache_path)
+    (fun () ->
+      Server.install_signal_handlers srv;
+      let c = Client.connect_retry socket_path in
+      Client.send c
+        (Client.request ~id:"inflight" ~workload:"suite:kernels=24,seed=5"
+           ~options:[ ("generations", Json.Int 100000); ("progress", Json.Bool true) ]
+           ());
+      await_kind c "progress";
+      Unix.kill (Unix.getpid ()) Sys.sigterm;
+      let _, term = terminal c ~id:"inflight" in
+      Server.wait srv;
+      Client.close c;
+      check Alcotest.string "in-flight result delivered" "result" (str_field "event" term);
+      check Alcotest.bool "socket removed" false (Sys.file_exists socket_path);
+      check Alcotest.bool "cache persisted" true (Sys.file_exists cache_path))
 
 let test_warm_restart () =
   (* Stop a daemon with a persisted cache, restart over the same file:
@@ -673,4 +700,5 @@ let suite =
     ("corrupt stored plan searches", `Slow, test_corrupt_stored_plan_searches);
     ("zero-budget warm request", `Slow, test_zero_budget_warm);
     ("streaming session", `Slow, test_stream_session);
+    ("SIGTERM drain through the signal handlers", `Slow, test_sigterm_drain);
   ]

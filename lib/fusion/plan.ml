@@ -75,7 +75,9 @@ let plan_signature groups =
    everywhere (same scheme as the objective's string-key shard hash). *)
 let signature_hash sig_ =
   let h = ref 17 in
-  Array.iter (fun x -> h := ((!h * 31) + x + 2) land max_int) sig_;
+  for i = 0 to Array.length sig_ - 1 do
+    h := ((!h * 31) + Array.unsafe_get sig_ i + 2) land max_int
+  done;
   !h
 
 let group_hash group = signature_hash (group_signature group)

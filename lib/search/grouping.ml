@@ -734,7 +734,7 @@ module Partition = struct
 
   let plan_cost st ~pending =
     encode st ~pending;
-    Objective.plan_eval_total (Objective.eval_encoded st.obj st.sb)
+    Objective.eval_encoded st.obj st.sb
 end
 
 let schedulable obj groups =

@@ -111,30 +111,26 @@ type result = {
 }
 
 (* An individual is its launch packs, their flattening into the
-   vertical partition, its canonical plan key and its whole-plan
-   evaluation.  The key is encoded once, when the individual is built:
-   dedup probes it and the evaluation reuses it.  Offspring pass [eval]
-   as the delta base so unchanged packs skip the shared cache.  A
-   vertical search carries single-plane packs in the order its operators
-   produced them, members in member order: [mutate] picks groups and
-   [`Eject] members by list position, so both orders are part of the
-   random stream.  Only the horizontal search hands canonical packs to
-   [make_keyed].  The lists are the individual's immutable record of
-   those orders; every operator loads them into the domain's partition
-   scratch and works there. *)
+   vertical partition, its canonical plan key and its cost.  The key is
+   encoded once, when the individual is built: dedup probes it and the
+   evaluation reuses it.  A vertical search carries single-plane packs
+   in the order its operators produced them, members in member order:
+   [mutate] picks groups and [`Eject] members by list position, so both
+   orders are part of the random stream.  Only the horizontal search
+   hands canonical packs to [make_keyed].  The lists are the
+   individual's immutable record of those orders; every operator loads
+   them into the domain's partition scratch and works there. *)
 type individual = {
   packs : int list list list;
   groups : Grouping.groups;  (* [List.concat packs] *)
   key : int array;  (* [Objective.plan_key] of [packs] *)
   cost : float;
-  eval : Objective.plan_eval;
 }
 
-let make_keyed ?base obj packs key =
-  let pe = Objective.eval_key obj ?base key in
-  { packs; groups = List.concat packs; key; cost = Objective.plan_eval_total pe; eval = pe }
+let make_keyed obj packs key =
+  { packs; groups = List.concat packs; key; cost = Objective.eval_key obj key }
 
-let make_individual ?base obj packs = make_keyed ?base obj packs (Objective.plan_key obj packs)
+let make_individual obj packs = make_keyed obj packs (Objective.plan_key obj packs)
 
 let vpacks groups = List.map (fun g -> [ g ]) groups
 
@@ -318,14 +314,13 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
     if params.horizontal then mutate_c obj rng packs
     else vpacks (mutate obj rng (List.concat packs))
   in
-  (* A child also reports its delta base: the receiving parent's plan
-     evaluation.  Crossover and mutation touch one or two groups, so the
-     child's evaluation resolves everything else from the base table. *)
+  (* A child is its packs and their plan key; a child that neither
+     crossed nor mutated reuses its parent's key. *)
   let build_child idx =
     let crng = child_rngs.(idx) in
     if idx >= n_children - fresh then begin
       let cp = vpacks (Grouping.random_plan obj crng n) in
-      (cp, Objective.plan_key obj cp, None)
+      (cp, Objective.plan_key obj cp)
     end
     else begin
       let p1 = tournament crng snapshot params.tournament_size in
@@ -339,9 +334,9 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
       in
       if Rng.chance crng params.mutation_rate then begin
         let cp = mutate_packs crng cp in
-        (cp, Objective.plan_key obj cp, Some p1.eval)
+        (cp, Objective.plan_key obj cp)
       end
-      else (cp, (if crossed then Objective.plan_key obj cp else p1.key), Some p1.eval)
+      else (cp, if crossed then Objective.plan_key obj cp else p1.key)
     end
   in
   let raw_children =
@@ -350,7 +345,7 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
         (* Work-stealing fan-out: each child index is an independent task
            with its own pre-split RNG, so any task-to-domain assignment
            builds the same children. *)
-        let out = Array.make n_children ([], [||], None) in
+        let out = Array.make n_children ([], [||]) in
         Pool.run pool ~tasks:n_children (fun i -> out.(i) <- build_child i);
         out
     | _ -> Array.init n_children build_child
@@ -371,7 +366,7 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
   List.iter (fun ind -> seen_add ind.key) elites;
   let next = ref elites in
   Array.iteri
-    (fun idx (child, key, base) ->
+    (fun idx (child, key) ->
       let crng = child_rngs.(idx) in
       let rec unique attempts cp key =
         if (not (seen key)) || attempts = 0 then (cp, key)
@@ -384,7 +379,7 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
       seen_add key;
       (* the key's packs are the canonical ones *)
       let cp = if params.horizontal then Sigbuf.decode key else cp in
-      next := make_keyed ?base obj cp key :: !next)
+      next := make_keyed obj cp key :: !next)
     raw_children;
   st.ipop <- Array.of_list !next;
   let gen_best =
@@ -402,8 +397,7 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
        with genuine horizontal packs is left as the operators built it
        (relocation would silently discard its composition). *)
     let refined =
-      make_individual ~base:gen_best.eval obj
-        (vpacks (Grouping.local_refine obj gen_best.groups))
+      make_individual obj (vpacks (Grouping.local_refine obj gen_best.groups))
     in
     if refined.cost < gen_best.cost then begin
       st.ipop.(0) <- refined;
@@ -871,7 +865,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
     else best_packs
   in
   let final_comps = enforce_profitability_c obj best_packs in
-  let final_cost = Objective.plan_eval_total (Objective.eval_plan obj final_comps) in
+  let final_cost = Objective.eval_plan obj final_comps in
   let final_plan = Plan.of_composed ~n final_comps in
   let final_groups = Plan.groups final_plan in
   (* Pick up the final refinement's verdicts too, so the reported stats

@@ -47,19 +47,6 @@ let add_stats a b =
     size = a.size + b.size;
   }
 
-(* ---- plan-level cache --------------------------------------------------- *)
-
-(* One whole-plan evaluation: the canonical-order total and the cost of
-   each pack that is not a single original kernel.  Offspring diff their
-   packs against the parent's [pe_costs] table, so unchanged packs cost
-   one hashtable find instead of a shared-cache probe. *)
-type plan_eval = {
-  pe_total : float;
-  pe_costs : (int list, float) Hashtbl.t;  (* [pack_key] of a canonical pack -> cost *)
-}
-
-let plan_eval_total pe = pe.pe_total
-
 (* ---- caches: shared base + per-domain locals ---------------------------- *)
 
 (* The two-level skeleton every cache shares.  [probe_key] looks a
@@ -125,7 +112,7 @@ type scratch += No_scratch
    lock. *)
 type eval_local = {
   el_groups : verdict Sig_tbl.t;
-  el_plans : plan_eval Sig_tbl.t;
+  el_plans : float Sig_tbl.t;
   el_sb : Sigbuf.t;
   el_rows : float array Sig_tbl.t;  (* portfolio rows not yet merged *)
   mutable el_offers : offer list;  (* plan offers not yet merged *)
@@ -148,7 +135,7 @@ type t = {
   singles : verdict array;  (* the verdict of each original kernel *)
   port : portfolio_state option;  (* multi-device portfolio *)
   gcache : verdict Sig_tbl.t;  (* shared group-verdict base *)
-  plans : plan_eval Sig_tbl.t;  (* shared plan-level base *)
+  plans : float Sig_tbl.t;  (* shared plan-level base: key -> canonical-order total *)
   mutable locals : (int * eval_local) list;  (* keyed by domain id *)
   reg_lock : Mutex.t;  (* guards [locals] registration *)
   memos : Struct_memo.memos;  (* fixed per-kernel structure *)
@@ -405,25 +392,6 @@ let lookup t group =
       t.singles.(k)
   | _ -> lookup_sig t (if Plan.is_sorted_strict group then group else List.sort Int.compare group)
 
-let rec push_prefix sb buf i len =
-  if i < len then begin
-    Sigbuf.push sb (Array.unsafe_get buf i);
-    push_prefix sb buf (i + 1) len
-  end
-
-let rec list_of_prefix buf i acc = if i < 0 then acc else list_of_prefix buf (i - 1) (buf.(i) :: acc)
-
-let verdict_of_sorted t buf len =
-  if len = 1 then t.singles.(buf.(0))
-  else begin
-    let l = local_of t in
-    Sigbuf.reset l.el_sb;
-    push_prefix l.el_sb buf 0 len;
-    match probe_group t l with
-    | Some v -> v
-    | None -> miss_group t l (list_of_prefix buf (len - 1) [])
-  end
-
 (* Per-device cost row of a canonical multi-member group, through the
    two-level row cache. *)
 let row_of_group st t l g =
@@ -476,15 +444,6 @@ let group_profitable t group =
 
 module Horizontal = Kf_fusion.Horizontal
 
-(* [pe_costs] key of a canonical pack: single-plane packs key by their
-   group, multi-plane packs by the planes flattened with a [-3]
-   separator — the same disjoint keyspace split as the signature
-   encodings. *)
-let pack_key pack =
-  match pack with
-  | [ g ] -> g
-  | planes -> List.concat (List.mapi (fun i g -> if i = 0 then g else -3 :: g) planes)
-
 (* Resource pressure one plane contributes to its horizontal launch:
    original kernels bring their own registers (no SMEM), vertically fused
    planes bring the fused kernel's demand.  Only called on feasible
@@ -534,6 +493,15 @@ let evaluate_comp t planes =
     end
   end
 
+(* A group-cache miss on the multi-plane pack key encoded in
+   [l.el_sb].  Its planes are decoded from the key, so they are
+   canonical. *)
+let miss_pack t l =
+  let key = Sigbuf.extract l.el_sb in
+  let v = evaluate_comp t (List.hd (Sigbuf.decode key)) in
+  record l.el_groups key v;
+  v
+
 (* The one pack verdict, for a canonical pack.  A single-plane pack is
    its group's verdict; a multi-plane pack is the [Horizontal]
    combination, cached in the group tables under its [-3] key (disjoint
@@ -546,13 +514,7 @@ let pack_verdict t pack =
   | planes -> (
       let l = local_of t in
       Sigbuf.encode_pack l.el_sb planes;
-      match probe_group t l with
-      | Some v -> v
-      | None ->
-          let key = Sigbuf.extract l.el_sb in
-          let v = evaluate_comp t planes in
-          record l.el_groups key v;
-          v)
+      match probe_group t l with Some v -> v | None -> miss_pack t l)
 
 let pack_profitable t pack =
   match pack with
@@ -560,6 +522,34 @@ let pack_profitable t pack =
   | planes ->
       let v = pack_verdict t (Plan.canonical_groups planes) in
       v.feasible && v.cost < v.orig_sum
+
+let rec push_slice sb buf i stop =
+  if i < stop then begin
+    Sigbuf.push sb (Array.unsafe_get buf i);
+    push_slice sb buf (i + 1) stop
+  end
+
+let rec list_of_slice buf start i acc =
+  if i < start then acc else list_of_slice buf start (i - 1) (buf.(i) :: acc)
+
+let rec has_planes buf i stop = i < stop && (Array.unsafe_get buf i = -3 || has_planes buf (i + 1) stop)
+
+(* Verdict of the group or multi-plane pack whose key is
+   [buf.(start .. stop-1)], in canonical order.  A single kernel is
+   answered from its measured runtime; any other slice is copied into
+   the domain's arena and probed there, so a hit allocates nothing. *)
+let verdict_of_slice t l buf start stop =
+  if stop - start = 1 then t.singles.(buf.(start))
+  else begin
+    Sigbuf.reset l.el_sb;
+    push_slice l.el_sb buf start stop;
+    match probe_group t l with
+    | Some v -> v
+    | None when has_planes buf start stop -> miss_pack t l
+    | None -> miss_group t l (list_of_slice buf start (stop - 1) [])
+  end
+
+let verdict_of_sorted t buf len = verdict_of_slice t (local_of t) buf 0 len
 
 (* ---- plan-level evaluation ---------------------------------------------- *)
 
@@ -573,77 +563,65 @@ let probe_plan t l buf len hash =
       l.el_pmisses <- l.el_pmisses + 1;
       None
 
-(* A plan-cache miss: sum the canonical packs in canonical order.  A
-   one-kernel pack costs its measured runtime (never cached); any other
-   pack resolves by its [pe_costs] key against [base], the parent's
-   evaluation, and only then through the shared cache.  Packs the
-   genetic operator left untouched are therefore found in [base] and
-   skip the shared cache entirely.  This changes no evaluation counts:
-   every pack in [base] was itself resolved through the shared cache
-   when the parent was evaluated, so the set of cache misses is the same
-   with delta evaluation on or off. *)
-let sum_items t base canon =
-  let costs = Hashtbl.create 16 in
-  let rec sum acc = function
-    | [] -> acc
-    | [ [ k ] ] :: tl -> sum (acc +. t.inputs.Inputs.measured_runtime.(k)) tl
-    | pack :: tl ->
-        let key = pack_key pack in
-        let c =
-          match base with
-          | Some b -> (
-              match Hashtbl.find_opt b.pe_costs key with
-              | Some c -> c
-              | None -> (pack_verdict t pack).cost)
-          | None -> (pack_verdict t pack).cost
-        in
-        Hashtbl.replace costs key c;
-        sum (acc +. c) tl
-  in
-  let total = sum 0. canon in
-  { pe_total = total; pe_costs = costs }
+(* End of the pack that starts at [key.(i)]: the next [-1] or [n]. *)
+let rec pack_end key i n = if i >= n || Array.unsafe_get key i = -1 then i else pack_end key (i + 1) n
 
-(* A plan-cache miss on the owned key [psig]: sum its canonical packs,
-   decoded from the key itself. *)
-let miss_plan t l base psig =
-  let canon = Sigbuf.decode psig in
-  let pe = sum_items t base canon in
-  record l.el_plans psig pe;
+(* A plan-cache miss: sum the packs of the owned key in canonical order.
+   A one-kernel pack costs its measured runtime (never cached); any
+   other pack's slice of the key is exactly its verdict-cache key, so it
+   is probed in place.  The loop keeps its index and total in local
+   refs, which the compiler unboxes, so a miss whose packs all hit the
+   group cache allocates nothing per pack. *)
+let sum_key t l key =
+  let n = Array.length key in
+  let total = ref 0. and i = ref 0 in
+  while !i < n do
+    let stop = pack_end key !i n in
+    total := !total +. (verdict_of_slice t l key !i stop).cost;
+    i := stop + 1
+  done;
+  !total
+
+(* A plan-cache miss on the owned key [psig].  Only a portfolio's Pareto
+   offer needs the plan's groups, so only it decodes the key. *)
+let miss_plan t l psig =
+  let total = sum_key t l psig in
+  record l.el_plans psig total;
   (match t.port with
-  | Some st -> offer_plan st t l ~psig ~canon
+  | Some st -> offer_plan st t l ~psig ~canon:(Sigbuf.decode psig)
   | None -> ());
-  pe
+  total
 
 (* Evaluate the plan key encoded in [sb] through the two-level cache.
    The total is summed in canonical pack order, so a permuted-but-equal
    plan hitting the plan cache returns a bit-identical total.  A hit
-   allocates nothing: the test suite pins zero words for cloverleaf and
+   allocates nothing: the test suite pins the words for cloverleaf and
    scale-les plans, vertical and with horizontal packs. *)
-let eval_encoded t ?base sb =
+let eval_encoded t sb =
   let l = local_of t in
   match probe_plan t l (Sigbuf.unsafe_buf sb) (Sigbuf.length sb) (Sigbuf.hash sb) with
-  | Some pe -> pe
-  | None -> miss_plan t l base (Sigbuf.extract sb)
+  | Some total -> total
+  | None -> miss_plan t l (Sigbuf.extract sb)
 
-let eval_key t ?base key =
+let eval_key t key =
   let l = local_of t in
   match probe_plan t l key (Array.length key) (Plan.signature_hash key) with
-  | Some pe -> pe
-  | None -> miss_plan t l base key
+  | Some total -> total
+  | None -> miss_plan t l key
 
 (* The arena encodes the canonical signature in place and reuses packs
    that are already canonical. *)
-let eval_plan t ?base packs =
+let eval_plan t packs =
   let l = local_of t in
   Sigbuf.encode_plan l.el_sb packs;
-  eval_encoded t ?base l.el_sb
+  eval_encoded t l.el_sb
 
 let plan_key t packs =
   let l = local_of t in
   Sigbuf.encode_plan l.el_sb packs;
   Sigbuf.extract l.el_sb
 
-let plan_cost t groups = (eval_plan t (List.map (fun g -> [ g ]) groups)).pe_total
+let plan_cost t groups = eval_plan t (List.map (fun g -> [ g ]) groups)
 
 let original_sum t group = Inputs.original_sum t.inputs group
 

@@ -190,29 +190,24 @@ val verdict_of_sorted : t -> int array -> int -> verdict
     ([-3]-separated signatures), so it inherits the merge machinery,
     exactly-once accounting and domain-count determinism. *)
 
-type plan_eval
-(** One whole-plan evaluation: the canonical-order total plus the cost
-    of each pack that is not a single original kernel, reusable as the
-    delta base for offspring evaluations. *)
-
-val eval_plan : t -> ?base:plan_eval -> int list list list -> plan_eval
-(** The one plan evaluator.  The canonical plan signature
-    ({!Kf_fusion.Plan.Sigbuf.encode_plan}) probes the plan-level cache
-    first (permutations of one plan share a signature); on a miss each
-    pack resolves against [base]'s per-pack costs before falling back
-    to its verdict through the shared cache — so offspring pay
-    shared-cache traffic only for the packs their genetic operator
-    actually changed.  A one-kernel pack costs its measured runtime; a
-    single-plane pack costs its group's projected runtime
-    ({!group_cost}); a multi-plane pack costs its planes' costs composed
-    through {!Kf_fusion.Horizontal} — the slowest plane in full, the
-    rest attenuated by the residency overlap, scaled by the
+val eval_plan : t -> int list list list -> float
+(** The one plan evaluator: the plan's total cost.  The canonical plan
+    signature ({!Kf_fusion.Plan.Sigbuf.encode_plan}) probes the
+    plan-level cache first (permutations of one plan share a signature),
+    which stores only the total.  On a miss the total is summed straight
+    off the signature, in canonical pack order, each pack probing the
+    group cache with its slice of the key.  A one-kernel pack costs its
+    measured runtime; a single-plane pack costs its group's projected
+    runtime ({!group_cost}); a multi-plane pack costs its planes' costs
+    composed through {!Kf_fusion.Horizontal} — the slowest plane in
+    full, the rest attenuated by the residency overlap, scaled by the
     plane-dispatch divergence penalty — and [infinity] when the planes
     are not pairwise independent, any plane is infeasible, or the
-    combined register/SMEM pressure cannot launch.  The total is summed
-    in canonical pack order, so it is bit-identical regardless of pack,
-    plane or member order and of [base].  A plan-cache hit allocates
-    nothing when its packs are canonical.  With a portfolio, every
+    combined register/SMEM pressure cannot launch.  The total is
+    bit-identical regardless of pack, plane or member order.  A
+    plan-cache hit allocates nothing when its packs are canonical; a
+    miss whose packs are all cached allocates its owned key and a
+    constant, whatever the plan's size.  With a portfolio, every
     distinct plan of single-plane packs is offered to the Pareto
     front. *)
 
@@ -221,11 +216,11 @@ val plan_key : t -> int list list list -> int array
     as an owned key: a caller that probes its own tables with the key
     and then evaluates the plan encodes it once. *)
 
-val eval_key : t -> ?base:plan_eval -> int array -> plan_eval
+val eval_key : t -> int array -> float
 (** {!eval_plan} of the plan whose {!plan_key} is given.  On a miss the
     key itself is stored, so it must not be mutated afterwards. *)
 
-val eval_encoded : t -> ?base:plan_eval -> Kf_fusion.Plan.Sigbuf.t -> plan_eval
+val eval_encoded : t -> Kf_fusion.Plan.Sigbuf.t -> float
 (** {!eval_plan} of the plan key currently encoded in a caller's
     buffer, probed in place. *)
 
@@ -237,9 +232,6 @@ val pack_profitable : t -> int list list -> bool
 (** Constraint 1.1 lifted to packs: the pack's cost beats the sum of
     its members' original runtimes ({!group_profitable} for a
     single-plane pack). *)
-
-val plan_eval_total : plan_eval -> float
-(** The plan's canonical-order cost sum. *)
 
 val original_sum : t -> int list -> float
 

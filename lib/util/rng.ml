@@ -1,21 +1,33 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a [mutable int64]
+   field would box a fresh int64 on every draw.  The draws below inline
+   [next] and keep the int64 arithmetic in registers, so [bits], [int],
+   [float] and [chance] allocate nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let state t = Bytes.get_int64_ne t 0
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let create seed = of_state (mix64 (Int64.of_int seed))
+
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let int64 t = next t
+
+let split t = of_state (next t)
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: n must be non-negative";
@@ -32,13 +44,15 @@ let split_n t n =
     out
   end
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let state t = t.state
+let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
-let of_state s = { state = s }
-
-let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
+(* [int]'s rejection loop: a top-level function, not a local closure,
+   so a draw allocates nothing. *)
+let rec draw_below t limit bound =
+  let v = bits t in
+  if v >= limit then draw_below t limit bound else v mod bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -51,24 +65,17 @@ let int t bound =
   let max = 0x3FFF_FFFF_FFFF_FFFF in
   let rem = ((max mod bound) + 1) mod bound in
   if rem = 0 then bits t mod bound
-  else begin
-    let limit = max - rem + 1 in
-    let rec draw () =
-      let v = bits t in
-      if v >= limit then draw () else v mod bound
-    in
-    draw ()
-  end
+  else draw_below t (max - rem + 1) bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+let[@inline] float t bound =
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let chance t p = if p <= 0. then false else if p >= 1. then true else float t 1.0 < p
 

@@ -548,12 +548,11 @@ let test_plan_cache_permuted () =
   let e1 = Objective.eval_plan obj (vpacks plan) in
   let e2 = Objective.eval_plan obj (vpacks permuted) in
   check Alcotest.bool "bitwise-equal totals" true
-    (bits (Objective.plan_eval_total e1) = bits (Objective.plan_eval_total e2));
+    (bits e1 = bits e2);
   let pc = Objective.plan_cache_stats obj in
   check Alcotest.int "one plan-cache miss" 1 pc.Objective.misses;
   check Alcotest.int "one plan-cache hit" 1 pc.Objective.hits;
-  check (Alcotest.float 0.) "matches plan_cost" (Objective.plan_cost obj plan)
-    (Objective.plan_eval_total e1)
+  check (Alcotest.float 0.) "matches plan_cost" (Objective.plan_cost obj plan) e1
 
 (* A plan-cache hit re-encodes the plan into the domain's arena and
    probes in place; on canonical packs it allocates nothing, on a
@@ -600,8 +599,81 @@ let test_eval_plan_hit_allocation () =
       ("scale-les horizontal", hit_words les ~horizontal:true);
     ]
 
+(* A plan-cache miss whose packs are all in the group cache sums the
+   packs straight off the owned plan key: it allocates the key plus a
+   constant, whatever the number of packs or their kind, and builds no
+   per-pack list or table.  Its total is the canonical-order sum of its
+   pack verdicts, bit for bit. *)
+let test_eval_plan_miss_allocation () =
+  let words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    let after = Gc.minor_words () in
+    ignore (Sys.opaque_identity r);
+    after -. before
+  in
+  let les = Kf_workloads.Scale_les.program () in
+  let groups =
+    Grouping.random_plan (objective_of les) (Kf_util.Rng.create 5) (Kf_ir.Program.num_kernels les)
+  in
+  let rec take k = function x :: tl when k > 0 -> x :: take (k - 1) tl | _ -> [] in
+  let vertical = List.map (fun g -> [ g ]) groups in
+  (* Pairs of independent groups pack into two-plane launches. *)
+  let exec = (Objective.inputs (objective_of les)).Kf_model.Inputs.exec in
+  let rec pair = function
+    | [] -> []
+    | a :: rest -> (
+        match List.find_opt (fun b -> Plan.planes_independent ~exec [ a; b ]) rest with
+        | Some b -> [ a; b ] :: pair (List.filter (fun g -> g != b) rest)
+        | None -> [ a ] :: pair rest)
+  in
+  let miss_words label packs =
+    let obj = objective_of les in
+    let packs = Plan.canonical_comps packs in
+    (* Warm every pack in the group cache, summing the pack costs in
+       canonical order: a one-pack plan's total is its pack's cost. *)
+    let expected =
+      List.fold_left
+        (fun acc pack ->
+          acc
+          +.
+          match pack with
+          | [ g ] -> Objective.group_cost obj g
+          | planes -> Objective.eval_plan obj [ planes ])
+        0. packs
+    in
+    (* Encoding once sizes the domain's arena for this plan. *)
+    let key_len = Array.length (Objective.plan_key obj packs) in
+    let group_misses = (Objective.cache_stats obj).Objective.misses in
+    let plan_misses = (Objective.plan_cache_stats obj).Objective.misses in
+    let total = ref 0. in
+    let w = words (fun () -> total := Objective.eval_plan obj packs) in
+    check Alcotest.int (label ^ ": a plan-cache miss") (plan_misses + 1)
+      (Objective.plan_cache_stats obj).Objective.misses;
+    check Alcotest.int (label ^ ": no group-cache miss") group_misses
+      (Objective.cache_stats obj).Objective.misses;
+    check Alcotest.bool (label ^ ": finite total") true (Float.is_finite !total);
+    check Alcotest.bool (label ^ ": total is the canonical-order pack sum") true
+      (bits !total = bits expected);
+    (List.length packs, w -. float_of_int key_len)
+  in
+  let horizontal = pair (take 12 groups) in
+  check Alcotest.bool "a multi-plane pack" true (List.exists (fun p -> List.length p >= 2) horizontal);
+  let cases =
+    List.map
+      (fun (label, packs) -> (label, miss_words label packs))
+      [ ("2 packs", take 2 vertical); ("20 packs", take 20 vertical); ("horizontal", horizontal) ]
+  in
+  let _, (_, base) = List.hd cases in
+  List.iter
+    (fun (label, (packs, extra)) ->
+      check (Alcotest.float 0.)
+        (Printf.sprintf "%s (%d packs): miss words beyond the key" label packs)
+        base extra)
+    cases
+
 let test_incremental_full_equivalence () =
-  (* The cached, delta-evaluated search against the uncached oracle
+  (* The cached search against the uncached oracle
      leaf: installing the leaf as the guard changes no plan, cost,
      improvement history or evaluation count, and the result's cost is
      the oracle's canonical-order plan sum — panmictic and island
@@ -684,5 +756,7 @@ let suite =
     Alcotest.test_case "plan cache permuted plans" `Quick test_plan_cache_permuted;
     Alcotest.test_case "eval_plan hit allocation independent of plan size" `Quick
       test_eval_plan_hit_allocation;
+    Alcotest.test_case "eval_plan miss allocation independent of plan size" `Quick
+      test_eval_plan_miss_allocation;
     Alcotest.test_case "incremental vs full equivalence" `Slow test_incremental_full_equivalence;
   ]

@@ -85,6 +85,59 @@ let test_rng_copy_replays () =
   let b = List.init 10 (fun _ -> Rng.int64 snapshot) in
   check Alcotest.bool "copy replays" true (a = b)
 
+(* The streams are part of every recorded plan and checkpoint: the first
+   outputs of each draw for two seeds are pinned (recorded before the
+   generator state was unboxed), the state round-trips, and a bounded
+   int or a coin flip allocates nothing. *)
+let test_rng_streams_pinned () =
+  let pinned =
+    [
+      ( 1,
+        [ 492; 673; 881; 251; 878; 897; 286; 323 ],
+        [ 0x3fd426a103512fbaL; 0x3fec3b3a4a6a1831L; 0x3fe07b605b433230L; 0x3fe1135e85e5ca90L ],
+        [ false; true; true; false; true; false; false; false ],
+        [ 304936; 607529; 463921 ],
+        [ 7; 2; 0; 4 ],
+        462723616604560412L );
+      ( 20140101,
+        [ 666; 364; 723; 113; 265; 15; 37; 561 ],
+        [ 0x3fe9f0d9d95de9eaL; 0x3fdc6e981f8270c4L; 0x3fc8d41c1ed936f0L; 0x3fcc37e7bb27f190L ],
+        [ false; false; false; false; false; false; true; false ],
+        [ 179585; 969972; 845297 ],
+        [ 3; 0; 4; 1 ],
+        4390294856356963062L );
+    ]
+  in
+  List.iter
+    (fun (seed, ints, floats, chances, kids, sample, state) ->
+      let r = Rng.create seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check Alcotest.(list int) (name "int") ints (List.init 8 (fun _ -> Rng.int r 1000));
+      check Alcotest.(list int64) (name "float bits") floats
+        (List.init 4 (fun _ -> Int64.bits_of_float (Rng.float r 1.0)));
+      check Alcotest.(list bool) (name "chance") chances
+        (List.init 8 (fun _ -> Rng.chance r 0.3));
+      check Alcotest.(list int) (name "split_n") kids
+        (Array.to_list (Array.map (fun k -> Rng.int k 1_000_000) (Rng.split_n r 3)));
+      check Alcotest.(list int) (name "sample") sample
+        (Array.to_list (Rng.sample r 4 (Array.init 10 Fun.id)));
+      check Alcotest.int64 (name "state") state (Rng.state r);
+      let resumed = Rng.of_state (Rng.state r) in
+      check Alcotest.int64 (name "of_state round trip") (Rng.int64 r) (Rng.int64 resumed))
+    pinned;
+  let r = Rng.create 3 in
+  let words_per_call f =
+    let calls = 1000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (f r))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  check (Alcotest.float 0.) "words per Rng.int" 0. (words_per_call (fun r -> Rng.int r 1000));
+  check (Alcotest.float 0.) "words per Rng.chance" 0.
+    (words_per_call (fun r -> Rng.chance r 0.3))
+
 let prop_shuffle_is_permutation =
   QCheck.Test.make ~count:200 ~name:"shuffle is a permutation"
     QCheck.(pair small_int (list small_int))
@@ -431,6 +484,8 @@ let suite =
     Alcotest.test_case "rng split_n matches sequential splits" `Quick
       test_rng_split_n_matches_sequential;
     Alcotest.test_case "rng copy replays" `Quick test_rng_copy_replays;
+    Alcotest.test_case "rng streams pinned, draws allocation-free" `Quick
+      test_rng_streams_pinned;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;
     Alcotest.test_case "gaussian moments" `Slow test_gaussian_moments;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;

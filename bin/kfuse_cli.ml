@@ -230,8 +230,9 @@ let robust_term =
   in
   let resume_arg =
     let doc = "Resume the search from a snapshot written by --checkpoint (same seed, \
-               population and workload required; the resumed search matches the \
-               uninterrupted one exactly)." in
+               population and workload required).  The resumed search returns the \
+               uninterrupted one's plan, cost and history, but counts more \
+               evaluations: its objective starts with a cold cache." in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
   let budget_evals_arg =

@@ -19,9 +19,11 @@ type result = {
 }
 
 val solve : ?max_group_size:int -> Objective.t -> result
-(** [max_group_size] bounds enumerated group cardinality (default 8 —
-    beyond that, optimal groups are resource-infeasible in practice
-    anyway; raise it for exhaustive ground truth on tiny instances).
+(** [max_group_size] bounds enumerated group cardinality (default 8).
+    The cap bounds the DP's enumeration, not the optimum: optimal groups
+    can be larger (Fig. 5a's instances have optima with groups of 11 and
+    14 kernels), so a capped solve is optimal only among plans whose
+    groups fit the cap.  Raise it for exhaustive ground truth.
     @raise Invalid_argument for programs over 62 kernels (bitmask
     representation). *)
 

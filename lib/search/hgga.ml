@@ -36,10 +36,10 @@ let default_params =
     islands = 1;
     migration_interval = 10;
     migration_size = 2;
-    (* Off by default: every committed baseline (bench gates, snapshots,
-       byte-diff CI jobs) was recorded over the vertical-only space, and
-       [horizontal = false] reproduces it bit-for-bit: the same
-       evaluator, over single-plane packs. *)
+    (* Off by default: the pinned plans (test_golden, the perfbench
+       anchor digests, snapshots, byte-diff CI jobs) were recorded over
+       the vertical-only space, and [horizontal = false] reproduces them
+       bit-for-bit: the same evaluator, over single-plane packs. *)
     horizontal = false;
   }
 

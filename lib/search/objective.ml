@@ -802,25 +802,55 @@ let base_plan_stats t =
   s
 
 (* Warm cross-request cache: the serve daemon exports one request's
-   signature-keyed verdicts and seeds them into the next request's
-   objective over the same (program, device, model), so identical
-   subproblems hit warm across requests — and, with Snapshot.Cache
-   persistence, across daemon restarts.  Export merges first so
-   in-flight locals are included; both calls must happen at quiescent
-   points (the daemon calls them between requests). *)
-let export_group_verdicts t =
-  merge_locals t;
-  let acc = ref [] in
-  Sig_tbl.iter (fun k ~hash:_ v -> acc := (k, v) :: !acc) t.gcache;
-  !acc
+   verdicts as a flat block and seeds them into the next request's
+   objective over the same (program, device, model).  Both calls happen
+   at quiescent points (the daemon calls them between requests). *)
+module Block = struct
+  type t = {
+    keys : int array;
+    offs : int array;
+    cost : float array;
+    orig_sum : float array;
+    feasible : Bytes.t;
+  }
 
-let seed_group_verdicts t entries =
-  List.iter
-    (fun (k, v) ->
-      let hash = Plan.signature_hash k in
-      if not (Sig_tbl.mem_pre t.gcache ~buf:k ~len:(Array.length k) ~hash) then
-        Sig_tbl.add t.gcache k ~hash v)
-    entries
+  let create n ~words =
+    {
+      keys = Array.make words 0;
+      offs = Array.make (n + 1) 0;
+      cost = Array.create_float n;
+      orig_sum = Array.create_float n;
+      feasible = Bytes.make n '\000';
+    }
+
+  let empty = create 0 ~words:0
+  let length b = Array.length b.cost
+end
+
+let export_block t =
+  merge_locals t;
+  let words = ref 0 and i = ref 0 in
+  Sig_tbl.iter (fun k ~hash:_ _ -> words := !words + Array.length k) t.gcache;
+  let b = Block.create (Sig_tbl.count t.gcache) ~words:!words in
+  Sig_tbl.iter
+    (fun k ~hash:_ v ->
+      Array.blit k 0 b.keys b.offs.(!i) (Array.length k);
+      b.offs.(!i + 1) <- b.offs.(!i) + Array.length k;
+      b.cost.(!i) <- v.cost;
+      b.orig_sum.(!i) <- v.orig_sum;
+      if v.feasible then Bytes.set b.feasible !i '\001';
+      incr i)
+    t.gcache;
+  b
+
+let seed_block t (b : Block.t) =
+  for i = 0 to Block.length b - 1 do
+    let k = Array.sub b.keys b.offs.(i) (b.offs.(i + 1) - b.offs.(i)) in
+    let hash = Plan.signature_hash k in
+    if not (Sig_tbl.mem_pre t.gcache ~buf:k ~len:(Array.length k) ~hash) then
+      Sig_tbl.add t.gcache k ~hash
+        { feasible = Bytes.get b.feasible i = '\001'; cost = b.cost.(i); orig_sum = b.orig_sum.(i) }
+  done
 
 (* The "shards" are the shared base (index 0 — it holds the merged
    entries but sees no probes of its own)

@@ -281,23 +281,42 @@ val add_cache_stats : t -> group:cache_stats -> plan:cache_stats -> unit
     the whole logical run.  The seeds' [size] fields are ignored — the
     prior process's tables are gone. *)
 
-val export_group_verdicts : t -> (int array * verdict) list
-(** Every memoized (canonical signature, verdict) pair of the
-    signature-keyed group cache, in unspecified order — the warm-cache
+(** A program's group verdicts as one flat block: the warm-cache
     payload the serve daemon shares across requests and persists via
-    [Snapshot.Cache].  Runs {!merge_locals} first so in-flight
-    per-domain entries are included (so it must be called at a quiescent
-    point).  Verdicts are pure functions of (program, device, model), so an exported entry
-    is valid for any other objective built over the same inputs. *)
+    [Snapshot.Cache].  Verdict [i] has the canonical signature
+    [keys.(offs.(i)) .. keys.(offs.(i + 1) - 1)], cost [cost.(i)],
+    original sum [orig_sum.(i)], and is feasible when
+    [Bytes.get feasible i = '\001'].  Once built a block is never
+    mutated, so stores and requests share it. *)
+module Block : sig
+  type t = {
+    keys : int array;
+    offs : int array;
+    cost : float array;
+    orig_sum : float array;
+    feasible : Bytes.t;
+  }
 
-val seed_group_verdicts : t -> (int array * verdict) list -> unit
-(** Pre-populate the group cache with previously exported entries.
-    Seeded entries count as neither hits nor misses (hit-rate telemetry
-    measures only real probes) and — evaluation being pure — can only
-    skip work, never change a result.
-    Seeding entries exported from
-    a {e different} (program, device, model) is undefined behavior; the
-    daemon keys its store by a content digest to prevent it. *)
+  val create : int -> words:int -> t
+  (** [n] zeroed, infeasible verdicts over a [words]-int key arena. *)
+
+  val empty : t
+  val length : t -> int
+end
+
+val export_block : t -> Block.t
+(** Every memoized verdict of the group cache, in its iteration order,
+    after a {!merge_locals} (so call it at a quiescent point).  Verdicts
+    are pure functions of (program, device, model), so the block is valid
+    for any other objective built over the same inputs. *)
+
+val seed_block : t -> Block.t -> unit
+(** Pre-populate the group cache from an exported block; a key already
+    cached keeps its verdict.  Seeded entries count as neither hits nor
+    misses and, evaluation being pure, can only skip work.  Seeding a
+    block of a {e different} (program, device, model) is undefined
+    behavior; the daemon keys its store by a content digest to prevent
+    it. *)
 
 val shard_stats : t -> cache_stats array
 (** Per-compartment group-cache counters: index 0 is the shared base

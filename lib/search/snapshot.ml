@@ -1,9 +1,11 @@
 (* GA checkpoint and serve-cache serialization.
 
    Both documents are JSON, read through the one codec ({!Kf_obs.Json})
-   and written by the streaming Buffer helpers below — never through a
-   [Json.t] tree, because the daemon's cache document grows to megabytes
-   and is persisted every few seconds.  Costs are not stored in
+   and written by one streaming writer — never through a [Json.t] tree
+   or a whole-document string, because the daemon's cache document grows
+   to megabytes and is persisted every few seconds.  A cache entry's
+   verdicts are read straight into, and written straight out of, its
+   flat block.  Costs are not stored in
    checkpoints: they are recomputed on resume — evaluation is pure, so
    recomputation is exact.  Floats that must round-trip exactly are
    "%h" hexadecimal strings; RNG states are decimal int64 strings (an
@@ -41,7 +43,46 @@ exception Malformed of string
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
-(* --- writing: streaming helpers shared by both documents --- *)
+(* --- writing: one streaming writer for both documents --- *)
+
+(* A document writer [write b spill] appends to a small buffer and calls
+   [spill] at item boundaries.  [atomic_save] then empties the buffer
+   into the file whenever it holds [chunk] bytes; [render_with] runs the
+   same writer over a buffer that keeps everything, for the tests. *)
+let chunk = 65536
+
+let render_with write =
+  let b = Buffer.create 4096 in
+  write b ignore;
+  Buffer.contents b
+
+(* Atomic write: stream to a sibling temp file, and only rename over the
+   target after an error-checked [close_out] confirms the bytes were
+   flushed.  A save interrupted mid-write — or one whose flush fails on
+   a full disk — must never replace a good previous document with a
+   truncated one, so on any failure the temp file is removed and the
+   target left untouched. *)
+let atomic_save path write =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  let b = Buffer.create chunk in
+  let spill () =
+    if Buffer.length b >= chunk then begin
+      Buffer.output_buffer oc b;
+      Buffer.clear b
+    end
+  in
+  match
+    write b spill;
+    Buffer.output_buffer oc b;
+    close_out oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 let add_list b add xs =
   Buffer.add_char b '[';
@@ -62,18 +103,22 @@ let add_packs b packs = add_list b add_groups packs
 let add_hex b f = Printf.bprintf b "\"%h\"" f
 let add_str b s = Json.buffer b (Json.Str s)
 
-(* [signature, feasible 0/1, cost, orig_sum] *)
-let add_verdict b (sg, (v : Objective.verdict)) =
-  Buffer.add_string b "[[";
-  Array.iteri
-    (fun i k ->
-      if i > 0 then Buffer.add_char b ',';
-      add_int b k)
-    sg;
-  Printf.bprintf b "],%d," (if v.Objective.feasible then 1 else 0);
-  add_hex b v.Objective.cost;
-  Buffer.add_char b ',';
-  add_hex b v.Objective.orig_sum;
+(* Each verdict as [signature, feasible 0/1, cost, orig_sum]. *)
+let add_block b spill (blk : Objective.Block.t) =
+  Buffer.add_char b '[';
+  for i = 0 to Objective.Block.length blk - 1 do
+    Buffer.add_string b (if i > 0 then ",[[" else "[[");
+    for j = blk.offs.(i) to blk.offs.(i + 1) - 1 do
+      if j > blk.offs.(i) then Buffer.add_char b ',';
+      add_int b blk.keys.(j)
+    done;
+    Buffer.add_string b (if Bytes.get blk.feasible i = '\001' then "],1," else "],0,");
+    add_hex b blk.cost.(i);
+    Buffer.add_char b ',';
+    add_hex b blk.orig_sum.(i);
+    Buffer.add_char b ']';
+    spill ()
+  done;
   Buffer.add_char b ']'
 
 let add_header b kind =
@@ -81,8 +126,7 @@ let add_header b kind =
 
 let kind = "checkpoint"
 
-let render t =
-  let b = Buffer.create 4096 in
+let write t b spill =
   add_header b kind;
   Printf.bprintf b "  \"population_size\": %d,\n" t.population_size;
   Printf.bprintf b "  \"seed\": %d,\n" t.seed;
@@ -120,38 +164,15 @@ let render t =
         (fun j packs ->
           if j > 0 then Buffer.add_char b ',';
           Buffer.add_string b "\n      ";
-          add_packs b packs)
+          add_packs b packs;
+          spill ())
         isl.population;
       Buffer.add_string b "\n    ]}")
     t.islands;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  Buffer.add_string b "\n  ]\n}\n"
 
-(* Atomic write: render first, write to a sibling temp file, and only
-   rename over the target after an error-checked [close_out] confirms the
-   bytes were flushed.  A checkpoint interrupted mid-write — or one whose
-   flush fails on a full disk — must never replace a good previous
-   snapshot with a truncated one, so on any failure the temp file is
-   removed and the target left untouched. *)
-let atomic_write path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (match
-     output_string oc contents;
-     close_out oc
-   with
-  | () -> ()
-  | exception e ->
-      close_out_noerr oc;
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e);
-  match Sys.rename tmp path with
-  | () -> ()
-  | exception e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
-
-let save path t = atomic_write path (render t)
+let render t = render_with (write t)
+let save path t = atomic_save path (write t)
 
 (* --- reading: typed accessors over the shared codec's tree --- *)
 
@@ -181,20 +202,31 @@ let as_packs name j = List.map (as_groups name) (as_list name j)
 
 let as_nats name j = List.map (as_nat name) (as_list name j)
 
-let as_verdict j =
-  match as_list "verdicts" j with
-  | [ sg; feasible; cost; orig_sum ] ->
-      let signature = Array.of_list (List.map (as_int "signature") (as_list "signature" sg)) in
-      if Array.length signature = 0 then malformed "verdict signatures must be non-empty";
-      let feasible =
-        match as_int "feasible" feasible with
-        | 0 -> false
-        | 1 -> true
-        | _ -> malformed "verdict feasible flag must be 0 or 1"
-      in
-      ( signature,
-        { Objective.feasible; cost = as_hex "cost" cost; orig_sum = as_hex "orig_sum" orig_sum } )
-  | _ -> malformed "verdicts are [signature, feasible, cost, orig_sum]"
+(* A verdict array straight into a block.  The key arena is sized from
+   every item shaped like a verdict; the fill checks each item in full
+   and stops at the first bad one, so it never writes past the arena. *)
+let as_block j =
+  let items = as_list "verdicts" j in
+  let sig_len = function Json.Arr (Json.Arr sg :: _) -> List.length sg | _ -> 0 in
+  let words = List.fold_left (fun acc v -> acc + sig_len v) 0 items in
+  let b = Objective.Block.create (List.length items) ~words in
+  List.iteri
+    (fun i v ->
+      match as_list "verdicts" v with
+      | [ sg; feasible; cost; orig_sum ] ->
+          let sg = as_list "signature" sg in
+          List.iteri (fun j k -> b.keys.(b.offs.(i) + j) <- as_int "signature" k) sg;
+          if sg = [] then malformed "verdict signatures must be non-empty";
+          b.offs.(i + 1) <- b.offs.(i) + List.length sg;
+          (match as_int "feasible" feasible with
+          | 0 -> ()
+          | 1 -> Bytes.set b.feasible i '\001'
+          | _ -> malformed "verdict feasible flag must be 0 or 1");
+          b.cost.(i) <- as_hex "cost" cost;
+          b.orig_sum.(i) <- as_hex "orig_sum" orig_sum
+      | _ -> malformed "verdicts are [signature, feasible, cost, orig_sum]")
+    items;
+  b
 
 (* Parse and check the envelope: the format number first, so an old
    document without a [kind] still reports its format. *)
@@ -302,19 +334,12 @@ let load path = of_string (read_file path)
 
 module Cache = struct
   type stored_plan = { groups : int list list; cost : float; fingerprint : string }
-
-  type entry = {
-    key : string;
-    verdicts : (int array * Objective.verdict) list;
-    plan : stored_plan option;
-  }
-
+  type entry = { key : string; verdicts : Objective.Block.t; plan : stored_plan option }
   type nonrec t = entry list
 
   let kind = "serve-cache"
 
-  let render (t : t) =
-    let b = Buffer.create 4096 in
+  let write (t : t) b spill =
     add_header b kind;
     Buffer.add_string b "  \"entries\": [";
     List.iteri
@@ -323,7 +348,7 @@ module Cache = struct
         Buffer.add_string b "\n    {\"key\": ";
         add_str b e.key;
         Buffer.add_string b ", \"verdicts\": ";
-        add_list b add_verdict e.verdicts;
+        add_block b spill e.verdicts;
         Buffer.add_string b ", \"plan\": ";
         (match e.plan with
         | None -> Buffer.add_string b "null"
@@ -337,10 +362,10 @@ module Cache = struct
             Buffer.add_char b '}');
         Buffer.add_char b '}')
       t;
-    Buffer.add_string b "\n  ]\n}\n";
-    Buffer.contents b
+    Buffer.add_string b "\n  ]\n}\n"
 
-  let save path t = atomic_write path (render t)
+  let render t = render_with (write t)
+  let save path t = atomic_save path (write t)
 
   let of_string s : t =
     let j = parse_document ~kind s in
@@ -348,7 +373,7 @@ module Cache = struct
       (fun e ->
         let key = as_str "key" (field e "key") in
         if key = "" then malformed "cache entry key must be non-empty";
-        let verdicts = List.map as_verdict (as_list "verdicts" (field e "verdicts")) in
+        let verdicts = as_block (field e "verdicts") in
         let plan =
           match field e "plan" with
           | Json.Null -> None

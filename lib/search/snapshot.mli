@@ -5,17 +5,16 @@
     are recomputed on resume, evaluation being pure) and RNG state, the
     incumbent, the generation and stall counters, the improvement
     history, and the ring-migration cursor.  Resuming from a snapshot
-    written after generation [g] produces bit-for-bit the same remaining
-    search as the uninterrupted run, so a killed long search loses at
+    written after generation [g] continues with the same plan, cost and
+    history as the uninterrupted run, so a killed long search loses at
     most one checkpoint interval.
 
     The on-disk form is a JSON document read through {!Kf_obs.Json} and
-    written atomically via a temporary file + rename.  There is one
-    format, 8, with a [kind] field telling checkpoints from {!Cache}
-    documents; no older format is read — a checkpoint or cache file
-    written by an earlier format is rejected and the run re-done.  Resume
-    and the serve daemon's warm restart from a format-8 file are
-    bit-identical to the uninterrupted process. *)
+    streamed by one writer through a small buffer into a temporary file,
+    renamed over the target after a checked close.  There is one format,
+    8, with a [kind] field telling checkpoints from {!Cache} documents;
+    no older format is read — a checkpoint or cache file written by an
+    earlier format is rejected and the run re-done. *)
 
 val format_version : int
 
@@ -66,13 +65,15 @@ exception Malformed of string
     other than {!format_version}. *)
 
 val render : t -> string
+(** The bytes {!save} writes, from the same writer over a buffer. *)
+
 val save : string -> t -> unit
-(** Crash-safe atomic write: the rendered document goes to a sibling
-    temp file, the close is error-checked, and only then does a rename
-    install it — so an interrupted or failed save (crash, full disk)
-    never replaces a good previous snapshot with a truncated one, and
-    the temp file is removed on failure.  @raise Sys_error on IO
-    failure. *)
+(** Crash-safe atomic write: the document streams to a sibling temp
+    file, the close is error-checked, and only then does a rename
+    install it — so an interrupted or failed save (crash, full disk, an
+    exception from the writer) never replaces a good previous snapshot
+    with a truncated one, and the temp file is removed on failure.
+    @raise Sys_error on IO failure. *)
 
 val of_string : string -> t
 (** Every field is required.  Beyond the syntax, the load checks that
@@ -106,19 +107,26 @@ module Cache : sig
 
   type entry = {
     key : string;  (** content digest *)
-    verdicts : (int array * Objective.verdict) list;
+    verdicts : Objective.Block.t;
+        (** stored as an array of [[signature, feasible 0/1, cost,
+            orig_sum]] *)
     plan : stored_plan option;
   }
 
   type nonrec t = entry list
 
   val render : t -> string
+  (** The bytes {!save} writes, from the same writer over a buffer. *)
 
   val save : string -> t -> unit
-  (** Atomic, error-checked write like {!Snapshot.save}. *)
+  (** Atomic, error-checked streaming write like {!Snapshot.save}: each
+      entry's verdicts stream out of their block, so the document is
+      never held whole. *)
 
   val of_string : string -> t
   (** Every field is required; an entry without a plan stores [null].
+      Each entry's verdicts are read straight into a block; a verdict
+      needs a non-empty signature and a feasibility flag of 0 or 1.
       @raise Malformed on invalid input, a non-cache document, or an
       unsupported format. *)
 

@@ -1,16 +1,18 @@
 (* Cross-request warm cache: group verdicts keyed by a content digest of
-   (program text, device, model).  Verdicts are pure functions of that
-   triple, so an entry seeded into a later objective over the same triple
-   can only skip evaluations, never change a result.  An entry can also
+   (program text, device, model), one immutable flat Objective.Block per
+   program — a few words per verdict, shared with requests and the
+   writer without copying.  Verdicts are pure functions of that triple,
+   so an entry seeded into a later objective over the same triple can
+   only skip evaluations, never change a result.  An entry can also
    carry the *answer* — the best plan a completed search found,
    fingerprinted by its search parameters — so a repeat request is
    served outright instead of merely warm.
 
-   The store persists as a Snapshot.Cache document, format 8 — the one
-   format, with no reader for older ones: a daemon restarted over an
-   older file logs it as unreadable and starts cold.  A warm restart from
-   a format-8 file serves the repeat request with the same answer and
-   cost as the process that wrote it.
+   The store persists as a Snapshot.Cache document, format 8, streamed
+   entry by entry — the one format, with no reader for older ones: a
+   daemon restarted over an older file logs it as unreadable and starts
+   cold.  A warm restart from a format-8 file serves the repeat request
+   with the same answer and cost as the process that wrote it.
 
    Long streaming sessions mint one digest per program version, so the
    bound matters: eviction is LRU (every find/absorb bumps recency) and
@@ -18,10 +20,11 @@
    both warm no matter how much unrelated traffic passes between. *)
 
 module Objective = Kf_search.Objective
+module Block = Objective.Block
 module Snapshot = Kf_search.Snapshot
 
 type entry = {
-  mutable verdicts : (int array * Objective.verdict) list;
+  mutable verdicts : Block.t;
   mutable plan : Snapshot.Cache.stored_plan option;
   mutable last_use : int;  (* global tick at last touch; min evicts *)
 }
@@ -67,7 +70,7 @@ let touch_locked t e =
 let find t k =
   locked t (fun () ->
       match Hashtbl.find_opt t.table k with
-      | None -> []
+      | None -> Block.empty
       | Some e ->
           touch_locked t e;
           e.verdicts)
@@ -102,20 +105,20 @@ let entry_locked t k =
       touch_locked t e;
       e
   | None ->
-      let e = { verdicts = []; plan = None; last_use = 0 } in
+      let e = { verdicts = Block.empty; plan = None; last_use = 0 } in
       touch_locked t e;
       Hashtbl.replace t.table k e;
       evict_lru_locked t;
       e
 
 let absorb t k verdicts =
-  if verdicts <> [] then
+  if Block.length verdicts > 0 then
     locked t (fun () ->
         let e = entry_locked t k in
         (* An export from a request seeded by this entry is a superset of
            the seed (seeded verdicts re-export), so keeping the larger
-           list retains every verdict either side knows. *)
-        if List.length verdicts > List.length e.verdicts then begin
+           block retains every verdict either side knows. *)
+        if Block.length verdicts > Block.length e.verdicts then begin
           e.verdicts <- verdicts;
           t.dirty <- true
         end)
@@ -129,7 +132,7 @@ let store_plan t k plan =
 let programs t = locked t (fun () -> Hashtbl.length t.table)
 
 let verdict_count t =
-  locked t (fun () -> Hashtbl.fold (fun _ e acc -> acc + List.length e.verdicts) t.table 0)
+  locked t (fun () -> Hashtbl.fold (fun _ e acc -> acc + Block.length e.verdicts) t.table 0)
 
 let evictions t = locked t (fun () -> t.evictions)
 let dirty t = locked t (fun () -> t.dirty)
@@ -152,9 +155,9 @@ let load t path =
   locked t (fun () ->
       List.iter
         (fun { Snapshot.Cache.key; verdicts; plan } ->
-          if verdicts <> [] || plan <> None then begin
+          if Block.length verdicts > 0 || plan <> None then begin
             let e = entry_locked t key in
-            if List.length verdicts > List.length e.verdicts then e.verdicts <- verdicts;
+            if Block.length verdicts > Block.length e.verdicts then e.verdicts <- verdicts;
             match plan with Some _ -> e.plan <- plan | None -> ()
           end)
         entries;

@@ -1,9 +1,9 @@
 (** The daemon's cross-request warm cache.
 
     Group verdicts exported from one request's objective
-    ({!Kf_search.Objective.export_group_verdicts}) are stored under a
-    content digest of (program text, device, model) and seeded into
-    later objectives over the same triple — evaluation is pure, so a
+    ({!Kf_search.Objective.export_block}) are stored as one flat block
+    per program under a content digest of (program text, device, model)
+    and seeded into later objectives over the same triple — evaluation is pure, so a
     warm start can only skip work.  An entry can also carry the {e
     answer}: the best plan a completed search found (with a
     search-parameter fingerprint), so an identical repeat request is
@@ -11,8 +11,8 @@
     counted LRU cap on stored programs (streaming sessions mint one
     digest per program version, so the bound is what keeps a long
     session from growing the store forever); persisted as a crash-safe
-    {!Kf_search.Snapshot.Cache} document so a restarted daemon resumes
-    warm. *)
+    {!Kf_search.Snapshot.Cache} document, streamed entry by entry, so a
+    restarted daemon resumes warm. *)
 
 type t
 
@@ -30,8 +30,9 @@ val key :
 (** Content digest of the triple — two requests share warmth exactly
     when their canonical program text, device and model all match. *)
 
-val find : t -> string -> (int array * Kf_search.Objective.verdict) list
-(** The stored verdicts for a key ([] when cold). *)
+val find : t -> string -> Kf_search.Objective.Block.t
+(** The stored verdicts for a key ({!Kf_search.Objective.Block.empty}
+    when cold). *)
 
 val find_plan : t -> string -> Kf_search.Snapshot.Cache.stored_plan option
 (** The stored answer for a key, if a search over this triple already
@@ -39,9 +40,9 @@ val find_plan : t -> string -> Kf_search.Snapshot.Cache.stored_plan option
     the request's resolved search parameters, and its groups against the
     request's program (a loaded plan is unchecked), before serving it. *)
 
-val absorb : t -> string -> (int array * Kf_search.Objective.verdict) list -> unit
+val absorb : t -> string -> Kf_search.Objective.Block.t -> unit
 (** Merge a request's exported verdicts.  The larger of the stored and
-    offered lists wins (an export from a seeded request is a superset of
+    offered blocks wins (an export from a seeded request is a superset of
     its seed); empty exports are ignored. *)
 
 val store_plan : t -> string -> Kf_search.Snapshot.Cache.stored_plan -> unit
@@ -52,7 +53,7 @@ val programs : t -> int
 (** Distinct triples currently stored. *)
 
 val verdict_count : t -> int
-(** Total verdicts across all entries. *)
+(** Total verdicts across all entries: a sum of block lengths. *)
 
 val evictions : t -> int
 (** Entries dropped by the LRU bound since the store was created — the

@@ -189,13 +189,19 @@ let wall_budget (o : Protocol.options) ~remaining =
   | None, Some r -> (`Deadline, Some r)
   | Some w, Some r -> if r < w then (`Deadline, Some r) else (`User, Some w)
 
+(* Hand a finished objective's verdicts back to the warm store. *)
+let absorb t key obj =
+  Cache_store.absorb t.cache key (Objective.export_block obj);
+  Metrics.set (Lazy.force g_cache_programs) (float_of_int (Cache_store.programs t.cache));
+  Metrics.set (Lazy.force g_cache_evictions) (float_of_int (Cache_store.evictions t.cache))
+
 let run_request t job ~started_s ~remaining =
   let req = job.req in
   let o = req.options in
   let program, device, model = Protocol.resolve req in
   let key = Cache_store.key ~program ~device ~model in
   let seed = Cache_store.find t.cache key in
-  let warm = seed <> [] in
+  let warm = Objective.Block.length seed > 0 in
   if warm then Metrics.incr (Lazy.force m_warm_requests);
   match Pipeline.prepare_safe ~device program with
   | Error e -> send job.conn (Protocol.error ~id:req.id ~code:Internal ~message:(Error.to_string e))
@@ -208,7 +214,7 @@ let run_request t job ~started_s ~remaining =
       in
       let guard = Guard.guarded ?inject faults in
       let obj = Pipeline.objective ~model ~guard ~faults ctx in
-      Objective.seed_group_verdicts obj seed;
+      Objective.seed_block obj seed;
       let wall_source, max_wall_s = wall_budget o ~remaining in
       let budget =
         { Hgga.unlimited with Hgga.max_evaluations = o.max_evaluations; max_wall_s }
@@ -225,10 +231,7 @@ let run_request t job ~started_s ~remaining =
       let finish () =
         (* the request's checkpoint: whatever was evaluated — even by an
            interrupted or failed search — warms every later request *)
-        Cache_store.absorb t.cache key (Objective.export_group_verdicts obj);
-        Metrics.set (Lazy.force g_cache_programs) (float_of_int (Cache_store.programs t.cache));
-        Metrics.set (Lazy.force g_cache_evictions)
-          (float_of_int (Cache_store.evictions t.cache));
+        absorb t key obj;
         Metrics.set (Lazy.force g_cache_hit_rate) (Objective.cache_hit_rate obj)
       in
       (match Pipeline.search_safe ~params:(params_of o) ~budget ?on_generation ~interrupt ctx obj with
@@ -417,7 +420,7 @@ let run_stream t job =
       let env p =
         let obj = Pipeline.objective ~model (Pipeline.prepare ~device p) in
         let key = Cache_store.key ~program:p ~device ~model in
-        Objective.seed_group_verdicts obj (Cache_store.find t.cache key);
+        Objective.seed_block obj (Cache_store.find t.cache key);
         s.s_current <- Some (key, obj);
         obj
       in
@@ -429,14 +432,7 @@ let run_stream t job =
             Stream.last stream
         | Some stream -> Stream.step stream program
       in
-      (match s.s_current with
-      | Some (key, obj) ->
-          Cache_store.absorb t.cache key (Objective.export_group_verdicts obj);
-          Metrics.set (Lazy.force g_cache_programs)
-            (float_of_int (Cache_store.programs t.cache));
-          Metrics.set (Lazy.force g_cache_evictions)
-            (float_of_int (Cache_store.evictions t.cache))
-      | None -> ());
+      (match s.s_current with Some (key, obj) -> absorb t key obj | None -> ());
       Metrics.incr (Lazy.force m_stream_decisions);
       if decision.Stream.d_slo_tripped then Metrics.incr (Lazy.force m_stream_slo_tripped);
       Metrics.incr (Lazy.force m_completed);

@@ -468,6 +468,144 @@ let test_snapshot_atomic_save () =
       check Alcotest.bool "temp cleaned after failed rename" false
         (Sys.file_exists (blocked ^ ".tmp")))
 
+(* The exact bytes of one fixed cache document and one fixed checkpoint,
+   recorded from the list-based writer that built each document as one
+   string: the streamed writer and the flat verdict block keep format 8
+   byte for byte, so files written before them load unchanged. *)
+let pinned_cache =
+  [
+    {
+      Snapshot.Cache.key = "0123abcd";
+      verdicts =
+        {
+          Objective.Block.keys = [| 0; 1; 2; 3; 4; 1; -3; 2 |];
+          offs = [| 0; 2; 5; 8 |];
+          cost = [| 0.125; infinity; 3.0e-7 |];
+          orig_sum = [| 0.5; 1e-3; 12.75 |];
+          feasible = Bytes.of_string "\001\000\001";
+        };
+      plan = None;
+    };
+    {
+      Snapshot.Cache.key = "ffee";
+      verdicts = Objective.Block.empty;
+      plan =
+        Some { Snapshot.Cache.groups = [ [ 0; 1 ]; [ 2 ] ]; cost = 0.1; fingerprint = "hgga.1|\"q\"" };
+    };
+  ]
+
+let pinned_checkpoint () =
+  let snap = sample_snapshot () in
+  {
+    snap with
+    Snapshot.horizontal = true;
+    best = [ [ [ 0; 1 ]; [ 2 ] ]; [ [ 3; 4 ] ] ];
+    history = [ (0, 0.25); (3, 0.1) ];
+    islands =
+      List.mapi
+        (fun i isl ->
+          if i = 0 then
+            { isl with Snapshot.population = [ [ [ [ 0; 1; 2; 3; 4 ] ] ]; [ [ [ 0 ] ]; [ [ 1; 2 ]; [ 3; 4 ] ] ] ] }
+          else isl)
+        snap.Snapshot.islands;
+  }
+
+let pinned_cache_bytes = {|{
+  "format": 8,
+  "kind": "serve-cache",
+  "entries": [
+    {"key": "0123abcd", "verdicts": [[[0,1],1,"0x1p-3","0x1p-1"],[[2,3,4],0,"infinity","0x1.0624dd2f1a9fcp-10"],[[1,-3,2],1,"0x1.421f5f40d8376p-22","0x1.98p+3"]], "plan": null},
+    {"key": "ffee", "verdicts": [], "plan": {"groups": [[0,1],[2]], "cost": "0x1.999999999999ap-4", "fingerprint": "hgga.1|\"q\""}}
+  ]
+}
+|}
+
+let pinned_checkpoint_bytes = {|{
+  "format": 8,
+  "kind": "checkpoint",
+  "population_size": 3,
+  "seed": 42,
+  "n": 5,
+  "generation": 14,
+  "stall": 3,
+  "evaluations": 99,
+  "wall_time_s": "0x1.94p+3",
+  "faults": [7,3,2,5,4,1],
+  "migration_cursor": 4,
+  "group_cache": [120,40,8],
+  "plan_cache": [30,12,0],
+  "horizontal": true,
+  "best": [[[0,1],[2]],[[3,4]]],
+  "history": [[0,"0x1p-2"],[3,"0x1.999999999999ap-4"]],
+  "islands": [
+    {"rng_state": "-8313746488903152427", "population": [
+      [[[0,1,2,3,4]]],
+      [[[0]],[[1,2],[3,4]]]
+    ]},
+    {"rng_state": "7459286063232097792", "population": [
+      [[[0,1]],[[2]],[[3]],[[4]]]
+    ]}
+  ]
+}
+|}
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let test_documents_pinned () =
+  check Alcotest.string "cache document" pinned_cache_bytes (Snapshot.Cache.render pinned_cache);
+  check Alcotest.string "checkpoint" pinned_checkpoint_bytes (Snapshot.render (pinned_checkpoint ()));
+  (* a save streams the very bytes [render] returns, and they load back *)
+  let path = Filename.temp_file "kfuse_pinned" ".json" in
+  Snapshot.Cache.save path pinned_cache;
+  check Alcotest.string "saved cache document" pinned_cache_bytes (read_file path);
+  check Alcotest.bool "cache reloads" true (Snapshot.Cache.load path = pinned_cache);
+  Snapshot.save path (pinned_checkpoint ());
+  check Alcotest.string "saved checkpoint" pinned_checkpoint_bytes (read_file path);
+  check Alcotest.bool "checkpoint reloads" true (Snapshot.load path = pinned_checkpoint ());
+  Sys.remove path
+
+let test_save_fails_midwrite () =
+  (* The writer raises on the second entry, whose offsets point past its
+     key arena, after the first entry has already been spilled into the
+     temp file: the previous document stays byte for byte and no temp
+     file is left behind. *)
+  let path = Filename.temp_file "kfuse_midwrite" ".json" in
+  Snapshot.Cache.save path pinned_cache;
+  let n = 20_000 in
+  let big =
+    {
+      Snapshot.Cache.key = "big";
+      verdicts =
+        {
+          Objective.Block.keys = Array.init (2 * n) Fun.id;
+          offs = Array.init (n + 1) (fun i -> 2 * i);
+          cost = Array.make n 0.5;
+          orig_sum = Array.make n 1.;
+          feasible = Bytes.make n '\001';
+        };
+      plan = None;
+    }
+  in
+  check Alcotest.bool "the first entry outgrows the write buffer" true
+    (String.length (Snapshot.Cache.render [ big ]) > 4 * 65536);
+  let broken =
+    {
+      Snapshot.Cache.key = "broken";
+      verdicts = { Objective.Block.empty with offs = [| 0; 1 |]; cost = [| 0. |]; orig_sum = [| 0. |]; feasible = Bytes.make 1 '\001' };
+      plan = None;
+    }
+  in
+  (match Snapshot.Cache.save path [ big; broken ] with
+  | () -> Alcotest.fail "saved a block whose offsets leave its key arena"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.string "previous document intact" pinned_cache_bytes (read_file path);
+  check Alcotest.bool "no temp left behind" false (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path
+
 let expect_malformed ~contains doc =
   match Snapshot.of_string doc with
   | exception Snapshot.Malformed msg ->
@@ -863,10 +1001,13 @@ let fuzz_inputs =
          {
            Snapshot.Cache.key = "0123abcd";
            verdicts =
-             [
-               ([| 0; 1 |], { Objective.feasible = true; cost = 0.125; orig_sum = 0.5 });
-               ([| 2; 3 |], { Objective.feasible = false; cost = infinity; orig_sum = 0.75 });
-             ];
+             {
+               Objective.Block.keys = [| 0; 1; 2; 3 |];
+               offs = [| 0; 2; 4 |];
+               cost = [| 0.125; infinity |];
+               orig_sum = [| 0.5; 0.75 |];
+               feasible = Bytes.of_string "\001\000";
+             };
            plan =
              Some
                { Snapshot.Cache.groups = [ [ 0; 1 ]; [ 2; 3 ] ]; cost = 0.25; fingerprint = "fp|1" };
@@ -942,6 +1083,9 @@ let suite =
       test_guard_retry_determinism_jitter;
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot atomic save" `Quick test_snapshot_atomic_save;
+    Alcotest.test_case "documents pinned byte for byte" `Quick test_documents_pinned;
+    Alcotest.test_case "save failing mid-write keeps the old file" `Quick
+      test_save_fails_midwrite;
     Alcotest.test_case "snapshot old formats rejected" `Quick test_snapshot_old_formats_rejected;
     Alcotest.test_case "snapshot rejects bad kernel id" `Quick
       test_snapshot_rejects_bad_kernel_id;

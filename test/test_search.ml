@@ -471,6 +471,40 @@ let test_merge_equivalence_vs_oracle () =
 (* A guard that evaluates normally and records, under a lock, the
    distinct multi-member keys it is handed — an oracle for the
    objective's exactly-once evaluation count. *)
+let block_keys (b : Objective.Block.t) =
+  List.init (Objective.Block.length b) (fun i ->
+      Array.sub b.keys b.offs.(i) (b.offs.(i + 1) - b.offs.(i)))
+
+let test_seed_export_roundtrip () =
+  (* The warm store's round trip: an objective seeded with another's
+     export exports every seeded key back with bit-equal cost and
+     original sum and the same feasibility, and seeding is no probe —
+     no hit, miss or evaluation counter moves. *)
+  let program = Kf_workloads.Cloverleaf.program () in
+  let a = objective_of program in
+  ignore (Hgga.solve ~params:{ Hgga.default_params with Hgga.max_generations = 10 } a);
+  let src = Objective.export_block a in
+  check Alcotest.bool "feasible and infeasible verdicts" true
+    (Bytes.contains src.feasible '\001' && Bytes.contains src.feasible '\000');
+  let b = objective_of program in
+  Objective.seed_block b src;
+  let back = Objective.export_block b in
+  check Alcotest.int "every key back" (Objective.Block.length src) (Objective.Block.length back);
+  let at = Hashtbl.create 256 in
+  List.iteri (fun j k -> Hashtbl.replace at k j) (block_keys back);
+  List.iteri
+    (fun i k ->
+      match Hashtbl.find_opt at k with
+      | None -> Alcotest.fail "seeded key missing from the export"
+      | Some j ->
+          check Alcotest.bool "cost bits" true (bits src.cost.(i) = bits back.cost.(j));
+          check Alcotest.bool "orig_sum bits" true (bits src.orig_sum.(i) = bits back.orig_sum.(j));
+          check Alcotest.char "feasibility" (Bytes.get src.feasible i) (Bytes.get back.feasible j))
+    (block_keys src);
+  let g = Objective.cache_stats b and p = Objective.plan_cache_stats b in
+  check Alcotest.(list int) "no counter moved" [ 0; 0; 0; 0; 0 ]
+    [ g.Objective.hits; g.misses; p.Objective.hits; p.misses; Objective.evaluations b ]
+
 let counting_guard () =
   let seen = Hashtbl.create 256 and lock = Mutex.create () in
   let guard eval g =
@@ -508,7 +542,7 @@ let test_exactly_once_vs_counting_guard () =
       barriers := (p.Hgga.p_evaluations, List.length (keys ())) :: !barriers
     in
     let r = Hgga.solve ~params ~on_generation obj in
-    let exported = List.map fst (Objective.export_group_verdicts obj) in
+    let exported = block_keys (Objective.export_block obj) in
     let packs, groups = List.partition (Array.exists (( = ) (-3))) exported in
     let groups = List.sort compare (List.map Array.to_list groups) in
     check Alcotest.bool "exported group keys = guarded keys" true (groups = keys ());
@@ -754,6 +788,8 @@ let suite =
     Alcotest.test_case "exactly-once evaluations vs counting guard" `Slow
       test_exactly_once_vs_counting_guard;
     Alcotest.test_case "plan cache permuted plans" `Quick test_plan_cache_permuted;
+    Alcotest.test_case "seed_block then export_block round trip" `Quick
+      test_seed_export_roundtrip;
     Alcotest.test_case "eval_plan hit allocation independent of plan size" `Quick
       test_eval_plan_hit_allocation;
     Alcotest.test_case "eval_plan miss allocation independent of plan size" `Quick

@@ -108,32 +108,49 @@ let test_retriable () =
 
 let verdict cost = { Objective.feasible = true; cost; orig_sum = cost *. 2. }
 
+(* The store's flat block of the (signature, verdict) pairs, in order. *)
+let block entries =
+  let vs = Array.of_list (List.map snd entries) in
+  let offs = Array.make (Array.length vs + 1) 0 in
+  List.iteri (fun i (k, _) -> offs.(i + 1) <- offs.(i) + Array.length k) entries;
+  {
+    Objective.Block.keys = Array.concat (List.map fst entries);
+    offs;
+    cost = Array.map (fun v -> v.Objective.cost) vs;
+    orig_sum = Array.map (fun v -> v.Objective.orig_sum) vs;
+    feasible = Bytes.init (Array.length vs) (fun i -> if vs.(i).Objective.feasible then '\001' else '\000');
+  }
+
+let stored t k = Objective.Block.length (Cache_store.find t k)
+
 let test_cache_store () =
   let t = Cache_store.create ~max_entries:2 () in
-  check Alcotest.bool "cold" true (Cache_store.find t "a" = []);
-  Cache_store.absorb t "a" [ ([| 0; 1 |], verdict 1.) ];
-  Cache_store.absorb t "a" [];
+  check Alcotest.bool "cold" true (stored t "a" = 0);
+  Cache_store.absorb t "a" (block [ ([| 0; 1 |], verdict 1.) ]);
+  Cache_store.absorb t "a" (block []);
   (* empty ignored *)
-  check Alcotest.int "one verdict" 1 (List.length (Cache_store.find t "a"));
-  (* the larger list wins; a smaller one never shrinks the entry *)
-  Cache_store.absorb t "a" [ ([| 0; 1 |], verdict 1.); ([| 1; 2 |], verdict 2.) ];
-  Cache_store.absorb t "a" [ ([| 9 |], verdict 9.) ];
-  check Alcotest.int "kept larger" 2 (List.length (Cache_store.find t "a"));
+  check Alcotest.int "one verdict" 1 (stored t "a");
+  (* the larger block wins; a smaller one never shrinks the entry *)
+  Cache_store.absorb t "a" (block [ ([| 0; 1 |], verdict 1.); ([| 1; 2 |], verdict 2.) ]);
+  Cache_store.absorb t "a" (block [ ([| 9 |], verdict 9.) ]);
+  check Alcotest.int "kept larger" 2 (stored t "a");
+  check Alcotest.int "verdict count" 2 (Cache_store.verdict_count t);
   (* FIFO cap *)
-  Cache_store.absorb t "b" [ ([| 2; 3 |], verdict 3.) ];
-  Cache_store.absorb t "c" [ ([| 4; 5 |], verdict 4.) ];
+  Cache_store.absorb t "b" (block [ ([| 2; 3 |], verdict 3.) ]);
+  Cache_store.absorb t "c" (block [ ([| 4; 5 |], verdict 4.) ]);
   check Alcotest.int "capped" 2 (Cache_store.programs t);
-  check Alcotest.bool "oldest evicted" true (Cache_store.find t "a" = []);
-  check Alcotest.bool "newest kept" true (Cache_store.find t "c" <> [])
+  check Alcotest.bool "oldest evicted" true (stored t "a" = 0);
+  check Alcotest.bool "newest kept" true (stored t "c" <> 0)
 
 let test_cache_persistence () =
   let path = Filename.temp_file "kfuse_cache" ".json" in
   let t = Cache_store.create () in
   Cache_store.absorb t "deadbeef"
-    [
-      ([| 0; 1 |], verdict 0.5);
-      ([| 2; 3; 4 |], { Objective.feasible = false; cost = infinity; orig_sum = 1.5 });
-    ];
+    (block
+       [
+         ([| 0; 1 |], verdict 0.5);
+         ([| 2; 3; 4 |], { Objective.feasible = false; cost = infinity; orig_sum = 1.5 });
+       ]);
   check Alcotest.bool "dirty after absorb" true (Cache_store.dirty t);
   Cache_store.save t path;
   check Alcotest.bool "clean after save" false (Cache_store.dirty t);
@@ -183,12 +200,12 @@ let test_cache_lru_recency () =
   (* The bound is LRU, not FIFO: reading a key refreshes it, so the
      stalest — not the oldest — entry is the victim. *)
   let t = Cache_store.create ~max_entries:2 () in
-  Cache_store.absorb t "a" [ ([| 0; 1 |], verdict 1.) ];
-  Cache_store.absorb t "b" [ ([| 2; 3 |], verdict 2.) ];
+  Cache_store.absorb t "a" (block [ ([| 0; 1 |], verdict 1.) ]);
+  Cache_store.absorb t "b" (block [ ([| 2; 3 |], verdict 2.) ]);
   ignore (Cache_store.find t "a");
-  Cache_store.absorb t "c" [ ([| 4; 5 |], verdict 3.) ];
-  check Alcotest.bool "stalest (b) evicted" true (Cache_store.find t "b" = []);
-  check Alcotest.bool "recently-read (a) kept" true (Cache_store.find t "a" <> []);
+  Cache_store.absorb t "c" (block [ ([| 4; 5 |], verdict 3.) ]);
+  check Alcotest.bool "stalest (b) evicted" true (stored t "b" = 0);
+  check Alcotest.bool "recently-read (a) kept" true (stored t "a" <> 0);
   check Alcotest.int "eviction counted" 1 (Cache_store.evictions t)
 
 let test_cache_bounded_growth () =
@@ -199,7 +216,7 @@ let test_cache_bounded_growth () =
   let t = Cache_store.create ~max_entries:cap () in
   for i = 1 to 1000 do
     let key = Printf.sprintf "edit-%d" i in
-    Cache_store.absorb t key [ ([| 0; 1 |], verdict (float_of_int i)) ];
+    Cache_store.absorb t key (block [ ([| 0; 1 |], verdict (float_of_int i)) ]);
     Cache_store.store_plan t key
       { Snapshot.Cache.groups = [ [ 0; 1 ]; [ 2 ] ]; cost = float_of_int i; fingerprint = "fp" }
   done;
@@ -222,7 +239,7 @@ let test_cache_plan_roundtrip () =
   (* Format 6: the stored answer persists with the verdicts. *)
   let path = Filename.temp_file "kfuse_plan" ".json" in
   let t = Cache_store.create () in
-  Cache_store.absorb t "k" [ ([| 0; 1 |], verdict 0.25) ];
+  Cache_store.absorb t "k" (block [ ([| 0; 1 |], verdict 0.25) ]);
   Cache_store.store_plan t "k"
     { Snapshot.Cache.groups = [ [ 0; 1 ]; [ 2; 3 ] ]; cost = 0.125; fingerprint = "hgga.1|x" };
   Cache_store.save t path;

@@ -269,7 +269,7 @@ let enforce_profitability_c obj packs =
 (* One island: a population shard evolving on its own generator.  A
    generation step reads and writes only island-local state (plus the
    shared objective, whose verdicts are pure), so islands can be stepped
-   on any worker domain in any order without changing the result. *)
+   on any domain in any order without changing the result. *)
 type island_state = {
   mutable ipop : individual array;
   irng : Rng.t;
@@ -288,11 +288,10 @@ type island_state = {
 (* Advance one island by one generation and return its generation
    champion.  [incumbent_cost] is the global incumbent at the start of
    the generation — fixed before the fan-out, so the refine decision is
-   identical for every island-to-domain assignment.  [child_pool] fans
-   child construction of {e this} island over the persistent worker pool
-   (used only in single-island mode; with several islands the
-   parallelism is across islands instead). *)
-let step_island obj params ~n ~incumbent_cost ?child_pool st =
+   identical for every island-to-domain assignment.  Child construction
+   fans out over [pool]; inside a multi-island fan-out that run is nested
+   and stays on the domain stepping the island. *)
+let step_island obj params ~n ~incumbent_cost ~pool st =
   let sorted = Array.copy st.ipop in
   Array.sort (fun x y -> compare x.cost y.cost) sorted;
   let n_elites = min params.elite (st.isize - 1) in
@@ -339,18 +338,15 @@ let step_island obj params ~n ~incumbent_cost ?child_pool st =
       else (cp, if crossed then Objective.plan_key obj cp else p1.key)
     end
   in
-  let raw_children =
-    match child_pool with
-    | Some pool when n_children >= 2 * Pool.size pool ->
-        (* Work-stealing fan-out: each child index is an independent task
-           with its own pre-split RNG, so any task-to-domain assignment
-           builds the same children. *)
-        let out = Array.make n_children ([], [||]) in
-        Pool.run pool ~tasks:n_children (fun i -> out.(i) <- build_child i);
-        out
-    | _ -> Array.init n_children build_child
-  in
-  (* Duplicate suppression (sequential in both modes, so results match):
+  (* Each child is an independent task with its own pre-split RNG and
+     output slot, so any task-to-domain assignment builds the same
+     children.  Task [t] builds child [n_children - 1 - t]: the fresh
+     children, the slowest to build, are claimed first. *)
+  let raw_children = Array.make n_children ([], [||]) in
+  Pool.run pool ~tasks:n_children (fun t ->
+      let i = n_children - 1 - t in
+      raw_children.(i) <- build_child i);
+  (* Duplicate suppression (sequential on this domain, so results match):
      a population of champion clones stops searching — crossover of
      identical parents is the identity.  The key is the whole plan
      signature, so in a horizontal search two plans equal as partitions
@@ -684,10 +680,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
   (* One persistent pool for the whole run: spawning domains per
      generation would dominate small-population generations. *)
   let workers = if k_islands > 1 then min params.domains k_islands else params.domains in
-  let pool = if workers > 1 then Some (Pool.create workers) else None in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Pool.shutdown pool)
-    (fun () ->
+  Pool.with_pool workers (fun pool ->
   while
     !stop = None && !gen < params.max_generations && !stall < params.stall_generations
   do
@@ -703,25 +696,11 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
     let incumbent_cost = !best.cost in
     (* Placeholders only: every slot is overwritten below. *)
     let gen_bests = Array.make k_islands !best in
-    (if k_islands = 1 then
-       gen_bests.(0) <-
-         step_island obj params ~n ~incumbent_cost ?child_pool:pool islands.(0)
-     else
-       match pool with
-       | None ->
-           Array.iteri
-             (fun i st -> gen_bests.(i) <- step_island obj params ~n ~incumbent_cost st)
-             islands
-       | Some p ->
-           (* Work-stealing fan-out: each island step is one task.  A
-              domain that finishes its islands early steals queued
-              islands from a loaded neighbor instead of idling — island
-              steps vary wildly in cost (refinement triggers on
-              improving islands only), which is exactly what made the
-              old lockstep strided assignment lose to sequential. *)
-           Pool.run p ~tasks:k_islands (fun i ->
-               gen_bests.(i) <- step_island obj params ~n ~incumbent_cost islands.(i)));
-    (* Generation barrier: all workers are parked in the pool again, so
+    (* Each island step is one task; with one island the step runs on
+       this domain and fans its child construction out instead. *)
+    Pool.run pool ~tasks:k_islands (fun i ->
+        gen_bests.(i) <- step_island obj params ~n ~incumbent_cost ~pool islands.(i));
+    (* Generation barrier: all helpers are parked in the pool again, so
        fold their private memo tables into the shared bases.  Everything
        below — budget checks, progress callbacks, checkpoints, traces —
        reads merged (scheduling-independent) evaluation counts. *)

@@ -26,7 +26,7 @@
     rotating ring.  Island steps are independent (the shared objective's
     caches are per-domain tables merged at generation barriers, and its
     verdicts are pure), so they are fanned
-    out over [domains] worker domains — with the determinism contract
+    out over [domains] domains — with the determinism contract
     that a {e fixed island count} yields bit-identical results for {e
     any} worker-domain count.
 
@@ -44,11 +44,12 @@ type params = {
                     (per island, capped at the island size - 1) *)
   seed : int;
   domains : int;
-      (** worker domains (the paper parallelizes its search with OpenMP;
-          here OCaml 5 domains).  With several islands the fan-out is one
-          island step per domain; with a single island it is child
-          construction that fans out.  Results are identical for any
-          domain count. *)
+      (** domains the search runs on, the calling one included (the
+          paper parallelizes its search with OpenMP; here OCaml 5
+          domains).  With several islands each island step is one task
+          of the fan-out; with a single island it is child construction
+          that fans out, fresh children first.  Results are identical
+          for any domain count. *)
   islands : int;
       (** number of sub-populations (default 1: the classic panmictic
           GA).  The population is split as evenly as possible; each
@@ -183,9 +184,9 @@ val solve :
     migrations reach every island.  Each island draws from its own
     generator, split from the master seed in island order, and each
     island step reads only island-local state plus the pure objective
-    caches — so for a fixed island count the result (plan,
-    improvement history, and evaluation count, cache capacity permitting)
-    is bit-identical for any [domains] value.
+    caches — so for a fixed island count the result (plan, cost,
+    improvement history and evaluation count) is bit-identical for any
+    [domains] value.
 
     [on_generation] observes each completed generation (see {!progress});
     [interrupt] is polled once per generation boundary — returning [true]

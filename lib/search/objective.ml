@@ -656,8 +656,8 @@ let front_offer st o =
            st.front
 
 (* Fold every domain's private tables into the shared bases.  Must only
-   run at a quiescent point: all workers parked at the pool's generation
-   barrier (its mutex handshake publishes the workers' writes to the
+   run at a quiescent point: all helpers parked at the pool's generation
+   barrier (its mutex handshake publishes the helpers' writes to the
    merging domain and the updated bases back to them), or a
    single-domain caller.
 

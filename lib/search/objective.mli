@@ -50,8 +50,8 @@ type cache_stats = { hits : int; misses : int; evictions : int; size : int }
     or one miss — so summed over {!shard_stats}, [hits + misses] always
     equals the total number of probes.  Hit and miss counts are
     scheduling-dependent telemetry when several domains run
-    concurrently (which domain's table answers a probe depends on
-    work-stealing order); costs, plans and {!evaluations} are not. *)
+    concurrently (which domain's table answers a probe depends on which
+    domain claimed which task); costs, plans and {!evaluations} are not. *)
 
 type pareto_entry = { pf_plan : int list list; pf_costs : float array }
 (** One plan on the cross-device Pareto front: canonical groups and its
@@ -236,12 +236,12 @@ val pack_profitable : t -> int list list -> bool
 val original_sum : t -> int list -> float
 
 val merge_locals : t -> unit
-(** Fold every domain's private memo tables (group, plan and the
-    structural-operator memos) into the shared read-only bases, count
-    the distinct newly merged group keys as evaluations, flush batched
-    probe telemetry to [Kf_obs.Metrics], and enforce any configured
-    capacities.  Must only be called at a quiescent point — all worker
-    domains parked at the pool's generation barrier (whose mutex
+(** Fold every domain's private memo tables (group verdicts, plan
+    totals and, with a portfolio, its rows and front offers) into the
+    shared read-only bases, count the distinct newly merged group keys
+    as evaluations, and flush batched probe telemetry to
+    [Kf_obs.Metrics].  Must only be called at a quiescent point — all
+    helper domains parked at the pool's generation barrier (whose mutex
     handshake publishes their writes), or single-domain use. *)
 
 val evaluations : t -> int

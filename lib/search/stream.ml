@@ -41,8 +41,7 @@ type config = {
   min_search_s : float;
 }
 
-let default_config =
-  let p = Hgga.default_params in
+let config_of_params p =
   {
     params = p;
     repair =
@@ -55,6 +54,8 @@ let default_config =
     slo_s = None;
     min_search_s = 0.010;
   }
+
+let default_config = config_of_params Hgga.default_params
 
 (* ------------------------------------------------------------------ *)
 (* Content fingerprints and the diff                                   *)

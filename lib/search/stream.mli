@@ -57,9 +57,13 @@ type config = {
           this, skip the GA and take the {!Greedy_repair} rung *)
 }
 
+val config_of_params : Hgga.params -> config
+(** [config_of_params p]: full searches run [p]; [repair] is [p] with
+    the population, generation cap and stall halved (floored at 4, 50
+    and 10); no SLO; [min_search_s = 0.010]. *)
+
 val default_config : config
-(** [params = Hgga.default_params]; [repair] halves the population and
-    stall; no SLO; [min_search_s = 0.010]. *)
+(** [config_of_params Hgga.default_params]. *)
 
 type delta = {
   matched : (int * int) list;

@@ -148,7 +148,13 @@ let save t path =
         |> List.map (fun (k, e) ->
                { Snapshot.Cache.key = k; verdicts = e.verdicts; plan = e.plan }))
   in
-  Snapshot.Cache.save path entries
+  try Snapshot.Cache.save path entries
+  with e ->
+    (* the file on disk is stale: leave the store dirty so the next save
+       retries *)
+    let bt = Printexc.get_raw_backtrace () in
+    locked t (fun () -> t.dirty <- true);
+    Printexc.raise_with_backtrace e bt
 
 let load t path =
   let entries = Snapshot.Cache.load path in

@@ -64,7 +64,8 @@ val dirty : t -> bool
 
 val save : t -> string -> unit
 (** Crash-safe persist (atomic temp-file + rename; see
-    {!Kf_search.Snapshot.Cache.save}).  Clears {!dirty}.
+    {!Kf_search.Snapshot.Cache.save}).  Clears {!dirty}; a save that
+    raises leaves it set, so a later save retries.
     @raise Sys_error on IO failure. *)
 
 val load : t -> string -> unit

@@ -7,8 +7,8 @@
      handler threads   one per connection: read request lines, validate,
                        admit into the bounded queue, answer malformed /
                        overload / drain rejections inline
-     worker domains    a [Kf_util.Pool] driven by one dispatcher thread;
-                       each domain loops taking admitted jobs and
+     worker domains    [workers] domains spawned at start and joined at
+                       drain; each loops taking admitted jobs and
                        executing them behind [Kf_robust.Guard]
      timer thread      periodic warm-cache persistence + polls the
                        signal-set drain flag (signal handlers only flip
@@ -23,7 +23,6 @@
 
 module Json = Kf_obs.Json
 module Metrics = Kf_obs.Metrics
-module Pool = Kf_util.Pool
 module Pipeline = Kfuse.Pipeline
 module Hgga = Kf_search.Hgga
 module Objective = Kf_search.Objective
@@ -103,7 +102,7 @@ type t = {
   sessions : (string, session) Hashtbl.t;
   mutable session_tick : int;
   mutable accept_thread : Thread.t option;
-  mutable dispatch_thread : Thread.t option;
+  mutable worker_domains : unit Domain.t list;
   mutable timer_thread : Thread.t option;
 }
 
@@ -331,22 +330,12 @@ let try_cached t job =
 (* --- streaming sessions --- *)
 
 let stream_config t (o : Protocol.options) =
-  let p = params_of o in
-  let d = Stream.default_config in
   {
-    Stream.params = p;
-    repair =
-      {
-        p with
-        Hgga.population_size = max 4 (p.Hgga.population_size / 2);
-        max_generations = max 50 (p.Hgga.max_generations / 2);
-        stall_generations = max 10 (p.Hgga.stall_generations / 2);
-      };
-    slo_s =
+    (Stream.config_of_params (params_of o)) with
+    Stream.slo_s =
       (match o.Protocol.slo_ms with
       | Some ms -> Some (ms /. 1000.)
       | None -> Option.map (fun ms -> ms /. 1000.) t.config.default_slo_ms);
-    min_search_s = d.Stream.min_search_s;
   }
 
 (* Find or create the session under the registry lock; the returned
@@ -751,22 +740,13 @@ let start config =
       sessions = Hashtbl.create 8;
       session_tick = 0;
       accept_thread = None;
-      dispatch_thread = None;
+      worker_domains = [];
       timer_thread = None;
     }
   in
-  (* the dispatcher blocks in Pool.broadcast for the daemon's whole life;
-     each worker domain loops on the admission queue (one long-lived job
-     per worker — not a task list to steal from) *)
-  let pool = Pool.create config.workers in
-  t.dispatch_thread <-
-    Some
-      (Thread.create
-         (fun () ->
-           Fun.protect
-             ~finally:(fun () -> Pool.shutdown pool)
-             (fun () -> Pool.broadcast pool (fun _w -> worker_loop t)))
-         ());
+  (* one long-lived loop per worker domain, all taking jobs from the
+     admission queue *)
+  t.worker_domains <- List.init config.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   t.timer_thread <- Some (Thread.create (fun () -> timer_loop t) ());
   config.log (Printf.sprintf "listening on %s (%d workers, queue %d)" config.socket_path
@@ -785,7 +765,14 @@ let wait t =
   let join = function Some th -> Thread.join th | None -> () in
   join t.accept_thread;
   (* accept loop exits only once draining; workers drain the queue *)
-  join t.dispatch_thread;
+  let domains = t.worker_domains in
+  t.worker_domains <- [];
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | () -> ()
+      | exception e -> t.config.log (Printf.sprintf "worker error: %s" (Printexc.to_string e)))
+    domains;
   join t.timer_thread;
   (* handlers: every job is answered by now, so they are only waiting on
      client EOF, which drain forced *)

@@ -1,56 +1,30 @@
-(* Persistent worker-domain pool with work-stealing task dispatch.
+(* Persistent worker-domain pool handing out task indices from one
+   shared counter.
 
    Spawning a domain costs far more than a generation of GA work on small
-   populations, and the island-model search wants a fan-out every
-   generation.  This pool spawns its workers once and re-dispatches jobs
-   to them over a mutex/condition pair, so the per-generation cost is a
-   broadcast instead of N domain spawns and joins.
-
-   Two dispatch shapes are offered on top of the same epoch handshake:
-
-   - [broadcast t f] hands every worker a distinct pinned index — one
-     call per worker, the original lockstep shape.  The serve daemon
-     uses it for its long-lived per-worker loops.
-   - [run t ~tasks f] distributes [tasks] independent task indices over
-     the workers with work stealing: each worker owns a contiguous block
-     of the index range as a deque, pops from the front of its own block,
-     and when empty steals the back half of a victim's remaining block.
-     Because a contiguous block stays contiguous under steal-half-from-
-     the-back, a deque is just a [lo, hi) interval — no task buffer at
-     all.  Each index runs exactly once regardless of who steals what,
-     which is what keeps callers with pure per-task functions
-     deterministic under any steal interleaving. *)
-
-type deque = {
-  d_lock : Mutex.t;
-  mutable d_lo : int;  (* next task the owner pops *)
-  mutable d_hi : int;  (* one past the last task; thieves shrink this *)
-}
+   populations, and the search wants a fan-out every generation.  This
+   pool spawns its helpers once and re-engages them over a
+   mutex/condition pair: [run] publishes one job epoch, every helper runs
+   the job once, and the job is a loop claiming task indices from an
+   atomic counter until they run out.  The calling domain runs the same
+   loop, so a pool of [n] domains spawns [n - 1] helpers.  Each index is
+   claimed by exactly one domain, which is what keeps callers with pure
+   per-task functions deterministic under any interleaving. *)
 
 type t = {
   size : int;
   lock : Mutex.t;
   work : Condition.t;  (* signalled when a new job epoch is published *)
-  finished : Condition.t;  (* signalled when the last worker completes *)
-  mutable job : unit -> unit;  (* current job; worker indices come from a
-                                  ticket counter inside the closure *)
-  mutable epoch : int;  (* job generation counter; workers run each epoch once *)
-  mutable remaining : int;  (* workers still inside the current epoch *)
-  mutable failure : (exn * Printexc.raw_backtrace) option;
-      (* first exception raised by any worker, with the backtrace captured
-         on the worker domain — re-raised at the caller with
-         [Printexc.raise_with_backtrace] so the originating frame survives
-         the domain hop *)
+  finished : Condition.t;  (* signalled when the last helper completes *)
+  mutable job : unit -> unit;  (* current job; never raises *)
+  mutable epoch : int;  (* job generation counter; helpers run each epoch once *)
+  mutable remaining : int;  (* helpers still inside the current epoch *)
   mutable stopping : bool;
-  mutable workers : unit Domain.t list;
-  deques : deque array;  (* one per worker, reset by each [run] epoch *)
-  cancelled : bool Atomic.t;
-      (* set on the first task failure of a [run] epoch so the remaining
-         task indices drain without executing *)
-  steals : int Atomic.t;  (* cumulative successful steals, telemetry *)
+  mutable helpers : unit Domain.t list;
+  busy : bool Atomic.t;  (* a run is fanning out over the helpers *)
 }
 
-let worker_loop t =
+let helper_loop t =
   let last = ref 0 in
   let running = ref true in
   while !running do
@@ -66,15 +40,8 @@ let worker_loop t =
       last := t.epoch;
       let f = t.job in
       Mutex.unlock t.lock;
-      let outcome =
-        match f () with
-        | () -> None
-        | exception e -> Some (e, Printexc.get_raw_backtrace ())
-      in
+      f ();
       Mutex.lock t.lock;
-      (match outcome with
-      | Some _ when t.failure = None -> t.failure <- outcome
-      | _ -> ());
       t.remaining <- t.remaining - 1;
       if t.remaining = 0 then Condition.signal t.finished;
       Mutex.unlock t.lock
@@ -86,9 +53,9 @@ let create size =
   (* Backtrace recording is per-domain state: a freshly spawned domain
      starts from the OCAMLRUNPARAM default regardless of what the
      creating domain set via [Printexc.record_backtrace].  Capture the
-     creator's setting here and replay it inside each worker, otherwise
-     the backtrace stored in [t.failure] is empty and the re-raise in
-     [run] loses the worker's originating frame. *)
+     creator's setting here and replay it inside each helper, otherwise
+     a failure's captured backtrace is empty and the re-raise in [run]
+     loses the originating frame. *)
   let record_bt = Printexc.backtrace_status () in
   let t =
     {
@@ -96,142 +63,71 @@ let create size =
       lock = Mutex.create ();
       work = Condition.create ();
       finished = Condition.create ();
-      job = (fun () -> ());
+      job = ignore;
       epoch = 0;
       remaining = 0;
-      failure = None;
       stopping = false;
-      workers = [];
-      deques =
-        Array.init size (fun _ ->
-            { d_lock = Mutex.create (); d_lo = 0; d_hi = 0 });
-      cancelled = Atomic.make false;
-      steals = Atomic.make 0;
+      helpers = [];
+      busy = Atomic.make false;
     }
   in
-  t.workers <-
-    List.init size (fun _ ->
+  t.helpers <-
+    List.init (size - 1) (fun _ ->
         Domain.spawn (fun () ->
             if record_bt then Printexc.record_backtrace true;
-            worker_loop t));
+            helper_loop t));
   t
 
 let size t = t.size
-let steals t = Atomic.get t.steals
-
-(* Publish one job epoch and block until every worker has run it once.
-   Must be called with a job already stored via the caller; shared by
-   [broadcast] and [run]. *)
-let dispatch t ~who job =
-  Mutex.lock t.lock;
-  if t.stopping then begin
-    Mutex.unlock t.lock;
-    invalid_arg (Printf.sprintf "Pool.%s: pool is shut down" who)
-  end;
-  t.job <- job;
-  t.epoch <- t.epoch + 1;
-  t.remaining <- t.size;
-  t.failure <- None;
-  Condition.broadcast t.work;
-  while t.remaining > 0 do
-    Condition.wait t.finished t.lock
-  done;
-  let failure = t.failure in
-  t.failure <- None;
-  Mutex.unlock t.lock;
-  match failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let broadcast t f =
-  (* Workers need their own index, but the epoch-based handshake hands
-     every worker the same closure: give each a ticket instead. *)
-  let ticket = Atomic.make 0 in
-  dispatch t ~who:"broadcast" (fun () -> f (Atomic.fetch_and_add ticket 1))
-
-(* Pop the front of worker [w]'s own deque. *)
-let pop_own t w =
-  let d = t.deques.(w) in
-  Mutex.lock d.d_lock;
-  let task = if d.d_lo < d.d_hi then (d.d_lo <- d.d_lo + 1; d.d_lo - 1) else -1 in
-  Mutex.unlock d.d_lock;
-  task
-
-(* Steal the back half of the first non-empty victim deque, scanning the
-   other workers round-robin from [w + 1].  The stolen interval replaces
-   [w]'s own (empty) deque.  Only one deque lock is ever held at a time:
-   the thief releases the victim's lock before touching its own deque,
-   so steal chains cannot form a lock cycle. *)
-let try_steal t w =
-  let n = t.size in
-  let rec scan k =
-    if k >= n then false
-    else begin
-      let v = (w + k) mod n in
-      let d = t.deques.(v) in
-      Mutex.lock d.d_lock;
-      let avail = d.d_hi - d.d_lo in
-      if avail <= 0 then begin
-        Mutex.unlock d.d_lock;
-        scan (k + 1)
-      end
-      else begin
-        let take = (avail + 1) / 2 in
-        d.d_hi <- d.d_hi - take;
-        let lo = d.d_hi in
-        Mutex.unlock d.d_lock;
-        let mine = t.deques.(w) in
-        Mutex.lock mine.d_lock;
-        mine.d_lo <- lo;
-        mine.d_hi <- lo + take;
-        Mutex.unlock mine.d_lock;
-        Atomic.incr t.steals;
-        true
-      end
-    end
-  in
-  scan 1
 
 let run t ~tasks f =
   if tasks < 0 then invalid_arg "Pool.run: tasks must be non-negative";
+  let next = Atomic.make 0 in
+  let failure = Atomic.make None in
+  (* Claim indices until they run out; after the first failure, stop
+     running user code and leave the rest unclaimed. *)
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < tasks && Option.is_none (Atomic.get failure) then begin
+      (match f i with
+      | () -> ()
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+      work ()
+    end
+  in
+  (* One task, no helpers, or a fan-out already in flight (a nested or
+     concurrent run): the calling domain runs everything itself. *)
+  let fan_out = tasks > 1 && t.size > 1 && Atomic.compare_and_set t.busy false true in
   Mutex.lock t.lock;
   if t.stopping then begin
     Mutex.unlock t.lock;
+    if fan_out then Atomic.set t.busy false;
     invalid_arg "Pool.run: pool is shut down"
   end;
-  (* Block-partition [0, tasks) over the workers.  Workers are idle
-     between epochs (the caller holds the barrier), so the deques can be
-     reset without taking their locks — the epoch handshake below
-     publishes the writes. *)
-  for w = 0 to t.size - 1 do
-    let d = t.deques.(w) in
-    d.d_lo <- w * tasks / t.size;
-    d.d_hi <- (w + 1) * tasks / t.size
-  done;
-  Atomic.set t.cancelled false;
+  if fan_out then begin
+    t.job <- work;
+    t.epoch <- t.epoch + 1;
+    t.remaining <- t.size - 1;
+    Condition.broadcast t.work
+  end;
   Mutex.unlock t.lock;
-  let ticket = Atomic.make 0 in
-  let worker () =
-    let w = Atomic.fetch_and_add ticket 1 in
-    let rec loop () =
-      let task = pop_own t w in
-      if task >= 0 then begin
-        (* After a failure, keep draining indices so the epoch terminates
-           promptly, but stop running user code. *)
-        if not (Atomic.get t.cancelled) then begin
-          match f task with
-          | () -> ()
-          | exception e ->
-              Atomic.set t.cancelled true;
-              raise e
-        end;
-        loop ()
-      end
-      else if try_steal t w then loop ()
-    in
-    loop ()
-  in
-  dispatch t ~who:"run" worker
+  work ();
+  if fan_out then begin
+    (* The barrier's mutex handshake also publishes the helpers' writes
+       to the caller. *)
+    Mutex.lock t.lock;
+    while t.remaining > 0 do
+      Condition.wait t.finished t.lock
+    done;
+    t.job <- ignore;
+    Mutex.unlock t.lock;
+    Atomic.set t.busy false
+  end;
+  match Atomic.get failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 let shutdown t =
   Mutex.lock t.lock;
@@ -240,8 +136,8 @@ let shutdown t =
   Condition.broadcast t.work;
   Mutex.unlock t.lock;
   if not already then begin
-    List.iter Domain.join t.workers;
-    t.workers <- []
+    List.iter Domain.join t.helpers;
+    t.helpers <- []
   end
 
 let with_pool size f =

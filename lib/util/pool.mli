@@ -1,60 +1,44 @@
-(** Persistent worker-domain pool with work-stealing task dispatch.
+(** Persistent worker-domain pool handing out task indices from one
+    shared counter.
 
     [Domain.spawn] costs far more than one generation of GA work on
     small populations; a search that fans out every generation must not
-    pay it every time.  The pool spawns its workers once; each dispatch
-    re-engages them over one mutex/condition pair, so the steady-state
-    fan-out cost is a broadcast, not N spawns + joins.
+    pay it every time.  The pool spawns its [n - 1] helper domains once;
+    each {!run} re-engages them over one mutex/condition pair, and the
+    calling domain works alongside them, so [create 1] spawns nothing.
 
-    {!run} distributes an arbitrary number of independent task indices
-    over the workers with work stealing (per-worker interval deques,
-    steal-half-from-the-back), so an imbalanced generation no longer
-    runs at the speed of its slowest pinned stripe.  Every task index
-    runs exactly once no matter which worker ends up executing it, so
-    callers whose per-task function is pure (or writes only to its own
-    output slot) get results independent of the steal interleaving.
-
-    {!broadcast} keeps the original one-call-per-worker shape for
-    callers that want long-lived pinned worker loops (the serve
-    daemon). *)
+    Every domain taking part in a {!run} claims the next unclaimed task
+    index with one [Atomic.fetch_and_add], so a domain that finishes
+    early simply claims more: an imbalanced fan-out runs at the speed of
+    its total work, not of a pinned stripe.  Indices are claimed in
+    ascending order; a caller that wants its slowest tasks started first
+    numbers them first. *)
 
 type t
 
 val create : int -> t
-(** [create n] spawns [n] worker domains that idle until dispatched to.
+(** [create n] makes a pool of [n] domains: the caller of {!run} and
+    [n - 1] spawned helpers that idle until a run needs them.
     @raise Invalid_argument if [n < 1]. *)
 
 val size : t -> int
 
 val run : t -> tasks:int -> (int -> unit) -> unit
 (** [run t ~tasks f] executes [f i] exactly once for every task index
-    [i] in [0, tasks) across the worker domains and returns when all
-    calls have finished (a barrier).  Task indices are block-partitioned
-    over the workers in ascending order; an idle worker steals the back
-    half of a busy worker's remaining block, so which worker runs a
-    given index is scheduling-dependent — results are deterministic iff
-    [f] is (observably) pure per index.  If any call raises, the
-    remaining indices are drained without executing and one of the
-    raised exceptions is re-raised here after the barrier {e with the
-    originating worker's backtrace} ([Printexc.raise_with_backtrace]);
-    the pool remains usable.  Not reentrant: do not call [run] from
-    inside [f], and do not call it from two domains at once.
+    [i] in [0, tasks) and returns when all calls have finished (a
+    barrier).  The calling domain runs tasks too; which domain runs a
+    given index is scheduling-dependent, so results are deterministic
+    iff [f] is (observably) pure per index.  If any call raises, the
+    indices not yet claimed are skipped and the first raised exception
+    is re-raised here after the barrier {e with its originating
+    backtrace} ([Printexc.raise_with_backtrace]); the pool remains
+    usable.  A [run] made while another [run] of the same pool is fanning
+    out — from inside one of its tasks, or from another domain — executes
+    all its tasks on its own calling domain, in index order.
     @raise Invalid_argument if [tasks < 0] or the pool is shut down. *)
 
-val broadcast : t -> (int -> unit) -> unit
-(** [broadcast t f] executes [f w] once for every worker index [w] in
-    [0, size t) — concurrently, one call pinned per worker — and returns
-    when all calls have finished (a barrier).  Exception propagation and
-    reentrancy rules are as for {!run}, except no cancellation happens:
-    every worker's single call always runs.
-    @raise Invalid_argument if the pool is shut down. *)
-
-val steals : t -> int
-(** Cumulative number of successful steals across all {!run} epochs
-    since {!create}.  Telemetry only. *)
-
 val shutdown : t -> unit
-(** Stop and join all workers.  Idempotent.  Subsequent dispatches
+(** Stop and join the helper domains.  Idempotent.  Subsequent runs
     raise [Invalid_argument]. *)
 
 val with_pool : int -> (t -> 'a) -> 'a

@@ -309,12 +309,12 @@ let clover_obj () = objective_of (Kf_workloads.Cloverleaf.program ())
 let suite30_obj () =
   objective_of (Suite.generate { Suite.default with Suite.kernels = 30; arrays = 60; seed = 42 })
 
-let solve_clover ?(islands = 1) ?(objective = clover_obj) ~domains () =
+let solve_clover ?(islands = 1) ?(objective = clover_obj) ?(generations = 20) ~domains () =
   Hgga.solve
     ~params:
       {
         Hgga.default_params with
-        Hgga.max_generations = 20;
+        Hgga.max_generations = generations;
         stall_generations = 1000;
         domains;
         islands;
@@ -323,15 +323,32 @@ let solve_clover ?(islands = 1) ?(objective = clover_obj) ~domains () =
 
 let test_hgga_domain_invariance () =
   (* The determinism contract: worker-domain count is a throughput knob,
-     never a result knob.  Same plan AND same evaluation count — the
-     latter is the regression for duplicate concurrent misses each
-     burning a budget increment. *)
-  let r1 = solve_clover ~domains:1 () in
-  let r4 = solve_clover ~domains:4 () in
-  check Alcotest.bool "same plan (1 vs 4 domains)" true (Plan.equal r1.Hgga.plan r4.Hgga.plan);
-  check (Alcotest.float 0.) "same cost" r1.Hgga.cost r4.Hgga.cost;
-  check Alcotest.int "same evaluation count" r1.Hgga.stats.Hgga.evaluations
-    r4.Hgga.stats.Hgga.evaluations
+     never a result knob.  Same plan, cost bits, history AND evaluation
+     count — the latter is the regression for duplicate concurrent
+     misses each burning a budget increment.  One island, so it is child
+     construction that fans out; scale-les (over 64 kernels) builds
+     exactly one fresh child per generation, the task claimed first. *)
+  List.iter
+    (fun (name, objective, generations) ->
+      let r1 = solve_clover ~objective ~generations ~domains:1 () in
+      List.iter
+        (fun domains ->
+          let rd = solve_clover ~objective ~generations ~domains () in
+          let what = Printf.sprintf "%s, 1 vs %d domains" name domains in
+          check Alcotest.bool ("same plan: " ^ what) true (Plan.equal r1.Hgga.plan rd.Hgga.plan);
+          check Alcotest.bool ("same cost bits: " ^ what) true
+            (Int64.bits_of_float r1.Hgga.cost = Int64.bits_of_float rd.Hgga.cost);
+          check Alcotest.int ("same evaluation count: " ^ what) r1.Hgga.stats.Hgga.evaluations
+            rd.Hgga.stats.Hgga.evaluations;
+          check Alcotest.int ("same generations: " ^ what) r1.Hgga.stats.Hgga.generations
+            rd.Hgga.stats.Hgga.generations;
+          check Alcotest.bool ("same improvement history: " ^ what) true
+            (r1.Hgga.stats.Hgga.improvement_history = rd.Hgga.stats.Hgga.improvement_history))
+        [ 2; 4 ])
+    [
+      ("cloverleaf", clover_obj, 20);
+      ("scale-les", (fun () -> objective_of (Kf_workloads.Scale_les.program ())), 8);
+    ]
 
 let test_hgga_island_domain_invariance () =
   (* Fixed island count, varying worker count: islands advance in

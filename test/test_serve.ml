@@ -254,6 +254,25 @@ let test_cache_plan_roundtrip () =
       check Alcotest.string "fingerprint" "hgga.1|x" p.Snapshot.Cache.fingerprint);
   Sys.remove path
 
+let test_cache_failed_save_stays_dirty () =
+  (* A save that cannot write leaves the store dirty, so the next
+     periodic persist or the drain retries it. *)
+  let t = Cache_store.create () in
+  let plan = { Snapshot.Cache.groups = [ [ 0; 1 ] ]; cost = 0.5; fingerprint = "hgga.1|y" } in
+  Cache_store.store_plan t "k" plan;
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "kfuse_no_such_dir/cache.json" in
+  (match Cache_store.save t missing with
+  | () -> Alcotest.fail "save into a missing directory succeeded"
+  | exception Sys_error _ -> ());
+  check Alcotest.bool "dirty after failed save" true (Cache_store.dirty t);
+  let path = Filename.temp_file "kfuse_retry" ".json" in
+  Cache_store.save t path;
+  check Alcotest.bool "clean after retried save" false (Cache_store.dirty t);
+  let t2 = Cache_store.create () in
+  Cache_store.load t2 path;
+  check Alcotest.bool "retried save reads back" true (Cache_store.find_plan t2 "k" = Some plan);
+  Sys.remove path
+
 (* --- lifecycle --- *)
 
 let sock_path () =
@@ -707,6 +726,7 @@ let suite =
     ("cache LRU recency", `Quick, test_cache_lru_recency);
     ("cache bounded under 1000 edits", `Quick, test_cache_bounded_growth);
     ("cache stored-plan roundtrip", `Quick, test_cache_plan_roundtrip);
+    ("cache failed save stays dirty", `Quick, test_cache_failed_save_stays_dirty);
     ("concurrent clients isolated", `Slow, test_concurrent_isolation);
     ("malformed request isolated", `Slow, test_malformed_isolated);
     ("fault-injected request structured", `Slow, test_fault_injected_request);

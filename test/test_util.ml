@@ -332,21 +332,10 @@ let test_table_cells () =
 
 (* --- Pool --- *)
 
-let test_pool_broadcast_covers_workers () =
-  Kf_util.Pool.with_pool 4 (fun pool ->
-      check Alcotest.int "size" 4 (Kf_util.Pool.size pool);
-      let hits = Array.make 4 0 in
-      (* Reuse across runs: the pool must stay usable after each barrier. *)
-      for _ = 1 to 3 do
-        Kf_util.Pool.broadcast pool (fun w -> hits.(w) <- hits.(w) + 1)
-      done;
-      Array.iteri (fun w n -> check Alcotest.int (Printf.sprintf "worker %d" w) 3 n) hits)
-
 let test_pool_tasks_exactly_once () =
   Kf_util.Pool.with_pool 4 (fun pool ->
-      (* Many more tasks than workers forces block partitioning and (on
-         any imbalance) stealing; every index must still run exactly
-         once, whatever domain ends up executing it. *)
+      (* Many more tasks than domains: every index must run exactly
+         once, whatever domain claims it. *)
       let n = 1000 in
       let hits = Array.make n 0 in
       Kf_util.Pool.run pool ~tasks:n (fun i -> hits.(i) <- hits.(i) + 1);
@@ -359,21 +348,54 @@ let test_pool_tasks_exactly_once () =
       Kf_util.Pool.run pool ~tasks:3 (fun i -> ignore (Atomic.fetch_and_add total (i + 1)));
       check Alcotest.int "sum over 3 tasks" 6 (Atomic.get total))
 
-let test_pool_stealing_occurs () =
-  Kf_util.Pool.with_pool 4 (fun pool ->
-      (* Task 0 stalls its owner; the owner's remaining block must be
-         stolen by the idle workers, and the steal counter proves the
-         path was exercised (not just the owner draining everything
-         after waking). *)
-      let n = 256 in
-      let hits = Array.make n 0 in
+let test_pool_stalled_task_drained_around () =
+  Kf_util.Pool.with_pool 2 (fun pool ->
+      (* Task 0 holds its domain until every other task has finished (or
+         a deadline passes): the other domain must claim all of them from
+         the shared counter while task 0 waits. *)
+      let n = 64 in
+      let done_others = Atomic.make 0 in
+      let saw_all = ref false in
       Kf_util.Pool.run pool ~tasks:n (fun i ->
-          if i = 0 then Thread.delay 0.05;
-          hits.(i) <- hits.(i) + 1);
+          if i = 0 then begin
+            let deadline = Unix.gettimeofday () +. 10. in
+            while Atomic.get done_others < n - 1 && Unix.gettimeofday () < deadline do
+              Thread.delay 0.001
+            done;
+            saw_all := Atomic.get done_others = n - 1
+          end
+          else Atomic.incr done_others);
+      check Alcotest.bool "other tasks finished while task 0 waited" true !saw_all)
+
+let test_pool_of_one_runs_on_caller () =
+  Kf_util.Pool.with_pool 1 (fun pool ->
+      check Alcotest.int "size" 1 (Kf_util.Pool.size pool);
+      let caller = (Domain.self () :> int) in
+      let ran_on = Array.make 16 (-1) in
+      for _ = 1 to 3 do
+        Kf_util.Pool.run pool ~tasks:16 (fun i -> ran_on.(i) <- (Domain.self () :> int))
+      done;
       Array.iteri
-        (fun i c -> if c <> 1 then Alcotest.failf "task %d ran %d times" i c)
-        hits;
-      check Alcotest.bool "steals happened" true (Kf_util.Pool.steals pool > 0))
+        (fun i d -> check Alcotest.int (Printf.sprintf "task %d domain" i) caller d)
+        ran_on)
+
+let test_pool_nested_run_stays_on_domain () =
+  Kf_util.Pool.with_pool 2 (fun pool ->
+      (* A run made from inside a fanned-out task cannot re-engage the
+         busy helpers: it runs every one of its tasks, in order, on the
+         domain that made it. *)
+      let outer = 8 and inner = 5 in
+      let hits = Array.make (outer * inner) 0 in
+      let ok = Atomic.make true in
+      Kf_util.Pool.run pool ~tasks:outer (fun o ->
+          let self = Domain.self () in
+          let last = ref (-1) in
+          Kf_util.Pool.run pool ~tasks:inner (fun i ->
+              if Domain.self () <> self || i <> !last + 1 then Atomic.set ok false;
+              last := i;
+              hits.((o * inner) + i) <- hits.((o * inner) + i) + 1));
+      check Alcotest.bool "nested tasks in order on the outer task's domain" true (Atomic.get ok);
+      Array.iteri (fun k c -> if c <> 1 then Alcotest.failf "nested task %d ran %d times" k c) hits)
 
 let test_pool_propagates_exception () =
   Kf_util.Pool.with_pool 3 (fun pool ->
@@ -423,7 +445,7 @@ let test_pool_backtrace () =
               check Alcotest.bool "raising worker frame present" true found))
 
 let test_pool_repeated_failures_no_wedge () =
-  (* A raising task must neither wedge the epoch/ticket protocol nor
+  (* A raising task must neither wedge the epoch/counter protocol nor
      poison later dispatches: failures and successes alternate across
      many runs on one pool, and worker coverage stays exact. *)
   Kf_util.Pool.with_pool 3 (fun pool ->
@@ -452,11 +474,11 @@ let test_pool_invalid () =
   Alcotest.check_raises "run after shutdown" (Invalid_argument "Pool.run: pool is shut down")
     (fun () -> Kf_util.Pool.run pool ~tasks:1 (fun _ -> ()))
 
-(* Steal-order invariance: a run over pure per-index tasks produces the
+(* Claim-order invariance: a run over pure per-index tasks produces the
    same outputs for every (tasks, workers) shape — whichever domain ends
-   up executing an index (own block, stolen block), the result array is
-   the one sequential execution would produce. *)
-let prop_pool_steal_order_invariance =
+   up claiming an index, the result array is the one sequential
+   execution would produce. *)
+let prop_pool_claim_order_invariance =
   QCheck.Test.make ~count:30
     ~name:"pool run is a permutation-invariant map over task indices"
     QCheck.(pair (int_range 0 64) (int_range 1 4))
@@ -472,7 +494,7 @@ let prop_pool_steal_order_invariance =
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_shuffle_is_permutation; prop_sample_distinct; prop_mean_within_bounds;
     prop_median_within_bounds; prop_bitset_model; prop_bitset_union_into;
-    prop_pool_steal_order_invariance ]
+    prop_pool_claim_order_invariance ]
 
 let suite =
   [
@@ -498,10 +520,13 @@ let suite =
     Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table cells" `Quick test_table_cells;
-    Alcotest.test_case "pool broadcast covers workers" `Quick
-      test_pool_broadcast_covers_workers;
     Alcotest.test_case "pool tasks run exactly once" `Quick test_pool_tasks_exactly_once;
-    Alcotest.test_case "pool work stealing occurs" `Quick test_pool_stealing_occurs;
+    Alcotest.test_case "pool drains around a stalled task" `Quick
+      test_pool_stalled_task_drained_around;
+    Alcotest.test_case "pool of 1 runs every task on the calling domain" `Quick
+      test_pool_of_one_runs_on_caller;
+    Alcotest.test_case "pool nested run stays on its domain" `Quick
+      test_pool_nested_run_stays_on_domain;
     Alcotest.test_case "pool exception propagation" `Quick test_pool_propagates_exception;
     Alcotest.test_case "pool exception backtrace" `Quick test_pool_backtrace;
     Alcotest.test_case "pool repeated failures no wedge" `Quick

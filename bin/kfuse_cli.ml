@@ -436,17 +436,15 @@ let search_cmd =
     in
     let r =
       match
-        Hgga.solve
+        Pipeline.search_safe
           ~params:
             (params_with_parallel ~horizontal:(not no_horizontal) popts generations
                population seed)
-          ?checkpoint:ropts.checkpoint ?resume_from:ropts.resume ?budget:ropts.budget obj
+          ?checkpoint:ropts.checkpoint ?resume_from:ropts.resume ?budget:ropts.budget ctx obj
       with
-      | r -> r
-      | exception ((Stack_overflow | Out_of_memory) as fatal) -> raise fatal
-      | exception e ->
-          Format.eprintf "kfuse: %s@."
-            (Kf_robust.Error.to_string (Kf_robust.Error.classify ~stage:Kf_robust.Error.Search e));
+      | Ok r -> r
+      | Error e ->
+          Format.eprintf "kfuse: %s@." (Kf_robust.Error.to_string e);
           exit 2
     in
     say oopts "best plan: %a@." Plan.pp r.Hgga.plan;
@@ -557,8 +555,8 @@ let pareto_cmd =
       pr.Hgga.front
   in
   let devices_arg =
-    let doc = "Comma-separated extra devices to cost every candidate on (the searched \
-               device is always index 0)." in
+    let doc = "Comma-separated extra devices to cost every evaluated plan on (the \
+               searched device is always index 0)." in
     Arg.(value & opt string "k40,gtx750ti,p100,v100" & info [ "devices" ] ~docv:"NAMES" ~doc)
   in
   Cmd.v

@@ -36,7 +36,7 @@ val objective :
 (** A fresh objective over the context (default model: the paper's).
     [guard]/[faults] install per-candidate fault isolation — see
     {!Kf_robust.Guard} — and [portfolio] enables per-device cost rows
-    and the cross-device Pareto front (see
+    and the cross-device Pareto front, built after the search (see
     {!Kf_search.Objective.create}).  [domains] is accepted and unused:
     the objective's per-domain tables need no sizing, and the argument
     is kept so callers that pass their worker count still compile. *)
@@ -88,9 +88,9 @@ val portfolio :
   portfolio_outcome
 (** Algorithm 1 once, evaluated for a whole device portfolio: the search
     runs on [device] exactly as {!run} does (same plan, same evaluation
-    counts), while every candidate the search evaluates is also costed
-    on each of [devices] through the shared feature arena — structural
-    analysis amortized across devices instead of one search per device.
+    counts), and afterwards every plan it evaluated is costed on each of
+    [devices] through the shared feature arena — structural analysis
+    once per group across devices instead of one search per device.
     Each extra device gets its own measured baseline
     ({!Kf_sim.Measure.program_results}); metadata and graphs are shared
     with the primary context. *)

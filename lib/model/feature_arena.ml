@@ -27,7 +27,6 @@ module Bitset = Kf_util.Bitset
    in any order. *)
 
 type t = {
-  inputs : Inputs.t array;  (* one per device, primary first *)
   devices : Device.t array;
   program : Program.t;
   nk : int;
@@ -241,7 +240,6 @@ let create (primary : Inputs.t) ~extra =
     done
   done;
   {
-    inputs;
     devices = Array.map (fun (i : Inputs.t) -> i.Inputs.device) inputs;
     program;
     nk;
@@ -307,7 +305,6 @@ let create (primary : Inputs.t) ~extra =
 let num_devices t = Array.length t.devices
 let device t dev = t.devices.(dev)
 let devices t = Array.copy t.devices
-let inputs t dev = t.inputs.(dev)
 let program t = t.program
 let kin_rows t = t.kin
 let descendants t = t.desc
@@ -470,8 +467,6 @@ let convex scr =
        reaches a member: it lies on some member-to-member path. *)
     not (Bitset.intersects_outside scr.u_desc scr.u_anc ~outside:scr.mem_bs)
   end
-
-let structurally_fusable scr = connected scr && (not (spans_sync scr)) && convex scr
 
 (* --- device-independent group analysis ------------------------------- *)
 
@@ -745,17 +740,13 @@ let fuse scr ~dev =
 let arena scr = scr.ar
 let member_count scr = scr.m_count
 let member scr i = scr.members.(i)
-let is_complex scr = scr.complex
 let halo_layers scr = scr.halo_layers
 let vertical_hazard scr = scr.vertical_hazard
 let barrier_count scr = scr.n_barriers
 let t_b scr = scr.t_b
 let total_flops scr = scr.tflops
 let smem_staged_count scr = scr.staged_n
-let staged_all_count scr = scr.stall_n
-let register_reuse_count scr = scr.rr_n
 let smem_bytes_per_block scr = scr.smem_bytes
-let ro_bytes_per_block scr = scr.ro_bytes
 let halo_bytes scr = scr.halo_b
 let registers_per_thread scr = scr.registers
 let grid_threads t = t.thr

@@ -42,7 +42,6 @@ val create : Inputs.t -> extra:Inputs.t list -> t
 val num_devices : t -> int
 val device : t -> int -> Kf_gpu.Device.t
 val devices : t -> Kf_gpu.Device.t array
-val inputs : t -> int -> Inputs.t
 val program : t -> Kf_ir.Program.t
 
 val kin_rows : t -> Kf_util.Bitset.t array
@@ -86,9 +85,6 @@ val convex : scratch -> bool
     a member-to-member path is a member of both the union of members'
     descendant sets and the union of their ancestor sets. *)
 
-val structurally_fusable : scratch -> bool
-(** [connected && not spans_sync && convex]. *)
-
 val analyze : scratch -> unit
 (** Device-independent analysis: orders members by execution rank,
     derives barriers, halo depths, the pivot partition, flop totals —
@@ -109,7 +105,6 @@ val member_count : scratch -> int
 val member : scratch -> int -> int
 (** Members in execution (aggregation) order after {!analyze}. *)
 
-val is_complex : scratch -> bool
 val halo_layers : scratch -> int
 val vertical_hazard : scratch -> bool
 val barrier_count : scratch -> int
@@ -128,16 +123,7 @@ val gmem_bytes : scratch -> float
 val smem_staged_count : scratch -> int
 (** [fuse]-dependent. *)
 
-val staged_all_count : scratch -> int
-(** SMEM-staging candidates before the read-only-cache split (the MWP
-    model's staged set; device-independent). *)
-
-val register_reuse_count : scratch -> int
-
 val smem_bytes_per_block : scratch -> int
-(** [fuse]-dependent. *)
-
-val ro_bytes_per_block : scratch -> int
 (** [fuse]-dependent. *)
 
 val halo_bytes : scratch -> int

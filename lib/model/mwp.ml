@@ -92,15 +92,6 @@ let evaluate (i : Inputs.t) (f : Fused.t) =
 
 let runtime i f = (evaluate i f).runtime_s
 
-let group_runtime (i : Inputs.t) group =
-  match group with
-  | [ k ] -> i.Inputs.measured_runtime.(k)
-  | _ ->
-      let f =
-        Fused.build ~device:i.Inputs.device ~meta:i.Inputs.meta ~exec:i.Inputs.exec ~group
-      in
-      runtime i f
-
 (* Allocation-free arena backend: instead of materializing the per-warp
    instruction stream, [Feature_arena.mwp_iter_counts] counts one
    vertical iteration's records and the vertical loop multiplies — the

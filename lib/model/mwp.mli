@@ -24,8 +24,6 @@ val evaluate : Inputs.t -> Kf_fusion.Fused.t -> estimate
 
 val runtime : Inputs.t -> Kf_fusion.Fused.t -> float
 
-val group_runtime : Inputs.t -> int list -> float
-
 val arena_runtime : Feature_arena.scratch -> dev:int -> float
 (** Allocation-free runtime off a loaded, analyzed and device-[fuse]d
     arena scratch — bit-identical to the legacy path for the same group

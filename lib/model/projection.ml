@@ -204,97 +204,6 @@ let arena_runtime scr ~dev =
     else total_flops /. (p_membound *. 1e9)
   end
 
-(* Full projection record off the arena (reporting path: allocates the
-   record and the diagnostic [b_sh]/[b_eff], unlike [arena_runtime]). *)
-let arena_project scr ~dev =
-  let a = A.arena scr in
-  if A.member_count scr = 1 then singleton_projection (A.inputs a dev) (A.member scr 0)
-  else begin
-    let d = A.device a dev in
-    let thr = A.grid_threads a in
-    let b = A.grid_blocks a in
-    let t_b = A.t_b scr in
-    let staged = A.smem_staged_count scr in
-    let c = if A.halo_layers scr > 0 then 1 else 0 in
-    let h_th = if thr = 0 then 0 else (A.halo_bytes scr + thr - 1) / thr in
-    let r_t = A.registers_per_thread scr in
-    let smem_bytes = A.smem_bytes_per_block scr in
-    let by_regs = d.Device.registers_per_smx / (thr * r_t) in
-    let by_smem =
-      if smem_bytes = 0 then d.Device.max_blocks_per_smx
-      else d.Device.smem_per_smx / smem_bytes
-    in
-    let by_threads = d.Device.max_threads_per_smx / thr in
-    let blocks_smx = min (min by_regs by_smem) (min by_threads d.Device.max_blocks_per_smx) in
-    let feasible =
-      r_t <= d.Device.max_registers_per_thread
-      && smem_bytes <= d.Device.smem_per_smx
-      && blocks_smx >= 1
-    in
-    let total_flops = A.total_flops scr in
-    let warps_per_block = (thr + d.Device.warp_size - 1) / d.Device.warp_size in
-    let b_sh =
-      if staged = 0 then 0.
-      else float_of_int (t_b * blocks_smx) /. float_of_int ((1 + (c * h_th)) * staged)
-    in
-    let b_eff = b_sh *. float_of_int d.Device.smx_count /. float_of_int (thr * b) in
-    let p_membound =
-      if not feasible then 0.
-      else begin
-        let oi = total_flops /. A.gmem_bytes scr in
-        let rt_arr = A.measured_runtime a ~dev and by_arr = A.measured_bytes a ~dev in
-        let bw_base = ref 0. in
-        for i = 0 to A.member_count scr - 1 do
-          let k = A.member scr i in
-          let rt = rt_arr.(k) in
-          if rt > 0. then bw_base := Float.max !bw_base (by_arr.(k) /. rt /. 1e9)
-        done;
-        let bw_base = if !bw_base > 0. then !bw_base else d.Device.gmem_bandwidth_gbs in
-        let w_required =
-          Device.bytes_per_cycle d /. float_of_int d.Device.smx_count
-          *. float_of_int d.Device.gmem_latency_cycles /. 128. /. 2.
-        in
-        let w_active = float_of_int (blocks_smx * warps_per_block) in
-        let active_frac = float_of_int t_b /. float_of_int thr in
-        let e_occ = Float.min 1.0 (w_active *. active_frac /. w_required) in
-        let barriers = A.barrier_count scr + if staged > 0 then 1 else 0 in
-        let e_barrier = 1. /. (1. +. (0.02 *. float_of_int barriers)) in
-        oi *. bw_base *. e_occ *. e_barrier
-      end
-    in
-    let runtime_s =
-      if (not feasible) || p_membound <= 0. then Float.infinity
-      else total_flops /. (p_membound *. 1e9)
-    in
-    {
-      runtime_s;
-      p_membound_gflops = p_membound;
-      b_sh;
-      b_eff;
-      blocks_smx;
-      registers_per_thread = r_t;
-      smem_bytes;
-      feasible;
-    }
-  end
-
-(* One structural analysis amortized over the whole device table: the
-   multi-device analogue of [project_group].  Results are per arena
-   device, index-aligned with [Feature_arena.devices]. *)
-let project_group_multi a group =
-  let ndev = A.num_devices a in
-  match group with
-  | [ k ] -> Array.init ndev (fun dev -> singleton_projection (A.inputs a dev) k)
-  | _ ->
-      let scr = A.load a group in
-      A.analyze scr;
-      let out = Array.make ndev (singleton_projection (A.inputs a 0) 0) in
-      for dev = 0 to ndev - 1 do
-        A.fuse scr ~dev;
-        out.(dev) <- arena_project scr ~dev
-      done;
-      out
-
 let pp ppf pr =
   Format.fprintf ppf
     "T=%.1fus P=%.1fGF B_sh=%.0f B_eff=%.3f blocks=%d regs=%d smem=%dB %s"

@@ -53,14 +53,4 @@ val arena_runtime : Feature_arena.scratch -> dev:int -> float
     device-[fuse]d arena scratch — bit-identical to
     [(project i f).runtime_s] for the same group and device. *)
 
-val arena_project : Feature_arena.scratch -> dev:int -> projection
-(** Full projection record off the arena (reporting path; allocates). *)
-
-val project_group_multi : Feature_arena.t -> int list -> projection array
-(** Project one group on every device of the arena, running the
-    device-independent structural analysis once and only the per-device
-    fusion/projection per device — index-aligned with
-    {!Feature_arena.devices}.  Like {!project_group}, legality is the
-    caller's business. *)
-
 val pp : Format.formatter -> projection -> unit

@@ -13,15 +13,6 @@ let runtime i f =
   let flops = Fused.total_flops i.Inputs.program f in
   flops /. (attainable_gflops i f *. 1e9)
 
-let group_runtime (i : Inputs.t) group =
-  match group with
-  | [ k ] -> i.Inputs.measured_runtime.(k)
-  | _ ->
-      let f =
-        Fused.build ~device:i.Inputs.device ~meta:i.Inputs.meta ~exec:i.Inputs.exec ~group
-      in
-      runtime i f
-
 module A = Feature_arena
 
 let arena_runtime scr ~dev =

@@ -14,9 +14,6 @@ val attainable_gflops : Inputs.t -> Kf_fusion.Fused.t -> float
 val runtime : Inputs.t -> Kf_fusion.Fused.t -> float
 (** Projected runtime: total flops over {!attainable_gflops}. *)
 
-val group_runtime : Inputs.t -> int list -> float
-(** Singletons return the measured runtime. *)
-
 val arena_runtime : Feature_arena.scratch -> dev:int -> float
 (** Allocation-free runtime off a loaded, analyzed and device-[fuse]d
     arena scratch — bit-identical to the legacy path for the same group

@@ -16,15 +16,6 @@ let runtime (i : Inputs.t) (f : Fused.t) =
     Float.max (sum -. saved_time) floor_time
   end
 
-let group_runtime (i : Inputs.t) group =
-  match group with
-  | [ k ] -> i.Inputs.measured_runtime.(k)
-  | _ ->
-      let f =
-        Fused.build ~device:i.Inputs.device ~meta:i.Inputs.meta ~exec:i.Inputs.exec ~group
-      in
-      runtime i f
-
 (* Arena backend.  [runtime] above folds members in execution order three
    ways (bytes for [saved_bytes], runtimes for [original_sum], bytes and
    runtimes again inside [effective_bandwidth]); the pairs are bitwise

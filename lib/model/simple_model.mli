@@ -15,8 +15,6 @@ val runtime : Inputs.t -> Kf_fusion.Fused.t -> float
 (** [original_sum - saved_bytes / effective_bandwidth], floored at the
     time the remaining traffic needs at that same bandwidth. *)
 
-val group_runtime : Inputs.t -> int list -> float
-
 val arena_runtime : Feature_arena.scratch -> dev:int -> float
 (** Allocation-free runtime off a loaded, analyzed and device-[fuse]d
     arena scratch — bit-identical to the legacy path for the same group

@@ -871,7 +871,7 @@ let solve ?(params = default_params) ?checkpoint ?resume_from ?(budget = unlimit
 (* Portfolio wrapper: the search itself is the single-device [solve]
    (the primary device drives selection, bit-identical to a run without
    a portfolio); the per-device winners and the cross-device front are
-   read off the objective's accumulated rows afterwards. *)
+   built from the plans it evaluated afterwards. *)
 type portfolio_result = {
   primary : result;
   devices : Kf_gpu.Device.t array;

@@ -199,8 +199,11 @@ val solve :
     {!Snapshot}) so a killed run can continue, and one final snapshot is
     always written when the loop stops (budget, convergence or cap), so
     at most the in-flight generation is ever lost; [resume_from] restores
-    such a snapshot — the resumed search is bit-identical to the
-    uninterrupted one for equal [params].  [budget] bounds evaluations,
+    such a snapshot — the resumed search's plan, cost bits and
+    improvement history are bit-identical to the uninterrupted one's for
+    equal [params].  Its evaluation count is not: the resumed objective
+    starts with a cold cache, so its generations count again groups the
+    first segment already evaluated.  [budget] bounds evaluations,
     wall time and tolerated fault rate; when a budget trips, the
     incumbent plan is returned (degrading to the {!Greedy} baseline, then
     to the identity plan, if no feasible individual exists).  Budgets and
@@ -236,8 +239,8 @@ type portfolio_result = {
           configuration order; [front] cost vectors and
           [best_per_device] are index-aligned with this array *)
   front : Objective.pareto_entry list;
-      (** cross-device Pareto front over every plan the search evaluated
-          (see {!Objective.pareto_front}) *)
+      (** cross-device Pareto front over every vertical plan the search
+          evaluated (see {!Objective.pareto_front}) *)
   best_per_device : Objective.pareto_entry array;
       (** for each device, the evaluated plan with the lowest projected
           total on that device (ties resolved to the front's
@@ -254,11 +257,11 @@ val solve_portfolio :
   ?interrupt:(unit -> bool) ->
   Objective.t ->
   portfolio_result
-(** Runs {!solve} on the primary device, then reads the portfolio
-    results accumulated as a side effect of the search: the selection
-    pressure, evaluation counts and returned [primary] plan are
-    bit-identical to a plain {!solve} on the same objective — the
-    portfolio only adds per-device bookkeeping on cache misses.
+(** Runs {!solve} on the primary device, then builds the portfolio
+    results from the plans it evaluated ({!Objective.pareto_front}): the
+    search does no portfolio work, so its selection pressure, evaluation
+    counts and returned [primary] plan are bit-identical to a plain
+    {!solve} on the same objective.
 
     @raise Invalid_argument if the objective was created without a
     [portfolio] (see {!Objective.create}). *)

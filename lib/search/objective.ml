@@ -82,22 +82,7 @@ let merge_table base local =
   Sig_tbl.clear local;
   !fresh
 
-(* A candidate plan offered to the cross-device Pareto front: its
-   canonical signature (the dedup key among equal-cost plans), its
-   canonical groups (for reporting) and its per-device total cost. *)
-type offer = { of_sig : int array; of_plan : int list list; of_costs : float array }
-
 type pareto_entry = { pf_plan : int list list; pf_costs : float array }
-
-(* Multi-device portfolio state.  [rows] memoizes full per-device cost
-   rows keyed by group signature (shared base merged like the verdict
-   cache, so [rows_merged] counts each distinct row once); [front] is the global non-dominated set, updated only
-   at merge points. *)
-type portfolio_state = {
-  rows : float array Sig_tbl.t;
-  mutable front : offer list;
-  mutable rows_merged : int;  (* distinct group rows, exactly-once *)
-}
 
 (* A per-domain slot for a search layer's reusable scratch state (the
    grouping operators' partition state), extended by the layer that
@@ -114,8 +99,6 @@ type eval_local = {
   el_groups : verdict Sig_tbl.t;
   el_plans : float Sig_tbl.t;
   el_sb : Sigbuf.t;
-  el_rows : float array Sig_tbl.t;  (* portfolio rows not yet merged *)
-  mutable el_offers : offer list;  (* plan offers not yet merged *)
   mutable el_ghits : int;
   mutable el_gmisses : int;
   mutable el_phits : int;
@@ -133,7 +116,7 @@ type t = {
   model : model;
   arena : Feature_arena.t;  (* allocation-free evaluation leaf, every device *)
   singles : verdict array;  (* the verdict of each original kernel *)
-  port : portfolio_state option;  (* multi-device portfolio *)
+  rows : float array Sig_tbl.t;  (* portfolio cost rows, built at quiescent points *)
   gcache : verdict Sig_tbl.t;  (* shared group-verdict base *)
   plans : float Sig_tbl.t;  (* shared plan-level base: key -> canonical-order total *)
   mutable locals : (int * eval_local) list;  (* keyed by domain id *)
@@ -181,9 +164,7 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
       Array.map
         (fun cost -> { feasible = true; cost; orig_sum = cost })
         inputs.Inputs.measured_runtime;
-    port =
-      (if portfolio = [] then None
-       else Some { rows = Sig_tbl.create (); front = []; rows_merged = 0 });
+    rows = Sig_tbl.create ();
     gcache = Sig_tbl.create ();
     plans = Sig_tbl.create ();
     locals = [];
@@ -233,8 +214,6 @@ let local_of t =
           el_groups = Sig_tbl.create ();
           el_plans = Sig_tbl.create ();
           el_sb = Sigbuf.create ();
-          el_rows = Sig_tbl.create ();
-          el_offers = [];
           el_ghits = 0;
           el_gmisses = 0;
           el_phits = 0;
@@ -262,6 +241,27 @@ let arena_cost t scr ~dev =
   | Simple -> Kf_model.Simple_model.arena_runtime scr ~dev
   | Mwp -> Kf_model.Mwp.arena_runtime scr ~dev
 
+(* The structural prefix of every multi-member evaluation, on a loaded
+   scratch: the cheap checks first (connectivity, sync points,
+   convexity), then the device-independent analysis and its vertical
+   hazard. *)
+let fusable scr =
+  Feature_arena.connected scr
+  && (not (Feature_arena.spans_sync scr))
+  && Feature_arena.convex scr
+  && begin
+       Feature_arena.analyze scr;
+       not (Feature_arena.vertical_hazard scr)
+     end
+
+(* Constraints 1.6 and 1.7 on device [dev]: fuse the analyzed scratch
+   for it, then check its SMEM and register limits. *)
+let fits t scr ~dev =
+  Feature_arena.fuse scr ~dev;
+  let d = Feature_arena.device t.arena dev in
+  Feature_arena.smem_bytes_per_block scr <= d.Device.smem_per_smx
+  && Feature_arena.registers_per_thread scr < d.Device.max_registers_per_thread
+
 (* The evaluation leaf, over the arena's precomputed features.  Active-
    constraint pruning: cheap structural checks first, resource checks
    only on structurally valid groups, model evaluation only on fully
@@ -277,49 +277,22 @@ let evaluate t group =
   | _ ->
       let orig_sum = Inputs.original_sum t.inputs group in
       let scr = Feature_arena.load t.arena group in
-      if not (Feature_arena.connected scr) then
-        { feasible = false; cost = Float.infinity; orig_sum }
-      else if Feature_arena.spans_sync scr then
-        { feasible = false; cost = Float.infinity; orig_sum }
-      else if not (Feature_arena.convex scr) then
-        { feasible = false; cost = Float.infinity; orig_sum }
-      else begin
-        Feature_arena.analyze scr;
-        Feature_arena.fuse scr ~dev:0;
-        let d = t.inputs.Inputs.device in
-        if
-          Feature_arena.vertical_hazard scr
-          || Feature_arena.smem_bytes_per_block scr > d.Device.smem_per_smx
-          || Feature_arena.registers_per_thread scr >= d.Device.max_registers_per_thread
-        then { feasible = false; cost = Float.infinity; orig_sum }
-        else { feasible = true; cost = arena_cost t scr ~dev:0; orig_sum }
-      end
+      if fusable scr && fits t scr ~dev:0 then
+        { feasible = true; cost = arena_cost t scr ~dev:0; orig_sum }
+      else { feasible = false; cost = Float.infinity; orig_sum }
 
-(* Full per-device cost row of a multi-member group: structural checks
-   and analysis once, then one [fuse] + model call per device.  Device 0
-   reproduces [evaluate]'s cost bit-for-bit (same code runs), so a row
-   is a superset of the primary verdict. *)
+(* Full per-device cost row of a multi-member group: the structural
+   prefix once, then the resource check and model call per device.
+   Device 0 runs [evaluate]'s code, so it reproduces the primary cost
+   bit for bit. *)
 let compute_row t group =
-  let a = t.arena in
-  let ndev = Feature_arena.num_devices a in
+  let ndev = Feature_arena.num_devices t.arena in
   let row = Array.make ndev Float.infinity in
-  let scr = Feature_arena.load a group in
-  if
-    Feature_arena.connected scr
-    && (not (Feature_arena.spans_sync scr))
-    && Feature_arena.convex scr
-  then begin
-    Feature_arena.analyze scr;
-    if not (Feature_arena.vertical_hazard scr) then
-      for dev = 0 to ndev - 1 do
-        Feature_arena.fuse scr ~dev;
-        let d = Feature_arena.device a dev in
-        if
-          Feature_arena.smem_bytes_per_block scr <= d.Device.smem_per_smx
-          && Feature_arena.registers_per_thread scr < d.Device.max_registers_per_thread
-        then row.(dev) <- arena_cost t scr ~dev
-      done
-  end;
+  let scr = Feature_arena.load t.arena group in
+  if fusable scr then
+    for dev = 0 to ndev - 1 do
+      if fits t scr ~dev then row.(dev) <- arena_cost t scr ~dev
+    done;
   row
 
 (* Evaluate a missed key (evaluation is pure).  The guard sits between
@@ -368,14 +341,10 @@ let probe_group t l =
    sorted group means a verdict never depends on which member ordering
    reached the cache first. *)
 let miss_group t l sorted_group =
-      let key = Sigbuf.extract l.el_sb in
-      let v = run_evaluation t sorted_group in
-      record l.el_groups key v;
-      (* Portfolio: fill the per-device cost row alongside the primary
-         verdict.  Rows bypass the guard (they are pure model outputs),
-         and their exactly-once accounting mirrors the verdict merge. *)
-      if t.port <> None then record l.el_rows key (compute_row t sorted_group);
-      v
+  let key = Sigbuf.extract l.el_sb in
+  let v = run_evaluation t sorted_group in
+  record l.el_groups key v;
+  v
 
 (* Verdict of a multi-member group already in canonical member order. *)
 let lookup_sig t sorted_group =
@@ -391,44 +360,6 @@ let lookup t group =
          cache, and never counted as evaluations. *)
       t.singles.(k)
   | _ -> lookup_sig t (if Plan.is_sorted_strict group then group else List.sort Int.compare group)
-
-(* Per-device cost row of a canonical multi-member group, through the
-   two-level row cache. *)
-let row_of_group st t l g =
-  Sigbuf.encode_group l.el_sb g;
-  match probe st.rows l.el_rows l.el_sb with
-  | Some r -> r
-  | None ->
-      let key = Sigbuf.extract l.el_sb in
-      let r = compute_row t g in
-      record l.el_rows key r;
-      r
-
-(* Offer a freshly evaluated plan to the Pareto front: per-device totals
-   summed in canonical group order (deterministic), buffered locally and
-   folded into the global front at the next merge.  Rows are per group,
-   so only plans of single-plane packs are offered ([Hgga.solve] refuses
-   a horizontal search over a portfolio). *)
-let offer_plan st t l ~psig ~canon =
-  if List.for_all (function [ _ ] -> true | _ -> false) canon then begin
-    let ndev = Feature_arena.num_devices t.arena in
-    let costs = Array.make ndev 0. in
-    let groups = List.concat canon in
-    List.iter
-      (fun g ->
-        match g with
-        | [ k ] ->
-            for dev = 0 to ndev - 1 do
-              costs.(dev) <- costs.(dev) +. (Feature_arena.measured_runtime t.arena ~dev).(k)
-            done
-        | _ ->
-            let r = row_of_group st t l g in
-            for dev = 0 to ndev - 1 do
-              costs.(dev) <- costs.(dev) +. r.(dev)
-            done)
-      groups;
-    l.el_offers <- { of_sig = psig; of_plan = groups; of_costs = costs } :: l.el_offers
-  end
 
 let group_feasible t group = (lookup t group).feasible
 let group_cost t group = (lookup t group).cost
@@ -582,14 +513,10 @@ let sum_key t l key =
   done;
   !total
 
-(* A plan-cache miss on the owned key [psig].  Only a portfolio's Pareto
-   offer needs the plan's groups, so only it decodes the key. *)
+(* A plan-cache miss on the owned key [psig]. *)
 let miss_plan t l psig =
   let total = sum_key t l psig in
   record l.el_plans psig total;
-  (match t.port with
-  | Some st -> offer_plan st t l ~psig ~canon:(Sigbuf.decode psig)
-  | None -> ());
   total
 
 (* Evaluate the plan key encoded in [sb] through the two-level cache.
@@ -627,34 +554,6 @@ let original_sum t group = Inputs.original_sum t.inputs group
 
 (* ---- merge at generation barriers --------------------------------------- *)
 
-(* Strict Pareto dominance over cost vectors: no worse everywhere,
-   strictly better somewhere.  Infinities compare like any float, so an
-   everywhere-infeasible plan is dominated by anything finite. *)
-let dominates a b =
-  let n = Array.length a in
-  let le = ref true and lt = ref false in
-  for i = 0 to n - 1 do
-    if a.(i) > b.(i) then le := false else if a.(i) < b.(i) then lt := true
-  done;
-  !le && !lt
-
-(* Fold one offer into the non-dominated set.  The result is independent
-   of offer order: dominance is transitive, and equal cost vectors are
-   deduplicated to the lexicographically smallest plan signature. *)
-let front_offer st o =
-  let shadowed e =
-    dominates e.of_costs o.of_costs
-    || (e.of_costs = o.of_costs && Stdlib.compare e.of_sig o.of_sig <= 0)
-  in
-  if not (List.exists shadowed st.front) then
-    st.front <-
-      o
-      :: List.filter
-           (fun e ->
-             (not (dominates o.of_costs e.of_costs))
-             && not (e.of_costs = o.of_costs && Stdlib.compare o.of_sig e.of_sig < 0))
-           st.front
-
 (* Fold every domain's private tables into the shared bases.  Must only
    run at a quiescent point: all helpers parked at the pool's generation
    barrier (its mutex handshake publishes the helpers' writes to the
@@ -671,12 +570,6 @@ let merge_locals t =
   let fresh = ref 0 in
   List.iter
     (fun (_, l) ->
-      (match t.port with
-      | Some st ->
-          st.rows_merged <- st.rows_merged + merge_table st.rows l.el_rows;
-          List.iter (front_offer st) (List.rev l.el_offers);
-          l.el_offers <- []
-      | None -> ());
       fresh := !fresh + merge_table t.gcache l.el_groups;
       l.el_evals <- 0;
       ignore (merge_table t.plans l.el_plans);
@@ -698,48 +591,108 @@ let merge_locals t =
     Kf_obs.Metrics.incr ~by:!fresh m_evals
   end
 
-(* ---- portfolio accessors (call at quiescent points, like merges) ------- *)
+(* ---- device portfolio (read after the search, at quiescent points) ----- *)
 
-let portfolio_active t = t.port <> None
+let portfolio_active t = Feature_arena.num_devices t.arena > 1
+let portfolio_devices t = Feature_arena.devices t.arena
+let rows_evaluated t = Sig_tbl.count t.rows
 
-let portfolio_devices t =
-  match t.port with
-  | Some _ -> Feature_arena.devices t.arena
-  | None -> [| t.inputs.Inputs.device |]
-
-let rows_evaluated t =
-  merge_locals t;
-  match t.port with Some st -> st.rows_merged | None -> 0
+(* Per-device cost row of the canonical multi-member group whose key is
+   [buf.(start .. stop-1)], through the row table. *)
+let row_of_slice t sb buf start stop =
+  Sigbuf.reset sb;
+  push_slice sb buf start stop;
+  match
+    Sig_tbl.find_pre t.rows ~buf:(Sigbuf.unsafe_buf sb) ~len:(Sigbuf.length sb)
+      ~hash:(Sigbuf.hash sb)
+  with
+  | Some r -> r
+  | None ->
+      let key = Sigbuf.extract sb in
+      let r = compute_row t (list_of_slice buf start (stop - 1) []) in
+      record t.rows key r;
+      r
 
 let group_row t group =
-  match t.port with
-  | None -> None
-  | Some st -> (
-      match group with
-      | [ k ] ->
-          Some
-            (Array.init
-               (Feature_arena.num_devices t.arena)
-               (fun dev -> (Feature_arena.measured_runtime t.arena ~dev).(k)))
-      | _ ->
-          let sorted =
-            if Plan.is_sorted_strict group then group else List.sort Int.compare group
-          in
-          Some (Array.copy (row_of_group st t (local_of t) sorted)))
+  if not (portfolio_active t) then None
+  else
+    match group with
+    | [ k ] ->
+        Some
+          (Array.init
+             (Feature_arena.num_devices t.arena)
+             (fun dev -> (Feature_arena.measured_runtime t.arena ~dev).(k)))
+    | _ ->
+        let key = Array.of_list (List.sort Int.compare group) in
+        Some (Array.copy (row_of_slice t (local_of t).el_sb key 0 (Array.length key)))
 
+(* Per-device total of the vertical plan key [key]: its groups' rows
+   summed in canonical group order, a one-kernel group costing its
+   measured runtime on each device. *)
+let plan_costs t sb key =
+  let ndev = Feature_arena.num_devices t.arena in
+  let costs = Array.make ndev 0. in
+  let n = Array.length key in
+  let i = ref 0 in
+  while !i < n do
+    let stop = pack_end key !i n in
+    if stop - !i = 1 then
+      for dev = 0 to ndev - 1 do
+        costs.(dev) <- costs.(dev) +. (Feature_arena.measured_runtime t.arena ~dev).(key.(!i))
+      done
+    else begin
+      let r = row_of_slice t sb key !i stop in
+      for dev = 0 to ndev - 1 do
+        costs.(dev) <- costs.(dev) +. r.(dev)
+      done
+    end;
+    i := stop + 1
+  done;
+  costs
+
+(* Strict Pareto dominance over cost vectors: no worse everywhere,
+   strictly better somewhere.  Infinities compare like any float, so an
+   everywhere-infeasible plan is dominated by anything finite. *)
+let dominates a b =
+  let n = Array.length a in
+  let le = ref true and lt = ref false in
+  for i = 0 to n - 1 do
+    if a.(i) > b.(i) then le := false else if a.(i) < b.(i) then lt := true
+  done;
+  !le && !lt
+
+(* Fold one plan (cost vector, key) into the non-dominated set.  The
+   result is independent of fold order: dominance is transitive, and
+   equal cost vectors are deduplicated to the lexicographically smallest
+   plan key. *)
+let front_add front (costs, key) =
+  let shadowed (c, k) = dominates c costs || (c = costs && Stdlib.compare k key <= 0) in
+  if List.exists shadowed front then front
+  else
+    (costs, key)
+    :: List.filter
+         (fun (c, k) -> (not (dominates costs c)) && not (c = costs && Stdlib.compare key k < 0))
+         front
+
+(* The front over the merged plan table: every key without a [-3] plane
+   separator is a vertical plan the search evaluated.  Keys stream
+   through the fold; only the survivors are decoded, in (cost vector,
+   key) order. *)
 let pareto_front t =
-  match t.port with
-  | None -> []
-  | Some st ->
-      merge_locals t;
-      let entries =
-        List.sort
-          (fun a b ->
-            let c = Stdlib.compare a.of_costs b.of_costs in
-            if c <> 0 then c else Stdlib.compare a.of_sig b.of_sig)
-          st.front
-      in
-      List.map (fun o -> { pf_plan = o.of_plan; pf_costs = Array.copy o.of_costs }) entries
+  if not (portfolio_active t) then []
+  else begin
+    merge_locals t;
+    let sb = (local_of t).el_sb in
+    let front = ref [] in
+    Sig_tbl.iter
+      (fun key ~hash:_ _ ->
+        if not (has_planes key 0 (Array.length key)) then
+          front := front_add !front (plan_costs t sb key, key))
+      t.plans;
+    List.map
+      (fun (costs, key) -> { pf_plan = List.concat (Sigbuf.decode key); pf_costs = costs })
+      (List.sort Stdlib.compare !front)
+  end
 
 let alloc_per_eval t =
   Mutex.lock t.stats_lock;
@@ -928,5 +881,3 @@ let pp_faults ppf f =
   Format.fprintf ppf
     "injected %d, trapped %d, corrupted %d, retries %d (recovered %d), quarantined %d"
     f.injected f.trapped f.corrupted f.retries f.recovered f.quarantined
-
-let cache_size t = (cache_stats t).size

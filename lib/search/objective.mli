@@ -92,13 +92,12 @@ val create :
     or group order.
 
     [portfolio] (default [[]]) lists additional devices' inputs (built
-    over the {e same program value}).  When non-empty, every cache-miss
-    group evaluation additionally fills a per-device cost row through
-    the shared arena (structural analysis runs once, not once per
-    device), and every distinct plan evaluated by the search is offered
-    to a cross-device Pareto front ({!pareto_front}).  The primary
-    search is unaffected: costs, verdicts and evaluation counts are
-    bit-identical with or without a portfolio. *)
+    over the {e same program value}).  The search never reads them: the
+    evaluation path is the same with or without a portfolio, so costs,
+    verdicts and evaluation counts are bit-identical.  After the search,
+    {!pareto_front} and {!group_row} cost the plans it evaluated on
+    every device through the shared arena (structural analysis once per
+    group, then one resource check and model call per device). *)
 
 val portfolio_active : t -> bool
 (** Whether a multi-device portfolio was configured. *)
@@ -112,24 +111,27 @@ val group_row : t -> int list -> float array option
 (** Per-device projected costs of one group ([None] without a
     portfolio; [infinity] entries where the group is infeasible on that
     device).  Index 0 is bit-identical to {!group_cost} under the
-    default guard.  Cached like verdicts; call from an evaluating
-    domain. *)
+    default guard.  A multi-member group's row is computed on first
+    demand and kept in one row table, which is not synchronized: call
+    at a quiescent point (no search running on this objective). *)
 
 val pareto_front : t -> pareto_entry list
-(** The non-dominated plans among every distinct plan this objective
-    evaluated ({!eval_plan} callers — i.e. the search trajectory), under
-    strict Pareto dominance of per-device total cost.  Equal cost
-    vectors are deduplicated to the lexicographically smallest canonical
-    plan signature, and the front is sorted by cost vector — so the
-    result is a deterministic function of the set of plans evaluated,
-    independent of domain count, merge timing and device order.  Runs
-    {!merge_locals}; call at a quiescent point.  Empty without a
-    portfolio. *)
+(** The non-dominated plans among every distinct vertical plan this
+    objective evaluated ({!eval_plan} callers — i.e. the search
+    trajectory), under strict Pareto dominance of per-device total
+    cost.  Built on each call from the merged plan table: a plan's
+    per-device total sums its groups' rows ({!group_row}) in canonical
+    group order.  Equal cost vectors are deduplicated to the
+    lexicographically smallest canonical plan signature, and the front
+    is sorted by cost vector — so the result is a deterministic function
+    of the set of plans evaluated, independent of domain count, merge
+    timing and device order.  Runs {!merge_locals}; call at a quiescent
+    point.  Empty without a portfolio. *)
 
 val rows_evaluated : t -> int
-(** Distinct multi-member groups whose per-device rows were computed,
-    counted exactly once across domains (merges first; call at a
-    quiescent point).  0 without a portfolio. *)
+(** Distinct multi-member groups whose per-device rows have been
+    computed, by {!pareto_front} or {!group_row}.  0 without a
+    portfolio. *)
 
 val alloc_per_eval : t -> float
 (** Mean minor-heap words allocated per guarded evaluation — the
@@ -207,9 +209,7 @@ val eval_plan : t -> int list list list -> float
     bit-identical regardless of pack, plane or member order.  A
     plan-cache hit allocates nothing when its packs are canonical; a
     miss whose packs are all cached allocates its owned key and a
-    constant, whatever the plan's size.  With a portfolio, every
-    distinct plan of single-plane packs is offered to the Pareto
-    front. *)
+    constant, whatever the plan's size. *)
 
 val plan_key : t -> int list list list -> int array
 (** The plan's canonical signature ({!Kf_fusion.Plan.Sigbuf.encode_plan}),
@@ -236,9 +236,8 @@ val pack_profitable : t -> int list list -> bool
 val original_sum : t -> int list -> float
 
 val merge_locals : t -> unit
-(** Fold every domain's private memo tables (group verdicts, plan
-    totals and, with a portfolio, its rows and front offers) into the
-    shared read-only bases, count the distinct newly merged group keys
+(** Fold every domain's private memo tables (group verdicts and plan
+    totals) into the shared read-only bases, count the distinct newly merged group keys
     as evaluations, and flush batched probe telemetry to
     [Kf_obs.Metrics].  Must only be called at a quiescent point — all
     helper domains parked at the pool's generation barrier (whose mutex
@@ -349,4 +348,3 @@ val fault_rate : t -> float
 
 val pp_faults : Format.formatter -> fault_stats -> unit
 
-val cache_size : t -> int

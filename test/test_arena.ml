@@ -2,9 +2,9 @@
    multi-device portfolio: the arena evaluation leaf must be
    bit-identical to the Fused.build-per-candidate leaf (the Legacy_leaf
    oracle, installed through the objective's guard) on every device and
-   model, and a portfolio must observe the search without
-   perturbing it (exactly-once row accounting, device-order-invariant
-   Pareto front). *)
+   model, and a portfolio must read the search without perturbing it
+   (rows built only on demand, a device-order-invariant Pareto front
+   rebuilt from every evaluated plan). *)
 
 module Device = Kf_gpu.Device
 module Program = Kf_ir.Program
@@ -90,8 +90,9 @@ let prop_search_identical =
       && ra.Hgga.stats.Hgga.improvement_history = rl.Hgga.stats.Hgga.improvement_history)
 
 (* A portfolio must be a pure observer: primary costs keep their bits,
-   device 0 of every row matches the primary verdict, and rows are
-   accounted exactly once — one row per distinct evaluated group. *)
+   device 0 of every row matches the primary verdict, and evaluation
+   builds no row — there is one row per distinct multi-member group
+   asked for. *)
 let prop_portfolio_transparent =
   QCheck.Test.make ~count:10
     ~name:"portfolio: primary bits unchanged, row device 0 matches, rows counted once"
@@ -106,12 +107,15 @@ let prop_portfolio_transparent =
       let n = Program.num_kernels p in
       let rng = Rng.create (seed + 5) in
       let ok = ref true in
+      let asked = Hashtbl.create 16 in
       for _ = 1 to 5 do
         let groups = Grouping.random_plan op rng n in
         if bits (Objective.plan_cost op groups) <> bits (Objective.plan_cost o groups) then
           ok := false;
+        if Objective.rows_evaluated op <> Hashtbl.length asked then ok := false;
         List.iter
           (fun g ->
+            if List.length g > 1 then Hashtbl.replace asked (List.sort Int.compare g) ();
             match Objective.group_row op g with
             | None -> ok := false
             | Some row ->
@@ -121,8 +125,69 @@ let prop_portfolio_transparent =
           groups
       done;
       !ok
-      && Objective.rows_evaluated op = Objective.evaluations op
+      && Objective.rows_evaluated op = Hashtbl.length asked
       && Objective.group_row o [ 0 ] = None)
+
+(* The front is rebuilt from the plan table on every call: after more
+   plans are evaluated, a second call equals a brute-force
+   non-dominated filter, summed from [group_row], over every plan
+   evaluated so far. *)
+let prop_front_recomputed =
+  QCheck.Test.make ~count:6 ~name:"Pareto front recomputed over every evaluated plan"
+    QCheck.small_int
+    (fun seed ->
+      let ctx = context_of_seed seed in
+      let i = inputs_for ~device:Device.k20x ctx in
+      let extras = List.map (fun d -> inputs_for ~device:d ctx) [ Device.k40; Device.v100 ] in
+      let o = Objective.create ~portfolio:extras i in
+      let p, _, _ = ctx in
+      let n = Program.num_kernels p in
+      let rng = Rng.create (seed + 41) in
+      let evaluated = ref [] in
+      let evaluate count =
+        for _ = 1 to count do
+          let groups = Plan.canonical_groups (Grouping.random_plan o rng n) in
+          ignore (Objective.plan_cost o groups);
+          evaluated := groups :: !evaluated
+        done
+      in
+      evaluate 4;
+      ignore (Objective.pareto_front o);
+      evaluate 8;
+      let front = Objective.pareto_front o in
+      let ndev = Array.length (Objective.portfolio_devices o) in
+      let costs groups =
+        List.fold_left
+          (fun acc g ->
+            match Objective.group_row o g with
+            | Some row -> Array.mapi (fun d c -> c +. row.(d)) acc
+            | None -> acc)
+          (Array.make ndev 0.) groups
+      in
+      let plans =
+        List.sort_uniq compare
+          (List.map
+             (fun g -> (Objective.plan_key o (List.map (fun g -> [ g ]) g), g))
+             !evaluated)
+        |> List.map (fun (key, g) -> (key, g, costs g))
+      in
+      let dominates a b =
+        Array.for_all2 ( <= ) a b && Array.exists2 ( < ) a b
+      in
+      let want =
+        List.filter
+          (fun (key, _, c) ->
+            not
+              (List.exists
+                 (fun (key', _, c') -> dominates c' c || (c' = c && compare key' key < 0))
+                 plans))
+          plans
+        |> List.sort (fun (k, _, c) (k', _, c') ->
+               let o = compare c c' in
+               if o <> 0 then o else compare k k')
+        |> List.map (fun (_, g, c) -> (g, Array.map bits c))
+      in
+      want = List.map (fun e -> (e.Objective.pf_plan, Array.map bits e.Objective.pf_costs)) front)
 
 (* The Pareto front is a function of the set of plans evaluated, not of
    the order the portfolio devices were configured in: reversing the
@@ -250,6 +315,7 @@ let suite =
       prop_arena_matches_legacy;
       prop_search_identical;
       prop_portfolio_transparent;
+      prop_front_recomputed;
       prop_pareto_order_invariant;
     ]
   @ [

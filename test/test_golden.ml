@@ -180,6 +180,29 @@ let test_resume_horizontal () =
          "18:3f0649ce961b5a60"; "27:3f05b49feeafc27b";
          "30:3f05ad93e9503939" ])
 
+(* perfbench oneshot's first portfolio point: the 20-kernel suite point
+   of generator 1, searched on the K20X with the other four devices of
+   the extended table as its portfolio.  The primary result is pinned
+   like every other search; the front by its length and a digest of
+   each entry's plan and cost-vector bits. *)
+let test_portfolio () =
+  let program = Suite.generate { Suite.default with Suite.kernels = 20; arrays = 40; seed = 1 } in
+  let devices = List.filter (fun d -> not (Kf_gpu.Device.equal d device)) Kf_gpu.Device.extended in
+  let po = Pipeline.portfolio ~params:(suite_params 42) ~devices ~device program in
+  let pr = po.Pipeline.portfolio in
+  pin "portfolio primary" (golden ~plan:"{0,1 | 2,3,4 | 5,7 | 6 | 8,9 | 10,11 | 12,13 | 14,15 | 16,17 | 18,19}"
+       ~cost:"3f8904709549ea99" ~evals:6824
+       ~hist:[ "0:3f8dbabb5d320561"; "1:3f89a02c0f0a0ba7"; "3:3f8940fa2b3741ff"; "5:3f8904709549ea99" ])
+    pr.Hgga.primary;
+  let entry (e : Kf_search.Objective.pareto_entry) =
+    let group g = String.concat "," (List.map string_of_int g) in
+    Printf.sprintf "%s=%s" (String.concat "|" (List.map group e.Kf_search.Objective.pf_plan))
+      (String.concat "," (Array.to_list (Array.map bits e.Kf_search.Objective.pf_costs)))
+  in
+  let front = String.concat "\n" (List.map entry pr.Hgga.front) in
+  Alcotest.check Alcotest.string "portfolio front" "29 entries, 9e92b13566eaeec9f68efd7b7cad0c7d"
+    (Printf.sprintf "%d entries, %s" (List.length pr.Hgga.front) (Digest.to_hex (Digest.string front)))
+
 let suite =
   [
     Alcotest.test_case "cloverleaf, vertical, default parameters" `Quick test_cloverleaf;
@@ -192,4 +215,5 @@ let suite =
     Alcotest.test_case "resume, horizontal" `Quick test_resume_horizontal;
     Alcotest.test_case "motivating, tealeaf, cloverleaf, 300 generations" `Quick test_long_search;
     Alcotest.test_case "video, vertical against horizontal" `Quick test_video_vertical;
+    Alcotest.test_case "Table V 20-kernel point, five-device portfolio" `Quick test_portfolio;
   ]
